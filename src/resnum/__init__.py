@@ -17,7 +17,7 @@ from .catalog import (
     clique_equals_res_report,
     load_default_catalog,
 )
-from .enumeration import EnumConstraints, enumerate_graphs, naive_enumeration_oracle
+from .enumeration import EnumConstraints, enumerate_graphs
 from .errors import (
     CatalogMissing,
     Disconnected,
@@ -66,7 +66,6 @@ from .resolve import (
     upper_dimension,
 )
 from .serial import (
-    GraphDocument,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
@@ -87,7 +86,6 @@ __all__ = [
     "EnumConstraints",
     "FamilySpec",
     "Graph",
-    "GraphDocument",
     "INFINITE_GIRTH",
     "InputError",
     "InvariantSummary",
@@ -119,7 +117,6 @@ __all__ = [
     "join",
     "load_default_catalog",
     "metric_dimension",
-    "naive_enumeration_oracle",
     "non_resolvers",
     "parse_edge_list",
     "parse_graph6",

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidPartition
 from .graphs import Graph, distance_matrix
 from .invariants import InvariantSummary
-from .resolve import UPDIM_CAP, metric_dimension, upper_dimension
+from .resolve import UPDIM_CAP, upper_dimension
 
 PROP_IDS = (
     "DiamTree",
@@ -138,8 +140,8 @@ def verify_bounds(
         out.append(_na("MaxDegTree", "tree bound; needs a non-path tree"))
 
     if 2 <= g.n <= UPDIM_CAP:
-        dim = metric_dimension(g).dim
-        updim = upper_dimension(g).updim
+        dims = upper_dimension(g)
+        dim, updim = dims.dim, dims.updim
         out.append(_row("Chain", 1, dim, part="unit_le_dim"))
         out.append(_row("Chain", dim, updim, part="dim_le_updim"))
         out.append(_row("Chain", updim, res, part="updim_le_res"))
@@ -208,18 +210,14 @@ def counting_lemma_check(
         raise InvalidPartition("parts do not cover every vertex")
 
     norm = _normalize_pairs(g, pairs)
-    dm = distance_matrix(g)
-    hypothesis_ok = True
-    for part, ki in zip(parts, k):
-        if ki == 0:
-            continue
-        for u in part:
-            fails = sum(1 for x, y in norm if dm.dist(u, x) == dm.dist(u, y))
-            if fails < ki:
-                hypothesis_ok = False
-                break
-        if not hypothesis_ok:
-            break
+    a = distance_matrix(g).array
+    xs = [x for x, _ in norm]
+    ys = [y for _, y in norm]
+    # fails[u]: how many of the given pairs vertex u leaves unresolved
+    fails = np.count_nonzero(a[:, xs] == a[:, ys], axis=1)
+    hypothesis_ok = all(
+        fails[u] >= ki for part, ki in zip(parts, k) for u in part
+    )
 
     weighted = sum(len(part) * ki for part, ki in zip(parts, k))
     inequality_ok = weighted <= len(norm) * (res - 1)

@@ -41,14 +41,14 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
 
 
 def _load_graphs(path: str, fmt: str) -> list[Graph]:
     text = _read_text(path)
     if fmt == "edgelist":
-        return [parse_edge_list(text).graph]
+        return [parse_edge_list(text)]
     graphs = list(parse_graph6_lines(text))
     if not graphs:
         raise InputError(f"no graph6 lines found in {path}")
@@ -75,10 +75,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "omega": inv.omega,
             "max_degree": inv.max_degree,
         }
-        if args.dim:
-            out["dim"] = metric_dimension(g).dim
-        if args.updim:
-            out["updim"] = upper_dimension(g).updim
+        if args.dim or args.updim:
+            dims = upper_dimension(g) if args.updim else metric_dimension(g)
+            if args.dim:
+                out["dim"] = dims.dim
+            if args.updim:
+                out["updim"] = dims.updim
         print(to_json_line(out))
     return 0
 

@@ -4,9 +4,9 @@ The general engine grows edge sets level by level on a fixed vertex
 count, keeping one canonical form per class at each level; degree and
 girth constraints prune before the canonical form is ever computed, which
 is sound because both survive edge deletion.  Trees get a cheaper ladder
-that attaches one leaf per step.  A brute-force oracle (all edge subsets,
-deduped by the minimum bit string over all permutations) guards the
-engine at tiny orders.
+that attaches one leaf per step.  A brute-force oracle in the tests (all
+edge subsets, deduped by the minimum bit string over all permutations)
+guards the engine at tiny orders.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from random import Random
 from typing import Iterator
 
@@ -25,7 +24,6 @@ from .graphs import Graph, _bfs_distances, from_edge_list, is_connected
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
 TREES_CAP = 12
-NAIVE_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -167,73 +165,3 @@ def enumerate_graphs(
         if c.connected_only and not is_connected(g):
             continue
         yield g
-
-
-def _slot_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            idx[(i, j)] = s
-            s += 1
-    return idx
-
-
-def permutation_min_form(g: Graph) -> CanonicalForm:
-    """Minimum adjacency bit string over all n! relabelings.
-
-    Independent of `canonical_form`; still satisfies equal iff isomorphic,
-    so it doubles as a brute-force isomorphism oracle at small orders.
-    """
-    n = g.n
-    if n > 8:
-        raise TooLarge(f"permutation scan is capped at n <= 8, got {n}")
-    if n == 1:
-        return CanonicalForm(1, "")
-    idx = _slot_index(n)
-    m = len(idx)
-    edges = list(g.edges())
-    best = None
-    for pi in permutations(range(n)):
-        val = 0
-        for u, v in edges:
-            a, b = pi[u], pi[v]
-            s = idx[(a, b) if a < b else (b, a)]
-            val |= 1 << (m - 1 - s)
-        if best is None or val < best:
-            best = val
-    return CanonicalForm(n, format(best, f"0{m}b"))
-
-
-def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
-    """Every connected class on n vertices from raw edge-subset enumeration."""
-    if n > NAIVE_CAP:
-        raise TooLarge(f"naive oracle is capped at n <= {NAIVE_CAP}, got {n}")
-    if n == 1:
-        return frozenset({CanonicalForm(1, "")})
-    import numpy as np
-
-    idx = _slot_index(n)
-    m = len(idx)
-    slots = sorted(idx, key=idx.get)
-    # masks use bit (m-1-s) for slot s, so integer order is bit-string order
-    connected = []
-    for x in range(1 << m):
-        rows = [0] * n
-        for (i, j), s in idx.items():
-            if x >> (m - 1 - s) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        if is_connected(Graph(n, tuple(rows))):
-            connected.append(x)
-    arr = np.asarray(connected, dtype=np.int64)
-    running = arr.copy()
-    for pi in permutations(range(n)):
-        out = np.zeros_like(arr)
-        for (i, j), s in idx.items():
-            a, b = pi[i], pi[j]
-            s2 = idx[(a, b) if a < b else (b, a)]
-            out |= ((arr >> (m - 1 - s)) & 1) << (m - 1 - s2)
-        np.minimum(running, out, out=running)
-    forms = {CanonicalForm(n, format(int(v), f"0{m}b")) for v in set(running.tolist())}
-    return frozenset(forms)

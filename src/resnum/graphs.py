@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     Disconnected,
     IndexOutOfRange,
@@ -117,18 +119,22 @@ def is_connected(g: Graph) -> bool:
     return _reach_mask(g, 0) == (1 << g.n) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs shortest path distances of a connected graph."""
+    """All-pairs shortest path distances of a connected graph.
+
+    `array[u, v]` is d(u, v) in one read-only n x n int32 array; equality
+    is identity, so no elementwise comparison ever hides behind `==`.
+    """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
     def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
+        return int(self.array[u, v])
 
     def eccentricity(self, u: int) -> int:
-        return max(self.rows[u])
+        return int(self.array[u].max())
 
 
 def _bfs_distances(g: Graph, src: int) -> list[int]:
@@ -156,5 +162,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         dist = _bfs_distances(g, src)
         if src == 0 and min(dist) < 0:
             raise Disconnected("distance matrix requires a connected graph")
-        rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+        rows.append(dist)
+    array = np.array(rows, dtype=np.int32)
+    array.setflags(write=False)
+    return DistanceMatrix(g.n, array)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
 from .graphs import DistanceMatrix, Graph, _bits
@@ -88,15 +89,6 @@ def clique_number(g: Graph) -> int:
     return best
 
 
-def clique_number_oracle(g: Graph) -> int:
-    """Subset brute force, for cross-checking at small orders."""
-    for k in range(g.n, 1, -1):
-        for s in combinations(range(g.n), k):
-            if all(g.has_edge(u, v) for u, v in combinations(s, 2)):
-                return k
-    return 1
-
-
 def spider_signature(g: Graph) -> tuple[int, int, int] | None:
     """Sorted leg lengths when g is a tree of three paths glued at one vertex."""
     degs = g.degrees()
@@ -128,12 +120,10 @@ def distance_window(
     for v in members + [u]:
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
-    rows = dm.rows
-    d = min(rows[u][v] for v in members)
-    diam_a = max(
-        (rows[x][y] for x, y in combinations(members, 2)), default=0
-    )
-    ok = all(d <= rows[u][v] <= d + diam_a for v in members)
+    to_a = dm.array[u, members]
+    d = int(to_a.min())
+    diam_a = int(dm.array[np.ix_(members, members)].max())
+    ok = bool(((d <= to_a) & (to_a <= d + diam_a)).all())
     return d, ok
 
 
@@ -147,7 +137,7 @@ def invariant_summary(g: Graph, dm: DistanceMatrix) -> InvariantSummary:
     is_cycle = n >= 3 and all(d == 2 for d in degs)
     is_star = n >= 2 and is_tree and max(degs) == n - 1
     return InvariantSummary(
-        diameter=max(max(row) for row in dm.rows),
+        diameter=int(dm.array.max()),
         girth=girth(g),
         omega=clique_number(g),
         max_degree=max(degs, default=0),

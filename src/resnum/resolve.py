@@ -6,6 +6,15 @@ vertices resolves every pair.  It equals one plus the largest number of
 vertices that fail to resolve some single pair, which turns the
 exponential definition into one distance-matrix scan; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
+
+One equidistance kernel feeds everything else: for row x of the distance
+array, the boolean slab ``a[x+1:] == a[x]`` marks, for each y > x, the
+vertices that fail to resolve {x, y}.  Its row counts give the resolving
+number.  Weighted by vertex bits, its rows are the pair masks of a single
+2^n resolving-set table per graph, read once for the metric dimension
+(least size of a resolving set), the upper dimension (largest size of a
+minimal one) and res again for the chain check.  Each dimension witness
+is the lowest integer bit mask among the sets of its kind.
 """
 
 from __future__ import annotations
@@ -59,10 +68,15 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def _equidistant(a: np.ndarray, x: int) -> np.ndarray:
+    """Row j marks the vertices that fail to resolve {x, x + 1 + j}."""
+    return a[x + 1 :] == a[x]
+
+
 def non_resolvers(g: Graph, dm: DistanceMatrix, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
-    return frozenset(u for u in range(g.n) if dm.rows[u][x] == dm.rows[u][y])
+    return frozenset(np.flatnonzero(_equidistant(dm.array, x)[y - x - 1]).tolist())
 
 
 def is_resolving_set(
@@ -73,10 +87,11 @@ def is_resolving_set(
     for v in members:
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
-    rows = dm.rows
+    # vector[v]: the distances from v to the members, in member order
+    vector = dm.array[members].T.tolist()
     for x in range(g.n - 1):
         for y in range(x + 1, g.n):
-            if all(rows[u][x] == rows[u][y] for u in members):
+            if vector[x] == vector[y]:
                 return False, (x, y)
     return True, None
 
@@ -91,18 +106,18 @@ def resolving_number(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingRep
         return ResolvingReport(1, None, frozenset())
     if dm is None:
         dm = distance_matrix(g)
-    a = np.asarray(dm.rows, dtype=np.int32)
     best = -1
-    best_pair = (0, 1)
     for x in range(g.n - 1):
-        eq = np.count_nonzero(a[x + 1 :] == a[x], axis=1)
+        slab = _equidistant(dm.array, x)
+        eq = np.count_nonzero(slab, axis=1)
         y_rel = int(np.argmax(eq))
         if int(eq[y_rel]) > best:
             best = int(eq[y_rel])
             best_pair = (x, x + 1 + y_rel)
-    x, y = best_pair
-    witness = frozenset(np.flatnonzero(a[x] == a[y]).tolist())
-    return ResolvingReport(best + 1, best_pair, witness)
+            witness = slab[y_rel]
+    return ResolvingReport(
+        best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
+    )
 
 
 def resolving_number_oracle(g: Graph) -> int:
@@ -120,107 +135,68 @@ def resolving_number_oracle(g: Graph) -> int:
     return g.n - 1
 
 
-def _pair_nonresolver_masks(g: Graph, dm: DistanceMatrix) -> list[int]:
-    """For every vertex pair, the bit mask of vertices failing to resolve it."""
-    masks = []
-    rows = dm.rows
-    for x in range(g.n - 1):
-        for y in range(x + 1, g.n):
-            m = 0
-            for u in range(g.n):
-                if rows[u][x] == rows[u][y]:
-                    m |= 1 << u
-            masks.append(m)
-    return masks
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if int(mask) >> v & 1)
 
 
-def _resolving_table(g: Graph, dm: DistanceMatrix) -> bytearray:
-    """table[mask] == 1 iff the subset encoded by mask is a resolving set.
+def _dimensions(g: Graph) -> DimensionReport:
+    """dim, updim and both witnesses from one resolving-set table.
 
-    A subset fails exactly when it sits inside the non-resolver set of
-    some pair, so marking every submask of those sets covers all failures.
+    A subset fails exactly when it sits inside the non-resolver mask of
+    some pair, so marking every pair mask bad and closing the marks
+    downward, one vertex bit per pass, leaves the resolving sets good.
+    Minimality only needs single-vertex deletions: supersets of resolving
+    sets resolve, so a proper resolving subset implies a resolving subset
+    one element smaller.  res is one more than the largest pair-mask size.
     """
-    size = 1 << g.n
-    table = bytearray([1]) * size
-    for m in set(_pair_nonresolver_masks(g, dm)):
-        sub = m
-        while True:
-            table[sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    return table
+    n = g.n
+    if n == 1:
+        return DimensionReport(
+            dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,)
+        )
+    a = distance_matrix(g).array
+    weights = 1 << np.arange(n, dtype=np.int64)
+    pair_masks = np.concatenate([_equidistant(a, x) @ weights for x in range(n - 1)])
+    bad = np.zeros(1 << n, dtype=bool)
+    bad[pair_masks] = True
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for v in range(n):
+        # [:, 1] holds the masks with bit v set, [:, 0] the same masks without it
+        bad_v = bad.reshape(-1, 2, 1 << v)
+        bad_v[:, 0] |= bad_v[:, 1]
+        popcount.reshape(-1, 2, 1 << v)[:, 1] += 1
+    good = ~bad
+    minimal = good.copy()
+    for v in range(n):
+        minimal.reshape(-1, 2, 1 << v)[:, 1] &= bad.reshape(-1, 2, 1 << v)[:, 0]
+    dim = int(popcount[good].min())
+    updim = int(popcount[minimal].max())
+    res = 1 + int(popcount[pair_masks].max())
+    if not dim <= updim <= res:
+        raise TheoremViolation(
+            f"dimension chain broken: dim={dim} updim={updim} res={res}"
+        )
+    # the lowest integer mask of each kind is the witness
+    return DimensionReport(
+        dim=dim,
+        updim=updim,
+        witness_min_set=_members(np.flatnonzero(good & (popcount == dim))[0], n),
+        witness_max_minimal_set=_members(
+            np.flatnonzero(minimal & (popcount == updim))[0], n
+        ),
+    )
 
 
 def metric_dimension(g: Graph) -> DimensionReport:
     """Minimum size of a resolving set, with one witness of that size."""
     if g.n > DIM_CAP:
         raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {g.n}")
-    if g.n == 1:
-        return DimensionReport(dim=1, witness_min_set=(0,))
-    dm = distance_matrix(g)
-    table = _resolving_table(g, dm)
-    best_mask = None
-    best_count = g.n + 1
-    for mask in range(1, 1 << g.n):
-        if table[mask] and mask.bit_count() < best_count:
-            best_count = mask.bit_count()
-            best_mask = mask
-    assert best_mask is not None  # the full vertex set always resolves
-    return DimensionReport(
-        dim=best_count,
-        witness_min_set=tuple(v for v in range(g.n) if best_mask >> v & 1),
-    )
+    rep = _dimensions(g)
+    return DimensionReport(dim=rep.dim, witness_min_set=rep.witness_min_set)
 
 
 def upper_dimension(g: Graph) -> DimensionReport:
-    """Maximum size of a minimal resolving set, plus dim for the chain check.
-
-    Minimality only needs single-vertex deletions: supersets of resolving
-    sets resolve, so a proper resolving subset implies a resolving subset
-    one element smaller.
-    """
+    """Maximum size of a minimal resolving set, plus dim for the chain check."""
     if g.n > UPDIM_CAP:
         raise TooLarge(f"upper dimension is capped at n <= {UPDIM_CAP}, got {g.n}")
-    if g.n == 1:
-        return DimensionReport(
-            dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,)
-        )
-    dm = distance_matrix(g)
-    table = _resolving_table(g, dm)
-    best_min = None
-    best_min_count = g.n + 1
-    best_max = None
-    best_max_count = 0
-    for mask in range(1, 1 << g.n):
-        if not table[mask]:
-            continue
-        k = mask.bit_count()
-        if k < best_min_count:
-            best_min_count = k
-            best_min = mask
-        if k > best_max_count:
-            rest = mask
-            minimal = True
-            while rest:
-                low = rest & -rest
-                if table[mask ^ low]:
-                    minimal = False
-                    break
-                rest ^= low
-            if minimal:
-                best_max_count = k
-                best_max = mask
-    assert best_min is not None and best_max is not None
-    res = resolving_number(g, dm).res
-    if not best_min_count <= best_max_count <= res:
-        raise TheoremViolation(
-            f"dimension chain broken: dim={best_min_count} "
-            f"updim={best_max_count} res={res}"
-        )
-    return DimensionReport(
-        dim=best_min_count,
-        updim=best_max_count,
-        witness_min_set=tuple(v for v in range(g.n) if best_min >> v & 1),
-        witness_max_minimal_set=tuple(v for v in range(g.n) if best_max >> v & 1),
-    )
+    return _dimensions(g)

@@ -9,22 +9,12 @@ tests, including against an independent decoder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import MalformedGraph6, MalformedLine, TooLarge
 from .graphs import Graph, from_edge_list
 
 GRAPH6_CAP = 62
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """A parsed graph together with where it came from."""
-
-    graph: Graph
-    source_format: str
-    label: str | None = None
 
 
 def _triangle_slots(n: int) -> Iterator[tuple[int, int]]:
@@ -91,7 +81,7 @@ def parse_graph6_lines(text: str) -> Iterator[Graph]:
             yield parse_graph6(line)
 
 
-def parse_edge_list(text: str) -> GraphDocument:
+def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first significant line is ``n <order>``; every following line is
@@ -120,13 +110,9 @@ def parse_edge_list(text: str) -> GraphDocument:
         edges.append((u, v))
     if n is None:
         raise MalformedLine("missing 'n <order>' header line")
-    return GraphDocument(from_edge_list(n, edges), "edgelist")
+    return from_edge_list(n, edges)
 
 
 def to_json_line(obj) -> str:
     """Render a report deterministically: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def graphs_to_lines(graphs: Iterable[Graph]) -> str:
-    return "\n".join(write_graph6(g) for g in graphs)

@@ -1,0 +1,129 @@
+"""Brute-force oracles that the tests hold the production code against.
+
+Each one works straight off a definition and shares no logic with the
+routine it checks: permutation-minimum forms against `canonical_form`,
+raw edge-subset enumeration against the enumeration engine, subset brute
+force against `clique_number`, and a subset scan with `is_resolving_set`
+against the resolving-set table behind the dimensions.
+"""
+
+from itertools import combinations, permutations
+
+import numpy as np
+
+from resnum.canon import CanonicalForm
+from resnum.errors import TooLarge
+from resnum.graphs import Graph, distance_matrix, is_connected
+from resnum.resolve import is_resolving_set
+
+NAIVE_CAP = 6
+
+
+def _slot_index(n: int) -> dict[tuple[int, int], int]:
+    idx = {}
+    s = 0
+    for j in range(1, n):
+        for i in range(j):
+            idx[(i, j)] = s
+            s += 1
+    return idx
+
+
+def permutation_min_form(g: Graph) -> CanonicalForm:
+    """Minimum adjacency bit string over all n! relabelings.
+
+    Independent of `canonical_form`; still satisfies equal iff isomorphic,
+    so it doubles as a brute-force isomorphism oracle at small orders.
+    """
+    n = g.n
+    if n > 8:
+        raise TooLarge(f"permutation scan is capped at n <= 8, got {n}")
+    if n == 1:
+        return CanonicalForm(1, "")
+    idx = _slot_index(n)
+    m = len(idx)
+    edges = list(g.edges())
+    best = None
+    for pi in permutations(range(n)):
+        val = 0
+        for u, v in edges:
+            a, b = pi[u], pi[v]
+            s = idx[(a, b) if a < b else (b, a)]
+            val |= 1 << (m - 1 - s)
+        if best is None or val < best:
+            best = val
+    return CanonicalForm(n, format(best, f"0{m}b"))
+
+
+def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
+    """Every connected class on n vertices from raw edge-subset enumeration."""
+    if n > NAIVE_CAP:
+        raise TooLarge(f"naive oracle is capped at n <= {NAIVE_CAP}, got {n}")
+    if n == 1:
+        return frozenset({CanonicalForm(1, "")})
+    idx = _slot_index(n)
+    m = len(idx)
+    slots = sorted(idx, key=idx.get)
+    # masks use bit (m-1-s) for slot s, so integer order is bit-string order
+    connected = []
+    for x in range(1 << m):
+        rows = [0] * n
+        for (i, j), s in idx.items():
+            if x >> (m - 1 - s) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        if is_connected(Graph(n, tuple(rows))):
+            connected.append(x)
+    arr = np.asarray(connected, dtype=np.int64)
+    running = arr.copy()
+    for pi in permutations(range(n)):
+        out = np.zeros_like(arr)
+        for (i, j), s in idx.items():
+            a, b = pi[i], pi[j]
+            s2 = idx[(a, b) if a < b else (b, a)]
+            out |= ((arr >> (m - 1 - s)) & 1) << (m - 1 - s2)
+        np.minimum(running, out, out=running)
+    forms = {CanonicalForm(n, format(int(v), f"0{m}b")) for v in set(running.tolist())}
+    return frozenset(forms)
+
+
+def clique_number_oracle(g: Graph) -> int:
+    """Subset brute force, for cross-checking at small orders."""
+    for k in range(g.n, 1, -1):
+        for s in combinations(range(g.n), k):
+            if all(g.has_edge(u, v) for u, v in combinations(s, 2)):
+                return k
+    return 1
+
+
+def subset_scan_dimensions(g: Graph) -> tuple:
+    """(dim, min witness, updim, max minimal witness, res) over all nonempty subsets.
+
+    Subsets are visited by increasing bit mask, so each witness is the
+    lowest mask of its kind.  A set is minimal when no nonempty proper
+    subset resolves; res is the least k whose k-subsets all resolve.
+    """
+    dm = distance_matrix(g)
+    masks = range(1, 1 << g.n)
+
+    def members(mask):
+        return tuple(v for v in range(g.n) if mask >> v & 1)
+
+    resolving = {m for m in masks if is_resolving_set(g, dm, members(m))[0]}
+    minimal = {
+        m for m in resolving
+        if not any(s in resolving for s in masks if s != m and s & m == s)
+    }
+    dim = min(bin(m).count("1") for m in resolving)
+    updim = max(bin(m).count("1") for m in minimal)
+    res = min(
+        k for k in range(1, g.n + 1)
+        if all(m in resolving for m in masks if bin(m).count("1") == k)
+    )
+    return (
+        dim,
+        members(min(m for m in resolving if bin(m).count("1") == dim)),
+        updim,
+        members(min(m for m in minimal if bin(m).count("1") == updim)),
+        res,
+    )

@@ -130,6 +130,13 @@ def test_exit_code_input_error(capsys, monkeypatch):
     assert code == 2
 
 
+def test_non_ascii_input_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "g.g6"
+    f.write_bytes(b"B\xc3\xa9\n")
+    code, _, err = run(capsys, "compute", "--input", str(f))
+    assert code == 2 and "input error" in err and str(f) in err
+
+
 def test_exit_code_disconnected(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text("n 2\n")

@@ -19,6 +19,7 @@ from resnum.families import (
     star_graph,
 )
 from resnum.resolve import (
+    DimensionReport,
     is_resolving_set,
     metric_dimension,
     non_resolvers,
@@ -26,6 +27,8 @@ from resnum.resolve import (
     resolving_number_oracle,
     upper_dimension,
 )
+
+from oracles import subset_scan_dimensions
 
 
 @pytest.mark.parametrize(
@@ -124,6 +127,16 @@ def test_dimension_reports():
 
     rep = upper_dimension(path_graph(1))
     assert (rep.dim, rep.updim) == (1, 1)
+
+
+def test_dimensions_match_subset_scan(connected_by_order):
+    graphs = [g for n in range(1, 7) for g in connected_by_order[n]]
+    graphs += [cycle_graph(6), complete_graph(4), path_graph(1)]
+    for g in graphs:
+        dim, min_set, updim, max_set, res = subset_scan_dimensions(g)
+        assert metric_dimension(g) == DimensionReport(dim=dim, witness_min_set=min_set)
+        assert upper_dimension(g) == DimensionReport(dim, updim, min_set, max_set)
+        assert resolving_number(g).res == res
 
 
 def test_chain_holds_on_all_small_classes(connected_by_order):

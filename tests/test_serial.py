@@ -120,17 +120,17 @@ def test_parse_lines_skips_blanks():
 
 
 def test_edge_list_examples():
-    doc = parse_edge_list("n 3\n0 1\n1 2")
-    assert set(doc.graph.edges()) == {(0, 1), (1, 2)}
+    g = parse_edge_list("n 3\n0 1\n1 2")
+    assert set(g.edges()) == {(0, 1), (1, 2)}
     # disconnected input is representable; resolving ops reject it later
-    assert parse_edge_list("n 2\n").graph.m == 0
+    assert parse_edge_list("n 2\n").m == 0
     with pytest.raises(IndexOutOfRange):
         parse_edge_list("n 3\n0 3")
 
 
 def test_edge_list_comments_and_garbage():
-    doc = parse_edge_list("# path\nn 3\n\n0 1\n# mid comment\n1 2\n")
-    assert doc.graph.m == 2
+    g = parse_edge_list("# path\nn 3\n\n0 1\n# mid comment\n1 2\n")
+    assert g.m == 2
     with pytest.raises(MalformedLine):
         parse_edge_list("3\n0 1")
     with pytest.raises(MalformedLine):
