@@ -1,10 +1,11 @@
 """The derived catalog of res = 3 graphs beyond even cycles and the 3-star.
 
 Order bounds confine such graphs to n <= 6 at girth 3 and, at girth 5,
-to n <= 10 with maximum degree 3, so an exhaustive scan to order 7 plus a
-degree/girth-constrained scan of orders 8..10 re-derives the catalog
-instead of transcribing drawings.  The result is frozen as a fixture of
-sorted graph6 lines; rebuilding must reproduce it byte for byte.
+to n <= 10 with maximum degree 3, so a scan of every connected graph to
+order 7 plus a degree/girth-capped scan of orders 8..10, both grown one
+vertex at a time by `enumeration`, re-derives the catalog instead of
+transcribing drawings.  The result is frozen as a fixture of sorted
+graph6 lines; rebuilding must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterator
+from typing import Iterator
 
+from . import enumeration
 from .canon import CanonicalForm, canonical_form
 from .errors import CatalogMissing, TheoremViolation
 from .graphs import Graph, distance_matrix
@@ -67,25 +69,25 @@ def _member_from_graph(g: Graph) -> CatalogMember:
     )
 
 
-def _candidate_stream(enumerate_fn: Callable) -> Iterator[Graph]:
-    from .enumeration import EnumConstraints
-
+def _candidate_stream() -> Iterator[Graph]:
+    # enumerate_graphs is looked up on its module at call time, so a
+    # wrapper installed there (a tracer, a timer) sees every candidate
     for n in range(2, 8):
-        yield from enumerate_fn(EnumConstraints(n))
+        yield from enumeration.enumerate_graphs(enumeration.EnumConstraints(n))
     for n in (8, 9, 10):
-        yield from enumerate_fn(EnumConstraints(n, max_degree=3, min_girth=5))
+        yield from enumeration.enumerate_graphs(
+            enumeration.EnumConstraints(n, max_degree=3, min_girth=5)
+        )
 
 
-def build_res3_catalog(enumerate_fn: Callable | None = None) -> Res3Catalog:
+def build_res3_catalog() -> Res3Catalog:
     """Scan the bounded space and keep every res-3 class that needs cataloging.
 
     Even cycles and the 3-leaf star are classified structurally, so they
     stay out of the member list.
     """
-    if enumerate_fn is None:
-        from .enumeration import enumerate_graphs as enumerate_fn
     seen: dict[CanonicalForm, CatalogMember] = {}
-    for g in _candidate_stream(enumerate_fn):
+    for g in _candidate_stream():
         dm = distance_matrix(g)
         if resolving_number(g, dm).res != 3:
             continue

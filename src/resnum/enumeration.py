@@ -1,12 +1,16 @@
-"""Isomorph-free generation of small graphs.
+"""Isomorph-free generation of small connected graphs.
 
-The general engine grows edge sets level by level on a fixed vertex
-count, keeping one canonical form per class at each level; degree and
-girth constraints prune before the canonical form is ever computed, which
-is sound because both survive edge deletion.  Trees get a cheaper ladder
-that attaches one leaf per step.  A brute-force oracle in the tests (all
-edge subsets, deduped by the minimum bit string over all permutations)
-guards the engine at tiny orders.
+Every connected graph on n >= 2 vertices has a vertex whose deletion
+leaves it connected (a leaf of any spanning tree), so level n is grown
+from level n - 1: each canonical parent gains one new vertex joined to a
+nonempty set S of its vertices, and one canonical form is kept per class.
+Maximum degree and girth survive that deletion, so they prune S before
+the canonical form is ever computed: the new vertex and every member of
+S must stay within the degree cap, and two members of S at distance d
+would close a cycle of length d + 2.  Trees are the case of infinite
+girth, where S is a single vertex.  A brute-force oracle in the tests
+(all edge subsets, deduped by the minimum bit string over all
+permutations) guards the engine at tiny orders.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from random import Random
 from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
 from .errors import TooLarge
-from .graphs import Graph, _bfs_distances, from_edge_list, is_connected
+from .graphs import Graph, distance_matrix
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -38,102 +43,93 @@ class EnumConstraints:
     n: int
     max_degree: int | None = None
     min_girth: int | float | None = None
-    connected_only: bool = True
     trees_only: bool = False
 
 
-def _mode(c: EnumConstraints) -> str:
+def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
+    """Check the caps; return (max_degree, min_girth) as the level cache key.
+
+    Trees become girth infinity; a girth floor of 3 or less, which every
+    simple graph meets, becomes None.
+    """
     if c.n < 1:
         raise TooLarge(f"order must be at least 1, got {c.n}")
-    tree_mode = c.trees_only or (
-        c.min_girth is not None and math.isinf(c.min_girth)
-    )
-    if tree_mode:
+    min_girth = c.min_girth
+    if c.trees_only or (min_girth is not None and math.isinf(min_girth)):
         if c.n > TREES_CAP:
             raise TooLarge(f"tree enumeration is capped at n <= {TREES_CAP}, got {c.n}")
-        return "trees"
-    if c.n <= EXHAUSTIVE_CAP:
-        return "edges"
-    if (
+        return c.max_degree, math.inf
+    if min_girth is not None and min_girth <= 3:
+        min_girth = None
+    if c.n <= EXHAUSTIVE_CAP or (
         c.n <= CONSTRAINED_CAP
         and c.max_degree is not None
         and c.max_degree <= 3
-        and c.min_girth is not None
-        and c.min_girth >= 5
+        and min_girth is not None
+        and min_girth >= 5
     ):
-        return "edges"
+        return c.max_degree, min_girth
     raise TooLarge(
         f"order {c.n} needs max_degree <= 3 and min_girth >= 5 "
         f"(unconstrained enumeration stops at n <= {EXHAUSTIVE_CAP})"
     )
 
 
-def _extension_ok(
-    g: Graph, u: int, v: int, max_degree: int | None, min_girth: int | float | None
-) -> bool:
-    if max_degree is not None and (
-        g.degree(u) + 1 > max_degree or g.degree(v) + 1 > max_degree
-    ):
-        return False
-    if min_girth is not None and min_girth > 3:
-        d = _bfs_distances(g, u)[v]
-        if 0 <= d < min_girth - 1:
-            return False
-    return True
+def _joins(
+    g: Graph, max_degree: int | None, min_girth: int | float | None
+) -> list[tuple[int, ...]]:
+    """Every neighbour set S a new vertex may join without breaking a cap."""
+    free = [v for v in range(g.n) if max_degree is None or g.degree(v) < max_degree]
+    largest = len(free) if max_degree is None else min(max_degree, len(free))
+    close = None
+    if min_girth is not None and math.isinf(min_girth):
+        largest = min(largest, 1)
+    elif min_girth is not None and largest > 1:
+        close = distance_matrix(g).array < min_girth - 2
+    return [
+        s
+        for size in range(1, largest + 1)
+        for s in combinations(free, size)
+        if close is None or not any(close[a, b] for a, b in combinations(s, 2))
+    ]
 
 
-def _edge_levels_impl(
+def _grow(
     n: int,
     max_degree: int | None,
     min_girth: int | float | None,
     rng: Random | None = None,
-) -> list[list[CanonicalForm]]:
-    empty = canonical_form(Graph(n, (0,) * n))
-    levels = [[empty]]
-    current = [empty]
-    while current:
-        nxt: set[CanonicalForm] = set()
-        parents = list(current)
-        if rng is not None:
-            rng.shuffle(parents)
-        for form in parents:
-            g = form.to_graph()
-            pairs = [
-                (u, v)
-                for u in range(n - 1)
-                for v in range(u + 1, n)
-                if not g.has_edge(u, v)
-            ]
-            if rng is not None:
-                rng.shuffle(pairs)
-            for u, v in pairs:
-                if _extension_ok(g, u, v, max_degree, min_girth):
-                    nxt.add(canonical_form(g.with_edge(u, v)))
-        current = sorted(nxt)
-        if current:
-            levels.append(current)
-    return levels
+) -> tuple[CanonicalForm, ...]:
+    """Sorted canonical forms of the connected graphs of order n within the caps.
 
-
-@lru_cache(maxsize=None)
-def _edge_levels(
-    n: int, max_degree: int | None, min_girth: int | float | None
-) -> tuple[tuple[CanonicalForm, ...], ...]:
-    return tuple(tuple(lv) for lv in _edge_levels_impl(n, max_degree, min_girth))
-
-
-@lru_cache(maxsize=None)
-def _tree_forms(k: int) -> tuple[CanonicalForm, ...]:
-    """Trees on k vertices: attach one leaf everywhere on every smaller tree."""
-    if k == 1:
+    With an `rng`, parents and neighbour sets are shuffled at every level
+    and no level comes from the cache.
+    """
+    if n == 1:
         return (canonical_form(Graph(1, (0,))),)
-    out: set[CanonicalForm] = set()
-    for form in _tree_forms(k - 1):
-        t = form.to_graph()
-        base = list(t.edges())
-        for v in range(t.n):
-            out.add(canonical_form(from_edge_list(k, base + [(v, k - 1)])))
-    return tuple(sorted(out))
+    if rng is None:
+        parents = list(_level(n - 1, max_degree, min_girth))
+    else:
+        parents = list(_grow(n - 1, max_degree, min_girth, rng))
+        rng.shuffle(parents)
+    new = 1 << (n - 1)
+    children: set[CanonicalForm] = set()
+    for form in parents:
+        g = form.to_graph()
+        joins = _joins(g, max_degree, min_girth)
+        if rng is not None:
+            rng.shuffle(joins)
+        for s in joins:
+            rows = list(g.adj)
+            for v in s:
+                rows[v] |= new
+            rows.append(sum(1 << v for v in s))
+            children.add(canonical_form(Graph(n, tuple(rows))))
+    return tuple(sorted(children))
+
+
+# the unshuffled levels, each built once per process
+_level = lru_cache(maxsize=None)(_grow)
 
 
 def enumerate_graphs(
@@ -144,24 +140,10 @@ def enumerate_graphs(
     The stream is sorted by canonical form, so it is independent of any
     internal exploration order.
     """
-    mode = _mode(c)
-    if mode == "trees":
-        forms = _tree_forms(c.n)
-        for form in forms:
-            t = form.to_graph()
-            if c.max_degree is not None and max(t.degrees()) > c.max_degree:
-                continue
-            yield t
-        return
+    max_degree, min_girth = _region(c)
     if _shuffle_seed is None:
-        levels = _edge_levels(c.n, c.max_degree, c.min_girth)
+        forms = _level(c.n, max_degree, min_girth)
     else:
-        levels = _edge_levels_impl(
-            c.n, c.max_degree, c.min_girth, Random(_shuffle_seed)
-        )
-    forms = sorted(f for lv in levels for f in lv)
+        forms = _grow(c.n, max_degree, min_girth, Random(_shuffle_seed))
     for form in forms:
-        g = form.to_graph()
-        if c.connected_only and not is_connected(g):
-            continue
-        yield g
+        yield form.to_graph()

@@ -59,15 +59,6 @@ class Graph:
             for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield u, v
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        """Return a copy with edge uv added (u != v)."""
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an iterable of index pairs.

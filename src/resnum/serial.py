@@ -75,10 +75,14 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6_lines(text: str) -> Iterator[Graph]:
-    """Decode every nonempty line of a graph6 stream."""
-    for line in text.splitlines():
+    """Decode every nonempty line of a graph6 stream; errors name their line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            yield parse_graph6(line)
+            try:
+                g = parse_graph6(line)
+            except MalformedGraph6 as exc:
+                raise MalformedGraph6(f"line {lineno}: {exc}") from None
+            yield g
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -130,6 +130,13 @@ def test_exit_code_input_error(capsys, monkeypatch):
     assert code == 2
 
 
+def test_graph6_error_names_its_line(tmp_path, capsys):
+    f = tmp_path / "g.g6"
+    f.write_text("C~\nCh\nC\x7f\n")
+    code, out, err = run(capsys, "compute", "--input", str(f))
+    assert code == 2 and out == "" and "line 3" in err
+
+
 def test_non_ascii_input_file_is_an_input_error(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_bytes(b"B\xc3\xa9\n")

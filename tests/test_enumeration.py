@@ -78,11 +78,32 @@ def test_matches_naive_oracle_to_order_five():
         assert ours == theirs
 
 
-def test_order_insensitive_to_generation_sequence(connected_by_order):
+@pytest.mark.parametrize("max_degree", [None, 2, 3, 4])
+@pytest.mark.parametrize("min_girth", [None, 3, 4, 5, 6, math.inf])
+def test_pruning_equals_filtering(connected_by_order, max_degree, min_girth):
+    # pruning while growing must keep exactly the graphs that filtering
+    # the unconstrained stream by max degree and girth keeps
+    for n, graphs in connected_by_order.items():
+        expected = tuple(
+            g
+            for g in graphs
+            if (max_degree is None or max(g.degrees()) <= max_degree)
+            and (min_girth is None or girth(g) >= min_girth)
+        )
+        assert tuple(enumerate_graphs(EnumConstraints(n, max_degree, min_girth))) == expected
+
+
+def test_order_insensitive_to_generation_sequence(
+    connected_by_order, constrained_by_order, trees_by_order
+):
     shuffled = tuple(
         enumerate_graphs(EnumConstraints(5), _shuffle_seed=1234)
     )
     assert shuffled == connected_by_order[5]
+    sparse = EnumConstraints(8, max_degree=3, min_girth=5)
+    assert tuple(enumerate_graphs(sparse, _shuffle_seed=99)) == constrained_by_order[8]
+    trees = EnumConstraints(8, trees_only=True)
+    assert tuple(enumerate_graphs(trees, _shuffle_seed=7)) == trees_by_order[8]
 
 
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):

@@ -45,13 +45,6 @@ def test_vertex_out_of_range_rejected():
         from_edge_list(3, [(-1, 0)])
 
 
-def test_with_edge_is_persistent():
-    g = from_edge_list(3, [(0, 1)])
-    h = g.with_edge(1, 2)
-    assert g.m == 1 and h.m == 2
-    assert not g.has_edge(1, 2) and h.has_edge(1, 2)
-
-
 def test_permute_roundtrip():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     perm = [3, 0, 4, 1, 2]
