@@ -45,7 +45,7 @@ from .families import (
     triangle_tripod,
     wheel_graph,
 )
-from .graphs import DistanceMatrix, Graph, distance_matrix, from_edge_list, permute
+from .graphs import Graph, distance_matrix, from_edge_list, permute
 from .invariants import (
     INFINITE_GIRTH,
     InvariantSummary,
@@ -82,7 +82,6 @@ __all__ = [
     "Category",
     "DimensionReport",
     "Disconnected",
-    "DistanceMatrix",
     "EnumConstraints",
     "FamilySpec",
     "Graph",

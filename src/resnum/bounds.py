@@ -84,9 +84,9 @@ def _order_upper_rhs(res: int, g: int | float, max_degree: int) -> int:
 
 
 def verify_bounds(
-    g: Graph, inv: InvariantSummary, res: int
+    g: Graph, inv: InvariantSummary, res: int, dm: np.ndarray | None = None
 ) -> tuple[BoundVerdict, ...]:
-    """All verdict rows for one graph, in fixed order."""
+    """All verdict rows for one graph, in fixed order; `dm` feeds the Chain rows."""
     out: list[BoundVerdict] = []
     tree_not_path = inv.is_tree and not inv.is_path
     general = not inv.is_path and not inv.is_cycle
@@ -140,7 +140,7 @@ def verify_bounds(
         out.append(_na("MaxDegTree", "tree bound; needs a non-path tree"))
 
     if 2 <= g.n <= UPDIM_CAP:
-        dims = upper_dimension(g)
+        dims = upper_dimension(g, dm)
         dim, updim = dims.dim, dims.updim
         out.append(_row("Chain", 1, dim, part="unit_le_dim"))
         out.append(_row("Chain", dim, updim, part="dim_le_updim"))
@@ -210,7 +210,7 @@ def counting_lemma_check(
         raise InvalidPartition("parts do not cover every vertex")
 
     norm = _normalize_pairs(g, pairs)
-    a = distance_matrix(g).array
+    a = distance_matrix(g)
     xs = [x for x, _ in norm]
     ys = [y for _, y in norm]
     # fails[u]: how many of the given pairs vertex u leaves unresolved

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 
 from .bounds import PROP_IDS, verify_bounds
 from .canon import canonical_form
@@ -76,7 +75,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "max_degree": inv.max_degree,
         }
         if args.dim or args.updim:
-            dims = upper_dimension(g) if args.updim else metric_dimension(g)
+            dims = (upper_dimension if args.updim else metric_dimension)(g, dm)
             if args.dim:
                 out["dim"] = dims.dim
             if args.updim:
@@ -101,10 +100,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         dm = distance_matrix(g)
         inv = invariant_summary(g, dm)
         res = resolving_number(g, dm).res
-        rows = verify_bounds(g, inv, res)
+        rows = verify_bounds(g, inv, res, dm)
         if args.prop != "all":
             rows = tuple(r for r in rows if r.prop_id == args.prop)
-        print(to_json_line([asdict(r) for r in rows]))
+        print(to_json_line([vars(r) for r in rows]))
     return 0
 
 

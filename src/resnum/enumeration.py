@@ -23,7 +23,7 @@ from random import Random
 from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
-from .errors import TooLarge
+from .errors import InputError, TooLarge
 from .graphs import Graph, distance_matrix
 
 EXHAUSTIVE_CAP = 7
@@ -47,13 +47,15 @@ class EnumConstraints:
 
 
 def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
-    """Check the caps; return (max_degree, min_girth) as the level cache key.
+    """Check domain and caps; return (max_degree, min_girth) as the level cache key.
 
     Trees become girth infinity; a girth floor of 3 or less, which every
     simple graph meets, becomes None.
     """
     if c.n < 1:
-        raise TooLarge(f"order must be at least 1, got {c.n}")
+        raise InputError(f"order must be at least 1, got {c.n}")
+    if c.max_degree is not None and c.max_degree < 0:
+        raise InputError(f"max_degree must be nonnegative, got {c.max_degree}")
     min_girth = c.min_girth
     if c.trees_only or (min_girth is not None and math.isinf(min_girth)):
         if c.n > TREES_CAP:
@@ -85,7 +87,7 @@ def _joins(
     if min_girth is not None and math.isinf(min_girth):
         largest = min(largest, 1)
     elif min_girth is not None and largest > 1:
-        close = distance_matrix(g).array < min_girth - 2
+        close = distance_matrix(g) < min_girth - 2
     return [
         s
         for size in range(1, largest + 1)

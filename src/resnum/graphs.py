@@ -4,6 +4,10 @@ Each row is a Python int whose bit j records adjacency to vertex j, so
 neighborhood algebra is plain integer arithmetic and arbitrary orders fit
 without a second representation.  Everything downstream (distances,
 resolving machinery, enumeration) builds on this type.
+
+Distances have one representation too: `distance_matrix` returns a
+read-only n x n int32 numpy array, which callers build once per graph
+and pass down to every routine that reads distances.
 """
 
 from __future__ import annotations
@@ -92,42 +96,6 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def _reach_mask(g: Graph, start: int) -> int:
-    """Bit mask of vertices reachable from start."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    return _reach_mask(g, 0) == (1 << g.n) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs shortest path distances of a connected graph.
-
-    `array[u, v]` is d(u, v) in one read-only n x n int32 array; equality
-    is identity, so no elementwise comparison ever hides behind `==`.
-    """
-
-    n: int
-    array: np.ndarray
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.array[u, v])
-
-    def eccentricity(self, u: int) -> int:
-        return int(self.array[u].max())
-
-
 def _bfs_distances(g: Graph, src: int) -> list[int]:
     dist = [-1] * g.n
     dist[src] = 0
@@ -146,14 +114,16 @@ def _bfs_distances(g: Graph, src: int) -> list[int]:
         frontier = nxt
     return dist
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises Disconnected when any pair is unreachable."""
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """`a[u, v]` = d(u, v) as one read-only n x n int32 array, by BFS from
+    every vertex; raises Disconnected when any pair is unreachable."""
     rows = []
     for src in range(g.n):
         dist = _bfs_distances(g, src)
         if src == 0 and min(dist) < 0:
             raise Disconnected("distance matrix requires a connected graph")
         rows.append(dist)
-    array = np.array(rows, dtype=np.int32)
-    array.setflags(write=False)
-    return DistanceMatrix(g.n, array)
+    a = np.array(rows, dtype=np.int32)
+    a.setflags(write=False)
+    return a

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
-from .graphs import DistanceMatrix, Graph, _bits
+from .graphs import Graph, _bits
 
 INFINITE_GIRTH = math.inf
 
@@ -110,7 +110,7 @@ def spider_signature(g: Graph) -> tuple[int, int, int] | None:
 
 
 def distance_window(
-    g: Graph, dm: DistanceMatrix, u: int, a: frozenset[int] | set[int]
+    g: Graph, dm: np.ndarray, u: int, a: frozenset[int] | set[int]
 ) -> tuple[int, bool]:
     """Distance from u to the set a, and whether every member sits within
     that distance plus the diameter of a."""
@@ -120,14 +120,14 @@ def distance_window(
     for v in members + [u]:
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
-    to_a = dm.array[u, members]
+    to_a = dm[u, members]
     d = int(to_a.min())
-    diam_a = int(dm.array[np.ix_(members, members)].max())
+    diam_a = int(dm[np.ix_(members, members)].max())
     ok = bool(((d <= to_a) & (to_a <= d + diam_a)).all())
     return d, ok
 
 
-def invariant_summary(g: Graph, dm: DistanceMatrix) -> InvariantSummary:
+def invariant_summary(g: Graph, dm: np.ndarray) -> InvariantSummary:
     """All invariants the bound suite consumes, in one pass."""
     degs = g.degrees()
     n, m = g.n, g.m
@@ -137,7 +137,7 @@ def invariant_summary(g: Graph, dm: DistanceMatrix) -> InvariantSummary:
     is_cycle = n >= 3 and all(d == 2 for d in degs)
     is_star = n >= 2 and is_tree and max(degs) == n - 1
     return InvariantSummary(
-        diameter=int(dm.array.max()),
+        diameter=int(dm.max()),
         girth=girth(g),
         omega=clique_number(g),
         max_degree=max(degs, default=0),

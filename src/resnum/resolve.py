@@ -15,6 +15,10 @@ number.  Weighted by vertex bits, its rows are the pair masks of a single
 (least size of a resolving set), the upper dimension (largest size of a
 minimal one) and res again for the chain check.  Each dimension witness
 is the lowest integer bit mask among the sets of its kind.
+
+Distances come in as the read-only array of `graphs.distance_matrix`.
+The public routines take it as `dm`, optional where they can build their
+own, so a caller that already holds it never pays for a second BFS.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegeneratePair, IndexOutOfRange, TheoremViolation, TooLarge
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import Graph, distance_matrix
 
 ORACLE_CAP = 12
 DIM_CAP = 16
@@ -73,14 +77,14 @@ def _equidistant(a: np.ndarray, x: int) -> np.ndarray:
     return a[x + 1 :] == a[x]
 
 
-def non_resolvers(g: Graph, dm: DistanceMatrix, pair: tuple[int, int]) -> frozenset[int]:
+def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
-    return frozenset(np.flatnonzero(_equidistant(dm.array, x)[y - x - 1]).tolist())
+    return frozenset(np.flatnonzero(_equidistant(dm, x)[y - x - 1]).tolist())
 
 
 def is_resolving_set(
-    g: Graph, dm: DistanceMatrix, s: Iterable[int]
+    g: Graph, dm: np.ndarray, s: Iterable[int]
 ) -> tuple[bool, tuple[int, int] | None]:
     """Definitional check; on failure also return the first unresolved pair."""
     members = sorted(set(s))
@@ -88,7 +92,7 @@ def is_resolving_set(
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
     # vector[v]: the distances from v to the members, in member order
-    vector = dm.array[members].T.tolist()
+    vector = dm[members].T.tolist()
     for x in range(g.n - 1):
         for y in range(x + 1, g.n):
             if vector[x] == vector[y]:
@@ -96,7 +100,7 @@ def is_resolving_set(
     return True, None
 
 
-def resolving_number(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingReport:
+def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
     """Exact resolving number from one scan over all vertex pairs.
 
     Among pairs maximizing the count of equidistant vertices the
@@ -108,7 +112,7 @@ def resolving_number(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingRep
         dm = distance_matrix(g)
     best = -1
     for x in range(g.n - 1):
-        slab = _equidistant(dm.array, x)
+        slab = _equidistant(dm, x)
         eq = np.count_nonzero(slab, axis=1)
         y_rel = int(np.argmax(eq))
         if int(eq[y_rel]) > best:
@@ -139,7 +143,7 @@ def _members(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if int(mask) >> v & 1)
 
 
-def _dimensions(g: Graph) -> DimensionReport:
+def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     """dim, updim and both witnesses from one resolving-set table.
 
     A subset fails exactly when it sits inside the non-resolver mask of
@@ -154,7 +158,7 @@ def _dimensions(g: Graph) -> DimensionReport:
         return DimensionReport(
             dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,)
         )
-    a = distance_matrix(g).array
+    a = distance_matrix(g) if dm is None else dm
     weights = 1 << np.arange(n, dtype=np.int64)
     pair_masks = np.concatenate([_equidistant(a, x) @ weights for x in range(n - 1)])
     bad = np.zeros(1 << n, dtype=bool)
@@ -187,16 +191,16 @@ def _dimensions(g: Graph) -> DimensionReport:
     )
 
 
-def metric_dimension(g: Graph) -> DimensionReport:
+def metric_dimension(g: Graph, dm: np.ndarray | None = None) -> DimensionReport:
     """Minimum size of a resolving set, with one witness of that size."""
     if g.n > DIM_CAP:
         raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {g.n}")
-    rep = _dimensions(g)
+    rep = _dimensions(g, dm)
     return DimensionReport(dim=rep.dim, witness_min_set=rep.witness_min_set)
 
 
-def upper_dimension(g: Graph) -> DimensionReport:
+def upper_dimension(g: Graph, dm: np.ndarray | None = None) -> DimensionReport:
     """Maximum size of a minimal resolving set, plus dim for the chain check."""
     if g.n > UPDIM_CAP:
         raise TooLarge(f"upper dimension is capped at n <= {UPDIM_CAP}, got {g.n}")
-    return _dimensions(g)
+    return _dimensions(g, dm)

@@ -15,6 +15,9 @@ from .errors import MalformedGraph6, MalformedLine, TooLarge
 from .graphs import Graph, from_edge_list
 
 GRAPH6_CAP = 62
+# the res scan is cubic in the order and the clique search recurses once
+# per clique vertex, so K_1000 would overflow Python's recursion limit
+EDGE_LIST_CAP = 800
 
 
 def _triangle_slots(n: int) -> Iterator[tuple[int, int]]:
@@ -90,6 +93,7 @@ def parse_edge_list(text: str) -> Graph:
 
     The first significant line is ``n <order>``; every following line is
     ``u v``.  Blank lines and lines starting with ``#`` are skipped.
+    Orders above `EDGE_LIST_CAP` raise TooLarge before anything is built.
     """
     n = None
     edges: list[tuple[int, int]] = []
@@ -99,11 +103,17 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
                 raise MalformedLine(
                     f"line {lineno}: expected header 'n <order>', got {raw!r}"
                 )
-            n = int(parts[1])
+            # digit count first: int() refuses strings of over 4300 digits
+            digits = parts[1].lstrip("0") or "0"
+            if len(digits) > len(str(EDGE_LIST_CAP)) or int(digits) > EDGE_LIST_CAP:
+                raise TooLarge(
+                    f"line {lineno}: edge-list order is capped at n <= {EDGE_LIST_CAP}"
+                )
+            n = int(digits)
             continue
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -1,10 +1,11 @@
 """Brute-force oracles that the tests hold the production code against.
 
 Each one works straight off a definition and shares no logic with the
-routine it checks: permutation-minimum forms against `canonical_form`,
-raw edge-subset enumeration against the enumeration engine, subset brute
-force against `clique_number`, and a subset scan with `is_resolving_set`
-against the resolving-set table behind the dimensions.
+routine it checks: a reachability BFS for connectivity, permutation-minimum
+forms against `canonical_form`, raw edge-subset enumeration against the
+enumeration engine, subset brute force against `clique_number`, and a
+subset scan with `is_resolving_set` against the resolving-set table behind
+the dimensions.
 """
 
 from itertools import combinations, permutations
@@ -13,10 +14,28 @@ import numpy as np
 
 from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
-from resnum.graphs import Graph, distance_matrix, is_connected
+from resnum.graphs import Graph, _bits, distance_matrix
 from resnum.resolve import is_resolving_set
 
 NAIVE_CAP = 6
+
+
+def _reach_mask(g: Graph, start: int) -> int:
+    """Bit mask of vertices reachable from start."""
+    seen = 1 << start
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= g.adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0."""
+    return _reach_mask(g, 0) == (1 << g.n) - 1
 
 
 def _slot_index(n: int) -> dict[tuple[int, int], int]:

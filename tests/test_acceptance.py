@@ -327,7 +327,7 @@ def test_criterion_08_lemma_invariants(capsys, connected_by_order):
                     sum(
                         1
                         for x, y in pairs
-                        if dm.dist(u, x) == dm.dist(u, y)
+                        if dm[u, x] == dm[u, y]
                     )
                     for u in part
                 )

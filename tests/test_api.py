@@ -1,12 +1,18 @@
-"""The public surface: every exported name resolves, test oracles stay out."""
+"""The public surface: every exported name resolves, test oracles stay out,
+and every top-level definition in the package has a caller or is exported."""
+
+import ast
+from pathlib import Path
 
 import resnum
 import resnum.enumeration
+import resnum.graphs
 import resnum.invariants
 import resnum.serial
 
 TEST_ONLY = {
     resnum.enumeration: ("naive_enumeration_oracle", "permutation_min_form", "_slot_index"),
+    resnum.graphs: ("DistanceMatrix", "is_connected", "_reach_mask"),
     resnum.invariants: ("clique_number_oracle",),
     resnum.serial: ("GraphDocument", "graphs_to_lines"),
 }
@@ -23,3 +29,27 @@ def test_oracles_and_dead_api_are_not_in_the_package():
             assert name not in resnum.__all__
             assert not hasattr(resnum, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # (module, top-level statement, names the statement reads)
+    statements = []
+    for path in sorted(Path(resnum.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append((path.name, stmt, _used_names(stmt)))
+    dead = [
+        f"{module}:{stmt.name}"
+        for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in resnum.__all__
+        and not any(stmt.name in used for _, other, used in statements if other is not stmt)
+    ]
+    assert dead == []

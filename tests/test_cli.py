@@ -4,6 +4,7 @@ import json
 import pytest
 
 from resnum.cli import main
+from resnum.serial import EDGE_LIST_CAP
 
 
 def run(capsys, *argv):
@@ -81,6 +82,21 @@ def test_verify_all_props(tmp_path, capsys):
     }
 
 
+def test_dimensions_read_the_matrix_the_command_built(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "g.g6"
+    f.write_text("@\nC~\nDhc\n")
+    commands = [("verify",), ("compute", "--dim"), ("compute", "--dim", "--updim")]
+    before = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
+    assert all(code == 0 for code, _, _ in before)
+
+    def second_matrix(g):
+        raise AssertionError("a second distance matrix was built")
+
+    monkeypatch.setattr("resnum.resolve.distance_matrix", second_matrix)
+    after = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
+    assert after == before
+
+
 def test_gen_and_enum(capsys):
     code, out, _ = run(capsys, "gen", "--family", "complete", "--params", "4")
     assert (code, out.strip()) == (0, "C~")
@@ -154,6 +170,22 @@ def test_exit_code_disconnected(tmp_path, capsys):
 def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "enum", "--n", "20")
     assert code == 3 and "cap" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--n", "0"), ("--n", "1", "--max-deg", "-1"), ("--n", "1", "--max-deg", "-1", "--trees")],
+)
+def test_enum_rejects_out_of_domain_constraints(capsys, flags):
+    code, out, err = run(capsys, "enum", *flags)
+    assert code == 2 and out == "" and "input error" in err
+
+
+def test_edge_list_order_cap(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(f"n {EDGE_LIST_CAP + 1}\n")
+    code, out, err = run(capsys, "compute", "--input", str(f), "--format", "edgelist")
+    assert code == 3 and out == "" and "line 1" in err
 
 
 def test_gen_rejects_bad_params(capsys):

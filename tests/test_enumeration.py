@@ -11,11 +11,10 @@ import pytest
 
 from resnum.canon import canonical_form
 from resnum.enumeration import EnumConstraints, enumerate_graphs
-from resnum.errors import TooLarge
-from resnum.graphs import is_connected
+from resnum.errors import InputError, TooLarge
 from resnum.invariants import girth
 
-from oracles import naive_enumeration_oracle, permutation_min_form
+from oracles import is_connected, naive_enumeration_oracle, permutation_min_form
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -123,6 +122,11 @@ def test_caps():
         list(enumerate_graphs(EnumConstraints(11, max_degree=3, min_girth=5)))
     with pytest.raises(TooLarge):
         list(enumerate_graphs(EnumConstraints(13, trees_only=True)))
+    for trees_only in (False, True):
+        with pytest.raises(InputError):
+            list(enumerate_graphs(EnumConstraints(0, trees_only=trees_only)))
+        with pytest.raises(InputError):
+            list(enumerate_graphs(EnumConstraints(1, -1, trees_only=trees_only)))
     with pytest.raises(TooLarge):
         naive_enumeration_oracle(7)
     big_tree = next(iter(enumerate_graphs(EnumConstraints(9, trees_only=True))))

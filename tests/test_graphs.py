@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from resnum.errors import (
@@ -13,9 +14,10 @@ from resnum.graphs import (
     Graph,
     distance_matrix,
     from_edge_list,
-    is_connected,
     permute,
 )
+
+from oracles import is_connected
 
 
 def test_from_edge_list_basic():
@@ -98,15 +100,19 @@ def test_distances_match_networkx_on_random_graphs():
         expected = dict(nx.all_pairs_shortest_path_length(G))
         for u in range(n):
             for v in range(n):
-                assert dm.dist(u, v) == expected[u][v]
+                assert dm[u, v] == expected[u][v]
 
 
 def test_eccentricity_and_symmetry():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     dm = distance_matrix(g)
-    assert dm.dist(0, 3) == dm.dist(3, 0) == 3
-    assert dm.eccentricity(0) == 3
-    assert dm.eccentricity(1) == 2
+    assert dm.shape == (4, 4) and dm.dtype == np.int32
+    assert not dm.flags.writeable
+    with pytest.raises(ValueError):
+        dm[0, 3] = 0
+    assert dm[0, 3] == dm[3, 0] == 3
+    assert dm[0].max() == 3
+    assert dm[1].max() == 2
 
 
 def test_graph_value_semantics():

@@ -15,7 +15,7 @@ from resnum.families import (
     triangle_tripod,
     wheel_graph,
 )
-from resnum.graphs import distance_matrix, from_edge_list, is_connected
+from resnum.graphs import distance_matrix, from_edge_list
 from resnum.invariants import (
     INFINITE_GIRTH,
     clique_number,
@@ -25,7 +25,7 @@ from resnum.invariants import (
     spider_signature,
 )
 
-from oracles import clique_number_oracle
+from oracles import clique_number_oracle, is_connected
 
 
 def test_girth_values():

@@ -137,6 +137,9 @@ def test_dimensions_match_subset_scan(connected_by_order):
         assert metric_dimension(g) == DimensionReport(dim=dim, witness_min_set=min_set)
         assert upper_dimension(g) == DimensionReport(dim, updim, min_set, max_set)
         assert resolving_number(g).res == res
+        dm = distance_matrix(g)
+        assert metric_dimension(g, dm) == metric_dimension(g)
+        assert upper_dimension(g, dm) == upper_dimension(g)
 
 
 def test_chain_holds_on_all_small_classes(connected_by_order):

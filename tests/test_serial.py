@@ -18,6 +18,7 @@ from resnum.errors import (
 )
 from resnum.graphs import Graph, from_edge_list
 from resnum.serial import (
+    EDGE_LIST_CAP,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
@@ -137,6 +138,15 @@ def test_edge_list_comments_and_garbage():
         parse_edge_list("n 3\n0 1 2")
     with pytest.raises(MalformedLine):
         parse_edge_list("n 3\nx y")
+    with pytest.raises(MalformedLine):
+        parse_edge_list("n \u00b2\n")  # a digit to isdigit(), not to int()
+
+
+def test_edge_list_order_cap():
+    assert parse_edge_list(f"n {EDGE_LIST_CAP:05d}\n").n == EDGE_LIST_CAP
+    for order in (str(EDGE_LIST_CAP + 1), "9" * 5000):
+        with pytest.raises(TooLarge):
+            parse_edge_list(f"n {order}\n0 1\n")
 
 
 def test_json_lines_are_deterministic():
