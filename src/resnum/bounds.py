@@ -183,6 +183,7 @@ def counting_lemma_check(
     pairs,
     partition: Sequence[Iterable[int]],
     k: Sequence[int],
+    dm: np.ndarray | None = None,
 ) -> tuple[bool, bool]:
     """Check a failure-count certificate against the global counting budget.
 
@@ -190,6 +191,7 @@ def counting_lemma_check(
     pairs unresolved.  inequality_ok: sum(|part_i| * k_i) stays within
     |pairs| * (res - 1).  The second is a theorem whenever the first holds,
     so a (True, False) outcome signals a bug upstream, not new mathematics.
+    `dm` is g's distance matrix when the caller already holds it.
     """
     parts = [sorted(set(p)) for p in partition]
     if len(parts) != len(k):
@@ -210,11 +212,12 @@ def counting_lemma_check(
         raise InvalidPartition("parts do not cover every vertex")
 
     norm = _normalize_pairs(g, pairs)
-    a = distance_matrix(g)
+    if dm is None:
+        dm = distance_matrix(g)
     xs = [x for x, _ in norm]
     ys = [y for _, y in norm]
     # fails[u]: how many of the given pairs vertex u leaves unresolved
-    fails = np.count_nonzero(a[:, xs] == a[:, ys], axis=1)
+    fails = np.count_nonzero(dm[:, xs] == dm[:, ys], axis=1)
     hypothesis_ok = all(
         fails[u] >= ki for part, ki in zip(parts, k) for u in part
     )

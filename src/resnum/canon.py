@@ -5,9 +5,11 @@ lexicographically least upper-triangle adjacency bit string over every
 labeling it explores.  Iterated neighborhood refinement (re-run after each
 placement) confines candidates to one invariant cell, interchangeable
 twins collapse to a single branch, and prefixes worse than the best string
-found so far are cut.  Two graphs receive equal forms iff they are
-isomorphic; the permutation oracle in the tests pins that down at small
-orders.
+found so far are cut.  Neighbor lists are built once per call, and each
+refinement re-ranks only the free vertices: the placed ones hold unique
+colors that sort first and never move.  Two graphs receive equal forms
+iff they are isomorphic; the permutation oracle in the tests pins that
+down at small orders.
 """
 
 from __future__ import annotations
@@ -44,18 +46,24 @@ class CanonicalForm:
         return Graph(self.n, tuple(rows))
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Iterate (color, sorted neighbor colors) until the partition is stable."""
-    ncells = len(set(colors))
+def _refine(
+    nbrs: list[tuple[int, ...]], colors: list[int], free: list[int], p: int
+) -> None:
+    """Iterate (color, sorted neighbor colors) until the partition is stable.
+
+    The p placed vertices hold the unique colors 0..p-1, which sort before
+    every free color and so never move; the free vertices enter with color
+    p and only they are re-ranked, from p upward, in place.
+    """
+    color_of = colors.__getitem__
+    ncells = 1
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[w] for w in _bits(adj[v]))
-            sigs.append((colors[v], tuple(nbr)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
+        sigs = [(colors[v], tuple(sorted(map(color_of, nbrs[v])))) for v in free]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)), p)}
+        for v, s in zip(free, sigs):
+            colors[v] = rank[s]
         if len(rank) == ncells:
-            return colors
+            return
         ncells = len(rank)
 
 
@@ -72,29 +80,25 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n == 1:
         return CanonicalForm(1, "")
     adj = g.adj
-    full = (1 << n) - 1
+    nbrs = [tuple(_bits(row)) for row in adj]
     # best[i] holds the i+1 adjacency bits of placement position i+1,
     # most significant bit toward position 0; list order is string order.
     best: list[int] | None = None
 
-    def search(placed: list[int], placed_mask: int, rows: list[int]) -> None:
+    def search(placed: list[int], rows: list[int]) -> None:
         nonlocal best
         while True:
-            if placed_mask == full:
+            p = len(placed)
+            if p == n:
                 if best is None or rows < best:
                     best = rows.copy()
                 return
-            colors = [0] * n
-            p = len(placed)
+            colors = [p] * n
             for i, v in enumerate(placed):
                 colors[v] = i
-            for v in _bits(full & ~placed_mask):
-                colors[v] = p
-            colors = _refine(n, adj, colors)
-            cells: dict[int, list[int]] = {}
-            for v in _bits(full & ~placed_mask):
-                cells.setdefault(colors[v], []).append(v)
-            cell = cells[min(cells)]
+            free = [v for v in range(n) if colors[v] == p]
+            _refine(nbrs, colors, free, p)
+            cell = [v for v in free if colors[v] == p]
             if len(cell) > 1:
                 break
             # forced placement, no branching
@@ -107,7 +111,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 if best is not None and rows > best[: len(rows)]:
                     return
             placed.append(v)
-            placed_mask |= 1 << v
 
         p = len(placed)
         cands = []
@@ -126,9 +129,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
             new_rows = rows + [r] if p else rows.copy()
             if p and best is not None and new_rows > best[: len(new_rows)]:
                 continue
-            search(placed + [v], placed_mask | 1 << v, new_rows)
+            search(placed + [v], new_rows)
 
-    search([], 0, [])
+    search([], [])
     assert best is not None
     bits = "".join(format(best[i], f"0{i + 1}b") for i in range(n - 1))
     return CanonicalForm(n, bits)

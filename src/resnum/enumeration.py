@@ -8,7 +8,9 @@ Maximum degree and girth survive that deletion, so they prune S before
 the canonical form is ever computed: the new vertex and every member of
 S must stay within the degree cap, and two members of S at distance d
 would close a cycle of length d + 2.  Trees are the case of infinite
-girth, where S is a single vertex.  A brute-force oracle in the tests
+girth, where S is a single vertex; there a child is first keyed by its
+centre-rooted AHU code, a complete tree invariant, so each tree class is
+canonicalised once.  A brute-force oracle in the tests
 (all edge subsets, deduped by the minimum bit string over all
 permutations) guards the engine at tiny orders.
 """
@@ -96,6 +98,36 @@ def _joins(
     ]
 
 
+def _tree_code(g: Graph) -> tuple[str, ...]:
+    """AHU code of a tree rooted at its centre, or at each end of its bicentre.
+
+    Leaves are peeled a layer at a time, each leaving its code with its
+    one remaining neighbour; two trees get equal codes iff they are
+    isomorphic.
+    """
+    deg = list(g.degrees())
+    kids: list[list[str]] = [[] for _ in range(g.n)]
+
+    def code(v: int) -> str:
+        return "(" + "".join(sorted(kids[v])) + ")"
+
+    layer = [v for v in range(g.n) if deg[v] <= 1]
+    left = g.n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in g.neighbors(v):
+                if deg[w]:
+                    kids[w].append(code(v))
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return tuple(sorted(map(code, layer)))
+
+
 def _grow(
     n: int,
     max_degree: int | None,
@@ -116,6 +148,8 @@ def _grow(
         rng.shuffle(parents)
     new = 1 << (n - 1)
     children: set[CanonicalForm] = set()
+    # a tree class is canonicalised once, the first time its code is seen
+    trees: set[tuple[str, ...]] | None = set() if min_girth == math.inf else None
     for form in parents:
         g = form.to_graph()
         joins = _joins(g, max_degree, min_girth)
@@ -126,7 +160,13 @@ def _grow(
             for v in s:
                 rows[v] |= new
             rows.append(sum(1 << v for v in s))
-            children.add(canonical_form(Graph(n, tuple(rows))))
+            child = Graph(n, tuple(rows))
+            if trees is not None:
+                code = _tree_code(child)
+                if code in trees:
+                    continue
+                trees.add(code)
+            children.add(canonical_form(child))
     return tuple(sorted(children))
 
 

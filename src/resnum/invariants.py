@@ -66,26 +66,39 @@ def girth(g: Graph) -> int | float:
 
 
 def clique_number(g: Graph) -> int:
-    """Exact maximum clique size by branch and bound with pivoting."""
-    best = 0
-    adj = g.adj
+    """Exact maximum clique size by branch and bound with pivoting.
 
-    def expand(size: int, cand: int, excl: int) -> None:
-        nonlocal best
+    Depth first over an explicit stack, so the clique size is not bounded
+    by the interpreter's recursion limit.
+    """
+    adj = g.adj
+    best = 0
+    # (clique size, candidates, excluded); children are pushed in reverse
+    # so they are entered in increasing vertex order
+    stack = [(0, (1 << g.n) - 1, 0)]
+    while stack:
+        size, cand, excl = stack.pop()
         if cand == 0 and excl == 0:
-            if size > best:
-                best = size
-            return
+            best = max(best, size)
+            continue
         if size + cand.bit_count() <= best:
-            return
-        pivot = max(_bits(cand | excl), key=lambda u: (cand & adj[u]).bit_count())
-        branch = cand & ~adj[pivot]
-        for v in _bits(branch):
-            expand(size + 1, cand & adj[v], excl & adj[v])
+            continue
+        # pivot: the first vertex of cand | excl with the most candidate neighbours
+        pivot, most = -1, -1
+        rest = cand | excl
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            links = (cand & adj[u]).bit_count()
+            if links > most:
+                pivot, most = u, links
+        children = []
+        for v in _bits(cand & ~adj[pivot]):
+            children.append((size + 1, cand & adj[v], excl & adj[v]))
             cand &= ~(1 << v)
             excl |= 1 << v
-
-    expand(0, (1 << g.n) - 1, 0)
+        stack.extend(reversed(children))
     return best
 
 

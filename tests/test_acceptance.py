@@ -334,7 +334,7 @@ def test_criterion_08_lemma_invariants(capsys, connected_by_order):
             )
         if i % 5 == 0 and max(k) > 0:  # exercise the refuted-hypothesis path
             k[k.index(max(k))] += 1
-        hyp, ineq = counting_lemma_check(g, res, pairs, partition, k)
+        hyp, ineq = counting_lemma_check(g, res, pairs, partition, k, dm)
         if hyp and not ineq:
             budget_breaks += 1
 

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from resnum import bounds
 from resnum.bounds import (
     PROP_IDS,
     counting_lemma_check,
@@ -145,6 +148,25 @@ def test_counting_lemma_false_hypothesis():
         p, 2, vertex_pairs(range(4)), [range(4)], [1]
     )
     assert not hyp
+
+
+def test_counting_lemma_reads_the_callers_matrix(connected_by_order, monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for n in (2, 3, 4, 5):
+        for g in connected_by_order[n]:
+            all_pairs = sorted(vertex_pairs(range(n)))
+            pairs = rng.sample(all_pairs, rng.randint(1, len(all_pairs)))
+            args = (g, rng.randint(1, n), pairs, [range(n)], [rng.randint(0, 2)])
+            cases.append((args, distance_matrix(g), counting_lemma_check(*args)))
+
+    def no_rebuild(g):
+        raise AssertionError("counting_lemma_check rebuilt a matrix it was given")
+
+    monkeypatch.setattr(bounds, "distance_matrix", no_rebuild)
+    for args, dm, verdict in cases:
+        assert counting_lemma_check(*args, dm) == verdict
+    assert len({verdict for _, _, verdict in cases}) > 1
 
 
 def test_counting_lemma_partition_validation():

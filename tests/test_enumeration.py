@@ -5,20 +5,29 @@ standard published sequences; they were frozen here after the naive
 permutation-minimum oracle reproduced them independently.
 """
 
+import hashlib
 import math
+import random
+from functools import lru_cache
 
 import pytest
 
+from resnum import enumeration
 from resnum.canon import canonical_form
-from resnum.enumeration import EnumConstraints, enumerate_graphs
+from resnum.enumeration import EnumConstraints, _tree_code, enumerate_graphs
 from resnum.errors import InputError, TooLarge
+from resnum.graphs import permute
 from resnum.invariants import girth
+from resnum.serial import write_graph6
 
 from oracles import is_connected, naive_enumeration_oracle, permutation_min_form
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 CONSTRAINED_COUNTS = {8: 29, 9: 69, 10: 201}
+# sha256 of the graph6 lines, unseparated, of every stream below in order:
+# connected n=1..7, trees n=1..12, then n=8..10 with max degree 3 and girth 5
+STREAMS_SHA256 = "1bf0d07ec3d34b099e65720619ef44be9c0407df2dc7f820300f11c1e23d6aff"
 
 
 def test_connected_class_counts(connected_by_order):
@@ -140,3 +149,61 @@ def test_degree_cap_applies_to_trees(trees_by_order):
     )
     assert all(max(g.degrees()) <= 3 for g in capped)
     assert len(capped) < len(trees_by_order[7])
+
+
+def test_streams_match_golden_digest(connected_by_order, trees_by_order, constrained_by_order):
+    # pins the canonical labelling of all 2,282 classes, not just their count
+    h = hashlib.sha256()
+    for by_order in (connected_by_order, trees_by_order, constrained_by_order):
+        for graphs in by_order.values():
+            for g in graphs:
+                h.update(write_graph6(g).encode())
+    assert h.hexdigest() == STREAMS_SHA256
+
+
+def test_tree_code_is_complete(trees_by_order):
+    rng = random.Random(5)
+    pairs = set()
+    for n in range(1, 11):
+        for g in trees_by_order[n]:
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = permute(g, perm)
+                pairs.add((_tree_code(h), canonical_form(h)))
+    # equal codes exactly when equal forms: the pairing is a bijection
+    assert len(pairs) == len({c for c, _ in pairs}) == len({f for _, f in pairs})
+    assert len(pairs) == sum(TREE_COUNTS[n] for n in range(1, 11))
+
+
+def _canon_calls_per_order(monkeypatch, constraints):
+    """canonical_form calls each enumerate_graphs call makes, from a cold level cache."""
+    calls = 0
+    real = enumeration.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    out = []
+    for c in constraints:
+        calls = 0
+        list(enumerate_graphs(c))
+        out.append(calls)
+    return out
+
+
+def test_each_tree_class_is_canonicalised_once(monkeypatch):
+    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
+    calls = _canon_calls_per_order(monkeypatch, ladder)
+    assert calls == [TREE_COUNTS[n] for n in range(1, 13)]
+    assert sum(calls) == 987
+
+
+def test_canonical_form_calls_unconstrained(monkeypatch):
+    # every parent x neighbour set is canonicalised outside the tree case
+    calls = _canon_calls_per_order(monkeypatch, [EnumConstraints(n) for n in range(1, 8)])
+    assert calls == [1, 1, 3, 14, 90, 651, 7056]

@@ -67,6 +67,12 @@ def test_clique_number_against_subset_oracle(connected_by_order):
             assert clique_number(g) == clique_number_oracle(g)
 
 
+def test_clique_number_past_the_recursion_limit():
+    n = 1000
+    g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert clique_number(g) == n
+
+
 def test_clique_number_spot_values():
     assert clique_number(complete_graph(7)) == 7
     assert clique_number(cycle_graph(8)) == 2
