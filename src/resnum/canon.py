@@ -10,11 +10,23 @@ refinement re-ranks only the free vertices: the placed ones hold unique
 colors that sort first and never move.  Two graphs receive equal forms
 iff they are isomorphic; the permutation oracle in the tests pins that
 down at small orders.
+
+The form also carries what the search finds on the way: the labelling of
+the first leaf that reaches the best string, and generators of the
+automorphism group in canonical positions.  Each later leaf that ties the
+best string gives one generator, and each twin swap whose branch was
+skipped gives a transposition.  Together they generate the whole group:
+the automorphisms map the first best leaf one-to-one onto the leaves of
+the unpruned search tree that tie it.  Pruning drops no such leaf, since
+it cuts only strictly worse prefixes, and a leaf under a skipped twin
+branch is the image, under that twin swap, of a leaf under the explored
+branch.  So every tied leaf is a product of recorded generators applied
+to the first one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import TooLarge
 from .graphs import Graph, _bits
@@ -32,6 +44,12 @@ class CanonicalForm:
 
     n: int
     bits: str
+    # labelling[v] is the canonical position of input vertex v
+    labelling: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    # position maps of automorphisms of to_graph() that generate its group
+    generators: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def to_graph(self) -> Graph:
         """Rebuild the canonically labeled graph."""
@@ -78,20 +96,25 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n > CANONICAL_CAP:
         raise TooLarge(f"canonical form is capped at n <= {CANONICAL_CAP}, got {n}")
     if n == 1:
-        return CanonicalForm(1, "")
+        return CanonicalForm(1, "", (0,))
     adj = g.adj
     nbrs = [tuple(_bits(row)) for row in adj]
     # best[i] holds the i+1 adjacency bits of placement position i+1,
     # most significant bit toward position 0; list order is string order.
     best: list[int] | None = None
+    first: list[int] = []  # placement order of the first leaf reaching best
+    ties: list[list[int]] = []  # placement orders of later leaves equal to best
+    swaps: set[tuple[int, int]] = set()  # twins whose swap is an automorphism
 
     def search(placed: list[int], rows: list[int]) -> None:
-        nonlocal best
+        nonlocal best, first, ties
         while True:
             p = len(placed)
             if p == n:
                 if best is None or rows < best:
-                    best = rows.copy()
+                    best, first, ties = rows.copy(), placed, []
+                elif rows == best:
+                    ties.append(placed)
                 return
             colors = [p] * n
             for i, v in enumerate(placed):
@@ -122,9 +145,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
         cands.sort()
         reps: list[tuple[int, int]] = []
         for r, v in cands:
-            if any(r == r2 and _twins(adj, v, v2) for r2, v2 in reps):
-                continue
-            reps.append((r, v))
+            twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
+            if twin is None:
+                reps.append((r, v))
+            else:
+                swaps.add((twin, v))
         for r, v in reps:
             new_rows = rows + [r] if p else rows.copy()
             if p and best is not None and new_rows > best[: len(new_rows)]:
@@ -134,4 +159,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
     search([], [])
     assert best is not None
     bits = "".join(format(best[i], f"0{i + 1}b") for i in range(n - 1))
-    return CanonicalForm(n, bits)
+    labelling = [0] * n
+    for i, v in enumerate(first):
+        labelling[v] = i
+    generators = []
+    for leaf in ties:
+        at = [0] * n
+        for i, v in enumerate(leaf):
+            at[v] = i
+        generators.append(tuple(at[v] for v in first))
+    for a, b in sorted(swaps):
+        swap = list(range(n))
+        swap[labelling[a]], swap[labelling[b]] = labelling[b], labelling[a]
+        generators.append(tuple(swap))
+    return CanonicalForm(n, bits, tuple(labelling), tuple(generators))

@@ -13,7 +13,6 @@ import math
 import sys
 
 from .bounds import PROP_IDS, verify_bounds
-from .canon import canonical_form
 from .catalog import (
     build_res3_catalog,
     clique_equals_res_report,
@@ -89,8 +88,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         cat = classify_res(g)
         out = {"category": cat.tag, "res": cat.res}
         if cat.tag.startswith("Catalog"):
-            member = load_default_catalog().lookup(canonical_form(g))
-            out["catalog_member"] = member.graph6 if member else None
+            out["catalog_member"] = cat.member.graph6
         print(to_json_line(out))
     return 0
 

@@ -3,16 +3,27 @@
 Every connected graph on n >= 2 vertices has a vertex whose deletion
 leaves it connected (a leaf of any spanning tree), so level n is grown
 from level n - 1: each canonical parent gains one new vertex joined to a
-nonempty set S of its vertices, and one canonical form is kept per class.
-Maximum degree and girth survive that deletion, so they prune S before
-the canonical form is ever computed: the new vertex and every member of
-S must stay within the degree cap, and two members of S at distance d
-would close a cycle of length d + 2.  Trees are the case of infinite
-girth, where S is a single vertex; there a child is first keyed by its
-centre-rooted AHU code, a complete tree invariant, so each tree class is
-canonicalised once.  A brute-force oracle in the tests
-(all edge subsets, deduped by the minimum bit string over all
-permutations) guards the engine at tiny orders.
+nonempty set S of its vertices.  Maximum degree and girth survive that
+deletion, so they prune S before the canonical form is ever computed:
+the new vertex and every member of S must stay within the degree cap,
+and two members of S at distance d would close a cycle of length d + 2.
+
+Each class is produced once, by McKay's canonical deletion (Isomorph-free
+exhaustive generation, J. Algorithms 26 (1998)).  A parent is tried with
+one S per orbit of its automorphism group, whose generators its canonical
+form carries in the parent's own labels; two sets in one orbit give
+isomorphic children.  A child is kept only when its new vertex lies in
+the orbit of its canonical deletion: among the non-cut vertices that
+maximise (degree, sorted neighbour degrees), the one at the smallest
+canonical position.  That vertex picks one parent class and one orbit of
+S per child class, so the children need no set to drop duplicates, and
+the invariant turns most other children away before canon runs.
+
+Trees are the case of infinite girth, where S is a single vertex; there
+a child is first keyed by its centre-rooted AHU code, a complete tree
+invariant, so each tree class is canonicalised once.  A brute-force
+oracle in the tests (all edge subsets, deduped by the minimum bit string
+over all permutations) guards the engine at tiny orders.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, distance_matrix
+from .graphs import Graph, _bits, distance_matrix
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -128,6 +139,66 @@ def _tree_code(g: Graph) -> tuple[str, ...]:
     return tuple(sorted(map(code, layer)))
 
 
+def _orbit(mask: int, generators: tuple[tuple[int, ...], ...]) -> set[int]:
+    """Images of a vertex set, given as a bit mask, under the generated group."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for gen in generators:
+            image = 0
+            for v in _bits(m):
+                image |= 1 << gen[v]
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _is_cut(g: Graph, v: int) -> bool:
+    """True iff deleting v disconnects g."""
+    rest = (1 << g.n) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _canonical_child(child: Graph) -> CanonicalForm | None:
+    """The child's form if its last vertex is its canonical deletion, else None.
+
+    The deletable vertices are the non-cut ones that maximise (degree,
+    sorted neighbour degrees); the canonical one sits at the smallest
+    canonical position among them.  The new vertex passes when it lies in
+    that vertex's orbit.  A new vertex that another deletable vertex
+    beats on the invariant is turned away before canon runs.
+    """
+    w = child.n - 1
+    deg = child.degrees()
+
+    def key(v: int) -> tuple[int, list[int]]:
+        return deg[v], sorted(deg[u] for u in child.neighbors(v))
+
+    top = key(w)
+    tied = [w]
+    for v in range(w):
+        if deg[v] < top[0]:
+            continue
+        k = key(v)
+        if k >= top and not _is_cut(child, v):
+            if k > top:
+                return None
+            tied.append(v)
+    form = canonical_form(child)
+    at = form.labelling
+    lowest = min(at[v] for v in tied)
+    return form if 1 << lowest in _orbit(1 << at[w], form.generators) else None
+
+
 def _grow(
     n: int,
     max_degree: int | None,
@@ -147,7 +218,7 @@ def _grow(
         parents = list(_grow(n - 1, max_degree, min_girth, rng))
         rng.shuffle(parents)
     new = 1 << (n - 1)
-    children: set[CanonicalForm] = set()
+    children: list[CanonicalForm] = []
     # a tree class is canonicalised once, the first time its code is seen
     trees: set[tuple[str, ...]] | None = set() if min_girth == math.inf else None
     for form in parents:
@@ -155,18 +226,27 @@ def _grow(
         joins = _joins(g, max_degree, min_girth)
         if rng is not None:
             rng.shuffle(joins)
+        tried: set[int] = set()  # neighbour sets in the orbits tried so far
         for s in joins:
+            mask = sum(1 << v for v in s)
+            if trees is None:
+                if mask in tried:
+                    continue
+                tried |= _orbit(mask, form.generators)
             rows = list(g.adj)
             for v in s:
                 rows[v] |= new
-            rows.append(sum(1 << v for v in s))
+            rows.append(mask)
             child = Graph(n, tuple(rows))
-            if trees is not None:
+            if trees is None:
+                kept = _canonical_child(child)
+                if kept is not None:
+                    children.append(kept)
+            else:
                 code = _tree_code(child)
-                if code in trees:
-                    continue
-                trees.add(code)
-            children.add(canonical_form(child))
+                if code not in trees:
+                    trees.add(code)
+                    children.append(canonical_form(child))
     return tuple(sorted(children))
 
 

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .canon import canonical_form
 from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
 from .graphs import Graph, distance_matrix, from_edge_list
 from .invariants import invariant_summary
 from .resolve import resolving_number
+
+if TYPE_CHECKING:
+    from .catalog import CatalogMember
 
 
 def path_graph(n: int) -> Graph:
@@ -213,10 +217,14 @@ def generate(spec: FamilySpec) -> Graph:
 
 @dataclass(frozen=True)
 class Category:
-    """Structural classification tag together with the resolving number."""
+    """Structural classification tag together with the resolving number.
+
+    `member` is the matching catalog entry on the Catalog* tags.
+    """
 
     tag: str
     res: int
+    member: CatalogMember | None = field(default=None, compare=False)
 
 
 def classify_res(g: Graph, catalog=None) -> Category:
@@ -259,9 +267,9 @@ def classify_res(g: Graph, catalog=None) -> Category:
                 f"order {g.n}, girth {inv.girth}"
             )
         if member.girth == 3:
-            return Category("CatalogGirth3", 3)
+            return Category("CatalogGirth3", 3, member)
         if member.girth == 5:
-            return Category("CatalogGirth5", 3)
+            return Category("CatalogGirth5", 3, member)
         raise TheoremViolation(f"catalog member with impossible girth {member.girth}")
     return Category("ResAtLeast4", res)
 

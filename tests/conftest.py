@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from resnum.enumeration import EnumConstraints, enumerate_graphs
+
+# the same examples on every run, a bounded number of them, no example
+# database to replay and no per-example deadline on a box whose speed swings
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=60, database=None, deadline=None
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

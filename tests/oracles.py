@@ -2,19 +2,20 @@
 
 Each one works straight off a definition and shares no logic with the
 routine it checks: a reachability BFS for connectivity, permutation-minimum
-forms against `canonical_form`, raw edge-subset enumeration against the
+forms against `canonical_form`, a permutation scan for the automorphisms
+that `canonical_form` reports, raw edge-subset enumeration against the
 enumeration engine, subset brute force against `clique_number`, and a
 subset scan with `is_resolving_set` against the resolving-set table behind
 the dimensions.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
-from resnum.graphs import Graph, _bits, distance_matrix
+from resnum.graphs import Graph, _bits, distance_matrix, permute
 from resnum.resolve import is_resolving_set
 
 NAIVE_CAP = 6
@@ -72,6 +73,30 @@ def permutation_min_form(g: Graph) -> CanonicalForm:
         if best is None or val < best:
             best = val
     return CanonicalForm(n, format(best, f"0{m}b"))
+
+
+def automorphisms_oracle(g: Graph) -> set[tuple[int, ...]]:
+    """Every automorphism of g as a map perm[old] = new, by permutation scan.
+
+    An automorphism keeps degrees, so each vertex is sent only within its
+    degree class; every such permutation is checked with `permute`.
+    """
+    n = g.n
+    if n > 8:
+        raise TooLarge(f"automorphism scan is capped at n <= 8, got {n}")
+    classes: dict[int, list[int]] = {}
+    for v, d in enumerate(g.degrees()):
+        classes.setdefault(d, []).append(v)
+    cells = list(classes.values())
+    found = set()
+    for images in product(*(permutations(cell) for cell in cells)):
+        perm = [0] * n
+        for cell, image in zip(cells, images):
+            for v, w in zip(cell, image):
+                perm[v] = w
+        if permute(g, perm) == g:
+            found.add(tuple(perm))
+    return found
 
 
 def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:

@@ -4,9 +4,10 @@ import pytest
 
 from resnum.canon import CANONICAL_CAP, CanonicalForm, canonical_form
 from resnum.errors import TooLarge
+from resnum.families import complete_graph, cycle_graph
 from resnum.graphs import Graph, from_edge_list, permute
 
-from oracles import is_connected
+from oracles import automorphisms_oracle, is_connected, permutation_min_form
 
 
 def _random_connected(rng, n):
@@ -68,3 +69,49 @@ def test_twin_heavy_graphs():
     g = from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
     h = permute(g, [5, 3, 4, 0, 2, 1])
     assert canonical_form(g) == canonical_form(h)
+
+
+def _closure(generators, n):
+    """Every product of the generators, as position maps."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for gen in generators:
+            q = tuple(gen[i] for i in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def test_labelling_and_generators_match_the_automorphism_oracle(
+    connected_by_order, trees_by_order
+):
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 7) for g in connected_by_order[n]]
+    graphs += [g for n in range(1, 9) for g in trees_by_order[n]]
+    graphs += [complete_graph(7), cycle_graph(7)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = permute(g, perm)
+        form = canonical_form(h)
+        rep = form.to_graph()
+        assert permute(h, form.labelling) == rep
+        for gen in form.generators:
+            assert permute(rep, gen) == rep
+        assert _closure(form.generators, g.n) == automorphisms_oracle(rep)
+
+
+def test_search_data_stay_out_of_equality(connected_by_order):
+    rng = random.Random(3)
+    for g in connected_by_order[5]:
+        form = canonical_form(g)
+        bare = CanonicalForm(form.n, form.bits)
+        assert bare == form and hash(bare) == hash(form) and repr(bare) == repr(form)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        oracle = permutation_min_form(permute(g, perm))
+        assert oracle == permutation_min_form(g)
+        assert canonical_form(oracle.to_graph()) == form

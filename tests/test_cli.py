@@ -1,8 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
+from resnum import canon
+from resnum.catalog import load_default_catalog
 from resnum.cli import main
 from resnum.serial import EDGE_LIST_CAP
 
@@ -57,6 +60,31 @@ def test_classify(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep == {"catalog_member": "C~", "category": "CatalogGirth3", "res": 3}
+
+
+def test_classify_canonicalises_each_member_once(tmp_path, capsys, monkeypatch):
+    members = load_default_catalog().members
+    f = tmp_path / "members.g6"
+    f.write_text("".join(m.graph6 + "\n" for m in members))
+    calls = 0
+    real = canon.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    # every module that bound the function by name, as the tracer does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("resnum") and getattr(module, "canonical_form", None) is real:
+            monkeypatch.setattr(module, "canonical_form", counted)
+    code, out, _ = run(capsys, "classify", "--input", str(f))
+    assert code == 0
+    assert calls == len(members) == 17
+    assert out == "".join(
+        f'{{"catalog_member":{json.dumps(m.graph6)},"category":"CatalogGirth{m.girth}","res":3}}\n'
+        for m in members
+    )
 
 
 def test_verify_filtered(tmp_path, capsys):

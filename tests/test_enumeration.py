@@ -98,16 +98,19 @@ def test_pruning_equals_filtering(connected_by_order, max_degree, min_girth):
             if (max_degree is None or max(g.degrees()) <= max_degree)
             and (min_girth is None or girth(g) >= min_girth)
         )
-        assert tuple(enumerate_graphs(EnumConstraints(n, max_degree, min_girth))) == expected
+        c = EnumConstraints(n, max_degree, min_girth)
+        assert tuple(enumerate_graphs(c)) == expected
+        # each class is produced once: the level _grow built holds no duplicate
+        level = enumeration._level(n, *enumeration._region(c))
+        assert len(set(level)) == len(level)
 
 
 def test_order_insensitive_to_generation_sequence(
     connected_by_order, constrained_by_order, trees_by_order
 ):
-    shuffled = tuple(
-        enumerate_graphs(EnumConstraints(5), _shuffle_seed=1234)
-    )
-    assert shuffled == connected_by_order[5]
+    for n, seed in ((5, 1234), (7, 4321)):
+        shuffled = tuple(enumerate_graphs(EnumConstraints(n), _shuffle_seed=seed))
+        assert shuffled == connected_by_order[n]
     sparse = EnumConstraints(8, max_degree=3, min_girth=5)
     assert tuple(enumerate_graphs(sparse, _shuffle_seed=99)) == constrained_by_order[8]
     trees = EnumConstraints(8, trees_only=True)
@@ -204,6 +207,14 @@ def test_each_tree_class_is_canonicalised_once(monkeypatch):
 
 
 def test_canonical_form_calls_unconstrained(monkeypatch):
-    # every parent x neighbour set is canonicalised outside the tree case
+    # one neighbour set per orbit, and only children that pass the cheap
+    # deletion test reach canon: 1,047 calls for the 996 classes
     calls = _canon_calls_per_order(monkeypatch, [EnumConstraints(n) for n in range(1, 8)])
-    assert calls == [1, 1, 3, 14, 90, 651, 7056]
+    assert calls == [1, 1, 2, 6, 21, 114, 902]
+
+
+def test_canonical_form_calls_catalog_regions(monkeypatch):
+    # the regions the res-3 catalog scans: 1,294 classes
+    regions = [EnumConstraints(n) for n in range(2, 8)]
+    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
+    assert sum(_canon_calls_per_order(monkeypatch, regions)) == 1462
