@@ -15,13 +15,15 @@ The form also carries what the search finds on the way: the labelling of
 the first leaf that reaches the best string, and generators of the
 automorphism group in canonical positions.  Each later leaf that ties the
 best string gives one generator, and each twin swap whose branch was
-skipped gives a transposition.  Together they generate the whole group:
-the automorphisms map the first best leaf one-to-one onto the leaves of
-the unpruned search tree that tie it.  Pruning drops no such leaf, since
-it cuts only strictly worse prefixes, and a leaf under a skipped twin
-branch is the image, under that twin swap, of a leaf under the explored
-branch.  So every tied leaf is a product of recorded generators applied
-to the first one.
+skipped gives a transposition unless earlier swaps already join its two
+vertices.  Together they generate the whole group: the automorphisms map
+the first best leaf one-to-one onto the leaves of the unpruned search
+tree that tie it.  Pruning drops no such leaf, since it cuts only
+strictly worse prefixes, and a leaf under a skipped twin branch is the
+image, under that twin swap, of a leaf under the explored branch.  A
+swap left out is a product of kept ones, since the transpositions along
+a spanning tree generate every transposition of its vertices.  So every
+tied leaf is a product of recorded generators applied to the first one.
 """
 
 from __future__ import annotations
@@ -104,7 +106,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best: list[int] | None = None
     first: list[int] = []  # placement order of the first leaf reaching best
     ties: list[list[int]] = []  # placement orders of later leaves equal to best
-    swaps: set[tuple[int, int]] = set()  # twins whose swap is an automorphism
+    swaps: list[tuple[int, int]] = []  # twins whose swap is an automorphism
+    joined = list(range(n))  # union-find over the kept swaps
+
+    def root(v: int) -> int:
+        while joined[v] != v:
+            joined[v] = v = joined[joined[v]]
+        return v
 
     def search(placed: list[int], rows: list[int]) -> None:
         nonlocal best, first, ties
@@ -148,8 +156,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
             twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
             if twin is None:
                 reps.append((r, v))
-            else:
-                swaps.add((twin, v))
+            elif root(twin) != root(v):
+                # a spanning forest of swaps generates the same group
+                joined[root(twin)] = root(v)
+                swaps.append((twin, v))
         for r, v in reps:
             new_rows = rows + [r] if p else rows.copy()
             if p and best is not None and new_rows > best[: len(new_rows)]:

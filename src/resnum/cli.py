@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Iterator
 
 from .bounds import PROP_IDS, verify_bounds
 from .catalog import (
@@ -43,14 +44,19 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _load_graphs(path: str, fmt: str) -> list[Graph]:
+def _load_graphs(path: str, fmt: str) -> Iterator[Graph]:
+    """Yield the input graphs as they parse, so that the lines before a bad
+    one are reported first."""
     text = _read_text(path)
     if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    graphs = list(parse_graph6_lines(text))
-    if not graphs:
+        yield parse_edge_list(text)
+        return
+    empty = True
+    for g in parse_graph6_lines(text):
+        empty = False
+        yield g
+    if empty:
         raise InputError(f"no graph6 lines found in {path}")
-    return graphs
 
 
 def _jsonable_girth(value) -> int | None:

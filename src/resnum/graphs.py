@@ -7,7 +7,8 @@ resolving machinery, enumeration) builds on this type.
 
 Distances have one representation too: `distance_matrix` returns a
 read-only n x n int32 numpy array, which callers build once per graph
-and pass down to every routine that reads distances.
+and pass down to every routine that reads distances.  It runs every BFS
+at once, on balls packed as uint64 words, one numpy pass per radius.
 """
 
 from __future__ import annotations
@@ -96,34 +97,36 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def _bfs_distances(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = seen
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        d += 1
-        for v in _bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
-    """`a[u, v]` = d(u, v) as one read-only n x n int32 array, by BFS from
-    every vertex; raises Disconnected when any pair is unreachable."""
-    rows = []
-    for src in range(g.n):
-        dist = _bfs_distances(g, src)
-        if src == 0 and min(dist) < 0:
+    """`a[u, v]` = d(u, v) as one read-only n x n int32 array; raises
+    Disconnected when any pair is unreachable.
+
+    All BFS balls grow at once, packed as little-endian uint64 words: the
+    radius r+1 ball of u is the union of the radius r balls over the
+    closed neighbourhood of u, and d(u, v) is the number of radii whose
+    ball misses v.
+    """
+    n = g.n
+    words = (n + 63) >> 6
+    # the radius 1 balls are the closed neighbourhoods
+    ball = np.frombuffer(
+        b"".join((row | 1 << u).to_bytes(words << 3, "little") for u, row in enumerate(g.adj)),
+        dtype="<u8",
+    ).reshape(n, words)
+    closed = np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
+    # members[starts[u]:starts[u + 1]] is the closed neighbourhood of u
+    rows, members = np.nonzero(closed)
+    starts = np.searchsorted(rows, np.arange(n))
+    # radius 0 misses every v != u, radius 1 every v outside the ball
+    a = 2 - np.eye(n, dtype=np.int32) - closed
+    left = n * n - members.size
+    while left:
+        ball = np.bitwise_or.reduceat(ball[members], starts, axis=0)
+        outside = np.unpackbits(~ball.view(np.uint8), axis=1, count=n, bitorder="little")
+        now = np.count_nonzero(outside)
+        if now == left:
             raise Disconnected("distance matrix requires a connected graph")
-        rows.append(dist)
-    a = np.array(rows, dtype=np.int32)
+        a += outside
+        left = now
     a.setflags(write=False)
     return a

@@ -2,9 +2,11 @@
 
 Girth uses infinity as its acyclic value so comparisons like ``girth > 5``
 select trees without a sentinel integer; the JSON layer turns it into
-null.  The clique number comes from a pivoting branch-and-bound over
-candidate bit masks, cross-checked against subset brute force in the
-tests.
+null.  The clique number comes from a branch and bound over candidate
+bit masks, bounded by greedy colour classes (Tomita and Seki, *An
+efficient branch-and-bound algorithm for finding a maximum clique*,
+DMTCS 2003), cross-checked against subset brute force and networkx in
+the tests.
 """
 
 from __future__ import annotations
@@ -65,40 +67,50 @@ def girth(g: Graph) -> int | float:
     return best
 
 
+def _colour_classes(cand: int, adj: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(colour, vertex) for cand in greedy colour classes, colours rising;
+    each class is independent, so a clique meets it at most once."""
+    order = []
+    colour = 0
+    while cand:
+        colour += 1
+        avail = cand
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append((colour, v))
+            cand ^= low
+            avail &= ~low & ~adj[v]
+    return order
+
+
 def clique_number(g: Graph) -> int:
-    """Exact maximum clique size by branch and bound with pivoting.
+    """Exact maximum clique size by branch and bound over colour classes.
 
     Depth first over an explicit stack, so the clique size is not bounded
-    by the interpreter's recursion limit.
+    by the interpreter's recursion limit.  Each frame holds a clique, its
+    candidates still unexpanded and their colour classes; a candidate of
+    colour c adds at most c vertices, so it is expanded only while that
+    can beat the best clique found so far.
     """
     adj = g.adj
     best = 0
-    # (clique size, candidates, excluded); children are pushed in reverse
-    # so they are entered in increasing vertex order
-    stack = [(0, (1 << g.n) - 1, 0)]
+    full = (1 << g.n) - 1
+    # [clique size, unexpanded candidates, their colour order]
+    stack = [[0, full, _colour_classes(full, adj)]]
     while stack:
-        size, cand, excl = stack.pop()
-        if cand == 0 and excl == 0:
-            best = max(best, size)
+        frame = stack[-1]
+        size, cand, order = frame
+        if not order or size + order[-1][0] <= best:
+            stack.pop()
             continue
-        if size + cand.bit_count() <= best:
-            continue
-        # pivot: the first vertex of cand | excl with the most candidate neighbours
-        pivot, most = -1, -1
-        rest = cand | excl
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            links = (cand & adj[u]).bit_count()
-            if links > most:
-                pivot, most = u, links
-        children = []
-        for v in _bits(cand & ~adj[pivot]):
-            children.append((size + 1, cand & adj[v], excl & adj[v]))
-            cand &= ~(1 << v)
-            excl |= 1 << v
-        stack.extend(reversed(children))
+        _, v = order.pop()
+        frame[1] = cand & ~(1 << v)
+        sub = cand & adj[v]
+        if sub:
+            stack.append([size + 1, sub, _colour_classes(sub, adj)])
+        else:
+            best = max(best, size + 1)
     return best
 
 

@@ -7,14 +7,17 @@ vertices that fail to resolve some single pair, which turns the
 exponential definition into one distance-matrix scan; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
-One equidistance kernel feeds everything else: for row x of the distance
-array, the boolean slab ``a[x+1:] == a[x]`` marks, for each y > x, the
-vertices that fail to resolve {x, y}.  Its row counts give the resolving
-number.  Weighted by vertex bits, its rows are the pair masks of a single
-2^n resolving-set table per graph, read once for the metric dimension
-(least size of a resolving set), the upper dimension (largest size of a
-minimal one) and res again for the chain check.  Each dimension witness
-is the lowest integer bit mask among the sets of its kind.
+One equidistance kernel feeds everything else: for rows lo..hi-1 of the
+distance array, the boolean slab ``a[lo:hi, None, :] == a[None, :, :]``
+marks, for each pair {x, y}, the vertices that fail to resolve it.  Rows
+go in blocks that keep a slab under `SLAB_ENTRIES` entries, so a graph of
+order 62 is one slab.  The slab counts over pairs x < y give the
+resolving number.  Weighted by vertex bits, the same pairs give the
+pair masks of a single 2^n resolving-set table per graph, read once for
+the metric dimension (least size of a resolving set), the upper
+dimension (largest size of a minimal one) and res again for the chain
+check.  Each dimension witness is the lowest integer bit mask among the
+sets of its kind.
 
 Distances come in as the read-only array of `graphs.distance_matrix`.
 The public routines take it as `dm`, optional where they can build their
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .graphs import Graph, distance_matrix
 ORACLE_CAP = 12
 DIM_CAP = 16
 UPDIM_CAP = 12
+# most entries (bools, so bytes) in one equidistance slab
+SLAB_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,22 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _equidistant(a: np.ndarray, x: int) -> np.ndarray:
-    """Row j marks the vertices that fail to resolve {x, x + 1 + j}."""
-    return a[x + 1 :] == a[x]
+def _blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) whose slabs hold at most SLAB_ENTRIES entries."""
+    step = max(1, SLAB_ENTRIES // (n * n))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _equidistant(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """`slab[x - lo, y]` marks the vertices that fail to resolve {x, y}."""
+    return a[lo:hi, None, :] == a[None, :, :]
 
 
 def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
-    return frozenset(np.flatnonzero(_equidistant(dm, x)[y - x - 1]).tolist())
+    return frozenset(np.flatnonzero(_equidistant(dm, x, x + 1)[0, y]).tolist())
 
 
 def is_resolving_set(
@@ -110,15 +122,19 @@ def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
         return ResolvingReport(1, None, frozenset())
     if dm is None:
         dm = distance_matrix(g)
+    n = g.n
     best = -1
-    for x in range(g.n - 1):
-        slab = _equidistant(dm, x)
-        eq = np.count_nonzero(slab, axis=1)
-        y_rel = int(np.argmax(eq))
-        if int(eq[y_rel]) > best:
-            best = int(eq[y_rel])
-            best_pair = (x, x + 1 + y_rel)
-            witness = slab[y_rel]
+    for lo, hi in _blocks(n):
+        slab = _equidistant(dm, lo, hi)
+        # summing the bools as bytes counts them faster than count_nonzero
+        eq = slab.view(np.uint8).sum(axis=2, dtype=np.int32)
+        # only pairs x < y count; row-major argmax keeps the smallest pair
+        eq[np.arange(n) <= np.arange(lo, hi)[:, None]] = -1
+        i, y = divmod(int(np.argmax(eq)), n)
+        if int(eq[i, y]) > best:
+            best = int(eq[i, y])
+            best_pair = (lo + i, y)
+            witness = slab[i, y].copy()
     return ResolvingReport(
         best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
     )
@@ -160,7 +176,10 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
         )
     a = distance_matrix(g) if dm is None else dm
     weights = 1 << np.arange(n, dtype=np.int64)
-    pair_masks = np.concatenate([_equidistant(a, x) @ weights for x in range(n - 1)])
+    above = np.arange(n) > np.arange(n)[:, None]
+    pair_masks = np.concatenate(
+        [(_equidistant(a, lo, hi) @ weights)[above[lo:hi]] for lo, hi in _blocks(n)]
+    )
     bad = np.zeros(1 << n, dtype=bool)
     bad[pair_masks] = True
     popcount = np.zeros(1 << n, dtype=np.int8)

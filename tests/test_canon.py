@@ -104,6 +104,30 @@ def test_labelling_and_generators_match_the_automorphism_oracle(
         assert _closure(form.generators, g.n) == automorphisms_oracle(rep)
 
 
+def test_twin_swaps_form_a_spanning_forest(trees_by_order):
+    # S_k needs k - 1 transpositions; K_8 has one twin class of 8
+    assert len(canonical_form(complete_graph(8)).generators) == 7
+    for n in range(2, 11):
+        for g in trees_by_order[n]:
+            form = canonical_form(g)
+            swaps = [
+                tuple(i for i, v in enumerate(gen) if i != v)
+                for gen in form.generators
+                if sum(i != v for i, v in enumerate(gen)) == 2
+            ]
+            # union-find: no recorded swap joins two already joined vertices
+            joined = list(range(n))
+
+            def root(v):
+                while joined[v] != v:
+                    v = joined[v]
+                return v
+
+            for a, b in swaps:
+                assert root(a) != root(b)
+                joined[root(a)] = root(b)
+
+
 def test_search_data_stay_out_of_equality(connected_by_order):
     rng = random.Random(3)
     for g in connected_by_order[5]:

@@ -178,7 +178,28 @@ def test_graph6_error_names_its_line(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_text("C~\nCh\nC\x7f\n")
     code, out, err = run(capsys, "compute", "--input", str(f))
-    assert code == 2 and out == "" and "line 3" in err
+    # K4 and P4 stream out before the bad third line stops the run
+    assert code == 2 and "line 3" in err
+    assert [json.loads(line)["m"] for line in out.splitlines()] == [6, 3]
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_good_lines_print_before_a_bad_one(tmp_path, capsys, command):
+    good = tmp_path / "good.g6"
+    good.write_text("C~\nCh\n")
+    code, expected, _ = run(capsys, command, "--input", str(good))
+    assert code == 0 and len(expected.splitlines()) == 2
+    bad = tmp_path / "bad.g6"
+    bad.write_text("C~\nCh\nC\x7f\n")
+    code, out, err = run(capsys, command, "--input", str(bad))
+    assert code == 2 and out == expected and "line 3" in err
+
+
+def test_input_without_graphs_exits_2(tmp_path, capsys):
+    f = tmp_path / "blank.g6"
+    f.write_text("\n  \n")
+    code, out, err = run(capsys, "compute", "--input", str(f))
+    assert code == 2 and out == "" and "no graph6 lines" in err
 
 
 def test_non_ascii_input_file_is_an_input_error(tmp_path, capsys):

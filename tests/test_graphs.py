@@ -73,8 +73,17 @@ def test_connectivity():
 
 
 def test_distance_matrix_requires_connected():
-    with pytest.raises(Disconnected):
-        distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
+    cases = [
+        (4, [(0, 1), (2, 3)]),
+        (2, []),
+        # an isolated last vertex, alone in the second word of its row
+        (65, [(u, u + 1) for u in range(63)]),
+        # two paths of 100 vertices
+        (200, [(u, u + 1) for u in range(99)] + [(u, u + 1) for u in range(100, 199)]),
+    ]
+    for n, edges in cases:
+        with pytest.raises(Disconnected):
+            distance_matrix(from_edge_list(n, edges))
 
 
 def test_distances_match_networkx_on_random_graphs():
@@ -122,3 +131,20 @@ def test_graph_value_semantics():
     assert hash(a) == hash(b)
     assert a != from_edge_list(3, [(0, 2)])
     assert Graph(1, (0,)).n == 1
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 200])
+def test_distances_match_networkx_across_word_boundaries(n):
+    # ball rows span (n + 63) // 64 words; a tree and a sparse graph per order
+    rng = random.Random(n)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    for edges in (tree, tree + [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]):
+        edges = [(u, v) for u, v in edges if u != v]
+        dm = distance_matrix(from_edge_list(n, edges))
+        expected = dict(nx.all_pairs_shortest_path_length(nx.Graph(edges)))
+        assert dm.tolist() == [[expected[u][v] for v in range(n)] for u in range(n)]
+
+
+def test_distance_matrix_of_k1():
+    dm = distance_matrix(from_edge_list(1, []))
+    assert dm.tolist() == [[0]] and dm.dtype == np.int32 and not dm.flags.writeable

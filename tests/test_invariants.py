@@ -73,6 +73,19 @@ def test_clique_number_past_the_recursion_limit():
     assert clique_number(g) == n
 
 
+def test_clique_number_matches_networkx_on_the_stream_mix():
+    # orders 20..62 by the six densities of the compute benchmark, each a
+    # random spanning tree plus every other pair with probability p
+    rng = random.Random(2003)
+    for n in (20 + 42 * i // 19 for i in range(20)):
+        for p in (0.0, 0.02, 0.05, 0.1, 0.3, 0.6):
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            G = nx.Graph(edges)
+            expected = max(len(c) for c in nx.find_cliques(G))
+            assert clique_number(from_edge_list(n, edges)) == expected
+
+
 def test_clique_number_spot_values():
     assert clique_number(complete_graph(7)) == 7
     assert clique_number(cycle_graph(8)) == 2

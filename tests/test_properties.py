@@ -6,13 +6,15 @@ import io
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from resnum.canon import canonical_form
 from resnum.cli import main
 from resnum.errors import ResnumError
-from resnum.graphs import from_edge_list, permute
+from resnum.graphs import distance_matrix, from_edge_list, permute
+from resnum.invariants import clique_number
 from resnum.resolve import metric_dimension, resolving_number, upper_dimension
 from resnum.serial import parse_edge_list, parse_graph6, write_graph6
 
@@ -37,6 +39,17 @@ def test_invariants_survive_relabelling(g, data):
     assert resolving_number(h).res == resolving_number(g).res
     assert metric_dimension(h).dim == metric_dimension(g).dim
     assert upper_dimension(h).updim == upper_dimension(g).updim
+
+
+@given(connected_graphs(max_n=70), st.data())
+def test_distance_kernels_survive_relabelling(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = permute(g, perm)
+    dm_g, dm_h = distance_matrix(g), distance_matrix(h)
+    # d_h(perm[u], perm[v]) = d_g(u, v)
+    assert (dm_h[np.ix_(perm, perm)] == dm_g).all()
+    assert resolving_number(h, dm_h).res == resolving_number(g, dm_g).res
+    assert clique_number(h) == clique_number(g)
 
 
 # every code point, lone surrogates included; with no category filter

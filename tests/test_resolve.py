@@ -18,8 +18,10 @@ from resnum.families import (
     path_graph,
     star_graph,
 )
+from resnum import resolve
 from resnum.resolve import (
     DimensionReport,
+    _dimensions,
     is_resolving_set,
     metric_dimension,
     non_resolvers,
@@ -159,3 +161,35 @@ def test_caps_raise():
         upper_dimension(path_graph(13))
     with pytest.raises(TooLarge):
         resolving_number_oracle(path_graph(13))
+
+
+def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
+    graphs = [g for n in range(2, 8) for g in connected_by_order[n]]
+    dms = [distance_matrix(g) for g in graphs]
+
+    def results():
+        out = []
+        for g, dm in zip(graphs, dms):
+            rep = resolving_number(g, dm)
+            pairs = [non_resolvers(g, dm, (x, y)) for x in range(g.n) for y in range(x + 1, g.n)]
+            out.append((rep, pairs, _dimensions(g, dm)))
+        return out
+
+    whole = results()
+    monkeypatch.setattr(resolve, "SLAB_ENTRIES", 1)
+    assert results() == whole
+
+
+def test_no_slab_exceeds_the_budget(monkeypatch):
+    sizes = []
+    kernel = resolve._equidistant
+
+    def recorded(a, lo, hi):
+        slab = kernel(a, lo, hi)
+        sizes.append(slab.size)
+        return slab
+
+    monkeypatch.setattr(resolve, "_equidistant", recorded)
+    rep = resolving_number(path_graph(800))
+    assert rep.res == 2 and rep.witness_pair == (0, 2)
+    assert len(sizes) > 1 and max(sizes) <= resolve.SLAB_ENTRIES
