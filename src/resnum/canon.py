@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import TooLarge
 from .graphs import Graph, _bits
+from .serial import triangle_graph
 
 CANONICAL_CAP = 16
 
@@ -40,12 +41,14 @@ CANONICAL_CAP = 16
 class CanonicalForm:
     """Upper-triangle adjacency bits of the canonical labeling.
 
-    `bits` is column-wise: positions (0,1), (0,2), (1,2), (0,3), (1,3),
-    (2,3), ... which is also the bit order of the graph6 format.
+    `bits` is the column-wise triangle as one int, slot (0,1) most
+    significant, then (0,2), (1,2), (0,3), (1,3), (2,3), ...: the bit
+    order of graph6.  Equal orders mean equal lengths, so comparing the
+    ints compares the bit strings.
     """
 
     n: int
-    bits: str
+    bits: int
     # labelling[v] is the canonical position of input vertex v
     labelling: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # position maps of automorphisms of to_graph() that generate its group
@@ -55,15 +58,7 @@ class CanonicalForm:
 
     def to_graph(self) -> Graph:
         """Rebuild the canonically labeled graph."""
-        rows = [0] * self.n
-        idx = 0
-        for j in range(1, self.n):
-            for i in range(j):
-                if self.bits[idx] == "1":
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                idx += 1
-        return Graph(self.n, tuple(rows))
+        return triangle_graph(self.n, self.bits)
 
 
 def _refine(
@@ -98,7 +93,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n > CANONICAL_CAP:
         raise TooLarge(f"canonical form is capped at n <= {CANONICAL_CAP}, got {n}")
     if n == 1:
-        return CanonicalForm(1, "", (0,))
+        return CanonicalForm(1, 0, (0,))
     adj = g.adj
     nbrs = [tuple(_bits(row)) for row in adj]
     # best[i] holds the i+1 adjacency bits of placement position i+1,
@@ -116,40 +111,26 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     def search(placed: list[int], rows: list[int]) -> None:
         nonlocal best, first, ties
-        while True:
-            p = len(placed)
-            if p == n:
-                if best is None or rows < best:
-                    best, first, ties = rows.copy(), placed, []
-                elif rows == best:
-                    ties.append(placed)
-                return
-            colors = [p] * n
-            for i, v in enumerate(placed):
-                colors[v] = i
-            free = [v for v in range(n) if colors[v] == p]
-            _refine(nbrs, colors, free, p)
-            cell = [v for v in free if colors[v] == p]
-            if len(cell) > 1:
-                break
-            # forced placement, no branching
-            v = cell[0]
-            if p:
+        p = len(placed)
+        if p == n:
+            if best is None or rows < best:
+                best, first, ties = rows, placed, []
+            elif rows == best:
+                ties.append(placed)
+            return
+        colors = [p] * n
+        for i, v in enumerate(placed):
+            colors[v] = i
+        free = [v for v in range(n) if colors[v] == p]
+        _refine(nbrs, colors, free, p)
+        # a one-vertex cell is a branch with one candidate
+        cands = []
+        for v in free:
+            if colors[v] == p:
                 r = 0
                 for u in placed:
                     r = r << 1 | (adj[v] >> u & 1)
-                rows.append(r)
-                if best is not None and rows > best[: len(rows)]:
-                    return
-            placed.append(v)
-
-        p = len(placed)
-        cands = []
-        for v in cell:
-            r = 0
-            for u in placed:
-                r = r << 1 | (adj[v] >> u & 1)
-            cands.append((r, v))
+                cands.append((r, v))
         cands.sort()
         reps: list[tuple[int, int]] = []
         for r, v in cands:
@@ -161,14 +142,16 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 joined[root(twin)] = root(v)
                 swaps.append((twin, v))
         for r, v in reps:
-            new_rows = rows + [r] if p else rows.copy()
+            new_rows = rows + [r] if p else rows
             if p and best is not None and new_rows > best[: len(new_rows)]:
                 continue
             search(placed + [v], new_rows)
 
     search([], [])
     assert best is not None
-    bits = "".join(format(best[i], f"0{i + 1}b") for i in range(n - 1))
+    bits = 0
+    for i, r in enumerate(best):
+        bits = bits << (i + 1) | r
     labelling = [0] * n
     for i, v in enumerate(first):
         labelling[v] = i

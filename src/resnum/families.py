@@ -296,22 +296,25 @@ def clique_res_category(g: Graph, catalog=None) -> int:
         if inv.is_cycle and g.n % 2 == 1 and g.n >= 5:
             return 2
         raise TheoremViolation("omega = res = 2 outside paths and odd cycles")
-    form = canonical_form(g)
     if r == 3:
         if catalog is None:
             from .catalog import load_default_catalog
 
             catalog = load_default_catalog()
-        member = catalog.lookup(form)
+        member = catalog.lookup(canonical_form(g))
         if member is not None and member.girth == 3:
             return 3
         raise TheoremViolation("omega = res = 3 outside the girth-3 catalog slice")
+    # with omega = r, order r + 1 is K_r plus one vertex joined to 1..r-1 of it
+    clique_plus_vertex = g.n == r + 1
     if r == 4:
-        candidates = [clique4_sporadic(i) for i in range(1, 5)]
-        candidates += [clique_with_pendant(4, b) for b in range(1, 4)]
-        if any(canonical_form(c) == form for c in candidates):
+        if clique_plus_vertex:
             return 4
+        if g.n in (6, 7):
+            form = canonical_form(g)
+            if any(canonical_form(clique4_sporadic(i)) == form for i in range(1, 5)):
+                return 4
         raise TheoremViolation("omega = res = 4 outside the characterized set")
-    if any(canonical_form(clique_with_pendant(r, b)) == form for b in range(1, r)):
+    if clique_plus_vertex:
         return 5
     raise TheoremViolation(f"omega = res = {r} not isomorphic to any clique-plus-vertex graph")

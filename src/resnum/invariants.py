@@ -163,7 +163,7 @@ def invariant_summary(g: Graph, dm: np.ndarray) -> InvariantSummary:
     is_star = n >= 2 and is_tree and max(degs) == n - 1
     return InvariantSummary(
         diameter=int(dm.max()),
-        girth=girth(g),
+        girth=INFINITE_GIRTH if is_tree else girth(g),
         omega=clique_number(g),
         max_degree=max(degs, default=0),
         is_tree=is_tree,

@@ -92,7 +92,7 @@ def _equidistant(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
-    return frozenset(np.flatnonzero(_equidistant(dm, x, x + 1)[0, y]).tolist())
+    return frozenset(np.flatnonzero(dm[x] == dm[y]).tolist())
 
 
 def is_resolving_set(

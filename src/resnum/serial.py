@@ -2,8 +2,10 @@
 
 The graph6 codec is written out long-hand for orders up to 62 (one header
 byte): the upper triangle is read column by column, packed six bits per
-byte, each byte offset by 63.  Round trips are exercised heavily in the
-tests, including against an independent decoder.
+byte, each byte offset by 63.  Both directions hold the triangle as one
+int with slot (0,1) most significant, the layout of `CanonicalForm.bits`,
+and `triangle_graph` is the one decoder of it.  Round trips are exercised
+heavily in the tests, including against an independent decoder.
 """
 
 from __future__ import annotations
@@ -20,11 +22,22 @@ GRAPH6_CAP = 62
 EDGE_LIST_CAP = 800
 
 
-def _triangle_slots(n: int) -> Iterator[tuple[int, int]]:
-    # column-wise upper triangle: (0,1), (0,2), (1,2), (0,3), (1,3), ...
+def triangle_graph(n: int, bits: int) -> Graph:
+    """The graph whose column-wise upper triangle is `bits`, slot (0,1) most
+    significant; the rows are filled column by column from the set bits."""
+    rows = [0] * n
+    shift = n * (n - 1) // 2
     for j in range(1, n):
-        for i in range(j):
-            yield i, j
+        shift -= j
+        col = bits >> shift & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            # bit k of column j is row j-1-k
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
+    return Graph(n, tuple(rows))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -48,33 +61,29 @@ def parse_graph6(line: str) -> Graph:
         raise MalformedGraph6(
             f"expected {expect} bytes for order {n}, got {len(vals)}"
         )
-    bits = []
+    bits = 0
     for v in vals[1:]:
-        bits.extend((v >> k & 1) for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = bits << 6 | v
+    pad = 6 * (expect - 1) - nbits
+    if bits & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    edges = [
-        (i, j) for (i, j), b in zip(_triangle_slots(n), bits) if b
-    ]
-    return from_edge_list(n, edges)
+    return triangle_graph(n, bits >> pad)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph of order at most 62 as one graph6 line (no newline)."""
     if g.n > GRAPH6_CAP:
         raise TooLarge(f"graph6 writer is capped at n <= {GRAPH6_CAP}, got {g.n}")
-    out = [chr(g.n + 63)]
     acc = 0
-    nacc = 0
-    for i, j in _triangle_slots(g.n):
-        acc = acc << 1 | (g.adj[i] >> j & 1)
-        nacc += 1
-        if nacc == 6:
-            out.append(chr(acc + 63))
-            acc, nacc = 0, 0
-    if nacc:
-        out.append(chr((acc << (6 - nacc)) + 63))
-    return "".join(out)
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = acc << 1 | (g.adj[i] >> j & 1)
+    nbits = g.n * (g.n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    return chr(g.n + 63) + "".join(
+        chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6)
+    )
 
 
 def parse_graph6_lines(text: str) -> Iterator[Graph]:

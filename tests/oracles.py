@@ -59,7 +59,7 @@ def permutation_min_form(g: Graph) -> CanonicalForm:
     if n > 8:
         raise TooLarge(f"permutation scan is capped at n <= 8, got {n}")
     if n == 1:
-        return CanonicalForm(1, "")
+        return CanonicalForm(1, 0)
     idx = _slot_index(n)
     m = len(idx)
     edges = list(g.edges())
@@ -72,7 +72,7 @@ def permutation_min_form(g: Graph) -> CanonicalForm:
             val |= 1 << (m - 1 - s)
         if best is None or val < best:
             best = val
-    return CanonicalForm(n, format(best, f"0{m}b"))
+    return CanonicalForm(n, best)
 
 
 def automorphisms_oracle(g: Graph) -> set[tuple[int, ...]]:
@@ -104,7 +104,7 @@ def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
     if n > NAIVE_CAP:
         raise TooLarge(f"naive oracle is capped at n <= {NAIVE_CAP}, got {n}")
     if n == 1:
-        return frozenset({CanonicalForm(1, "")})
+        return frozenset({CanonicalForm(1, 0)})
     idx = _slot_index(n)
     m = len(idx)
     slots = sorted(idx, key=idx.get)
@@ -127,7 +127,7 @@ def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
             s2 = idx[(a, b) if a < b else (b, a)]
             out |= ((arr >> (m - 1 - s)) & 1) << (m - 1 - s2)
         np.minimum(running, out, out=running)
-    forms = {CanonicalForm(n, format(int(v), f"0{m}b")) for v in set(running.tolist())}
+    forms = {CanonicalForm(n, v) for v in set(running.tolist())}
     return frozenset(forms)
 
 

@@ -10,8 +10,12 @@ the join of an edge with two isolated vertices is isomorphic to the
 clique-plus-vertex graph on 4 vertices, both being K4 minus an edge).
 """
 
+import math
+
 import pytest
 
+from resnum import catalog, enumeration
+from resnum.bounds import _order_upper_rhs
 from resnum.canon import canonical_form
 from resnum.catalog import (
     Res3Catalog,
@@ -23,6 +27,9 @@ from resnum.catalog import (
 )
 from resnum.errors import CatalogMissing
 from resnum.families import complete_graph, cycle_graph, wheel_graph
+from resnum.graphs import distance_matrix
+from resnum.invariants import invariant_summary
+from resnum.resolve import resolving_number
 from resnum.serial import parse_graph6
 
 FROZEN_MEMBERS = (
@@ -40,6 +47,54 @@ def test_default_catalog_matches_frozen_members():
 def test_rebuild_reproduces_the_fixture():
     derived = build_res3_catalog()
     assert render_fixture(derived) == render_fixture(load_default_catalog())
+
+
+def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
+    """A res-3 graph other than a path or a cycle has girth at most 2res-1
+    (Girth), maximum degree at most 3res-4 at girth 3 and res above it
+    (MaxDeg), and order from res+1 up to `_order_upper_rhs` (OrderBounds);
+    a non-path tree has order at most 3res-5 (OrderTree) and degree at
+    most res (MaxDegTree).  Every such region the catalog scan skips is
+    enumerated here and holds no res-3 non-cycle outside the fixture."""
+    res = 3
+    scanned = []
+    monkeypatch.setattr(
+        enumeration, "enumerate_graphs", lambda c: scanned.append(c) or iter(())
+    )
+    list(catalog._candidate_stream())
+    monkeypatch.undo()
+
+    # (order, degree cap, girth)
+    regions = [
+        (n, 3 * res - 4 if girth == 3 else res, girth)
+        for girth in range(3, 2 * res)
+        for n in range(res + 1, _order_upper_rhs(res, girth, res) + 1)
+    ]
+    regions += [(n, res, math.inf) for n in range(res + 1, 3 * res - 4)]
+
+    def covered(n, max_degree, girth):
+        return any(
+            c.n == n
+            and (c.max_degree is None or max_degree <= c.max_degree)
+            and (c.min_girth is None or girth >= c.min_girth)
+            for c in scanned
+        )
+
+    skipped = [r for r in regions if not covered(*r)]
+    assert skipped == [(8, 3, 4)]
+    fixture = load_default_catalog()
+    found = []
+    for n, max_degree, girth in skipped:
+        forms = enumeration._level(n, max_degree, girth)
+        assert len(forms) == 87
+        for form in forms:
+            g = form.to_graph()
+            dm = distance_matrix(g)
+            if resolving_number(g, dm).res == 3:
+                found.append(form)
+                if not invariant_summary(g, dm).is_cycle:
+                    assert fixture.lookup(form) is not None
+    assert len(found) == 2 and canonical_form(cycle_graph(8)) in found
 
 
 def test_girth_split():

@@ -248,3 +248,11 @@ def test_unknown_family_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", "nonesuch", "--params", "1"])
     assert exc.value.code == 2
+
+
+def test_gen_offers_no_join(capsys):
+    # join takes two subspecs, which a command line of integers cannot pass
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "join", "--params", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'join'" in capsys.readouterr().err

@@ -153,6 +153,8 @@ def test_clique_res_statements():
     for b in (1, 2, 3, 4):
         assert clique_res_category(clique_with_pendant(5, b)) == 5
     assert clique_res_category(clique_with_pendant(7, 3)) == 5
+    # order 17, past the canonical-form cap: decided by its order alone
+    assert clique_res_category(clique_with_pendant(16, 2)) == 5
 
 
 def test_clique_res_requires_equality():

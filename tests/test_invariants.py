@@ -123,6 +123,15 @@ def test_invariant_summary_flags():
     assert inv.diameter == 0 and inv.omega == 1
 
 
+def test_invariant_summary_knows_a_tree_is_acyclic(monkeypatch):
+    def no_search(g):
+        raise AssertionError("girth searched on a tree")
+
+    monkeypatch.setattr("resnum.invariants.girth", no_search)
+    for tree in (path_graph(1), path_graph(7), star_graph(5), spider_graph(1, 2, 3)):
+        assert invariant_summary(tree, distance_matrix(tree)).girth == INFINITE_GIRTH
+
+
 def test_distance_window_examples():
     g = path_graph(6)
     dm = distance_matrix(g)

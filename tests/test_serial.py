@@ -115,6 +115,20 @@ def test_nonzero_padding_rejected():
         parse_graph6("B" + chr(63 + 0b101101))
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_padding_checked_at_every_width(n):
+    # 1, 3, 6, 10, ... triangle bits leave 5, 3, 0, 2, ... padding bits
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    pad = 6 * nbytes - nbits
+    head = chr(n + 63) + "?" * (nbytes - 1)
+    for k in range(pad):
+        with pytest.raises(MalformedGraph6):
+            parse_graph6(head + chr(63 + (1 << k)))
+    # the bit above the padding is the last slot, (n-2, n-1)
+    assert list(parse_graph6(head + chr(63 + (1 << pad))).edges()) == [(n - 2, n - 1)]
+
+
 def test_parse_lines_skips_blanks():
     graphs = list(parse_graph6_lines("C~\n\nCh\n"))
     assert [g.n for g in graphs] == [4, 4]
