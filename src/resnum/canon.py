@@ -5,11 +5,15 @@ lexicographically least upper-triangle adjacency bit string over every
 labeling it explores.  Iterated neighborhood refinement (re-run after each
 placement) confines candidates to one invariant cell, interchangeable
 twins collapse to a single branch, and prefixes worse than the best string
-found so far are cut.  Neighbor lists are built once per call, and each
-refinement re-ranks only the free vertices: the placed ones hold unique
-colors that sort first and never move.  Two graphs receive equal forms
-iff they are isomorphic; the permutation oracle in the tests pins that
-down at small orders.
+found so far are cut.  Neighbor lists are built once per call.  The placed
+vertices hold unique colors that sort first and never move; the free ones
+form an ordered list of cells, and each round splits only the cells of two
+or more vertices, by sorted neighbor colors, keeping the groups in key
+order.  Each placement refines again from the two cells placed and free:
+the order of the cells picks the branching cell and so fixes the
+labelling, and the parent's cells refined onward come out in another
+order.  Two graphs receive equal forms iff they are isomorphic; the
+permutation oracle in the tests pins that down at small orders.
 
 The form also carries what the search finds on the way: the labelling of
 the first leaf that reaches the best string, and generators of the
@@ -63,23 +67,31 @@ class CanonicalForm:
 
 def _refine(
     nbrs: list[tuple[int, ...]], colors: list[int], free: list[int], p: int
-) -> None:
-    """Iterate (color, sorted neighbor colors) until the partition is stable.
+) -> list[list[int]]:
+    """Split the free vertices, entering as the one cell [free] of color p,
+    until a round splits no cell; return the cells, cell i of color p + i.
 
-    The p placed vertices hold the unique colors 0..p-1, which sort before
-    every free color and so never move; the free vertices enter with color
-    p and only they are re-ranked, from p upward, in place.
+    Signatures read the previous round's colors: a round writes its
+    colors only once every cell is split.
     """
     color_of = colors.__getitem__
-    ncells = 1
+    cells = [free]
     while True:
-        sigs = [(colors[v], tuple(sorted(map(color_of, nbrs[v])))) for v in free]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)), p)}
-        for v, s in zip(free, sigs):
-            colors[v] = rank[s]
-        if len(rank) == ncells:
-            return
-        ncells = len(rank)
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                groups.setdefault(tuple(sorted(map(color_of, nbrs[v]))), []).append(v)
+            split += [groups[key] for key in sorted(groups)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
+        for c, cell in enumerate(cells, p):
+            for v in cell:
+                colors[v] = c
 
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
@@ -122,15 +134,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
         for i, v in enumerate(placed):
             colors[v] = i
         free = [v for v in range(n) if colors[v] == p]
-        _refine(nbrs, colors, free, p)
-        # a one-vertex cell is a branch with one candidate
+        # branch on the first cell; a one-vertex cell has one candidate
         cands = []
-        for v in free:
-            if colors[v] == p:
-                r = 0
-                for u in placed:
-                    r = r << 1 | (adj[v] >> u & 1)
-                cands.append((r, v))
+        for v in _refine(nbrs, colors, free, p)[0]:
+            r = 0
+            for u in placed:
+                r = r << 1 | (adj[v] >> u & 1)
+            cands.append((r, v))
         cands.sort()
         reps: list[tuple[int, int]] = []
         for r, v in cands:

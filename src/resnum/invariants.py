@@ -38,9 +38,14 @@ class InvariantSummary:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or infinity for a forest.
 
-    Every shortest cycle crosses each of its edges, so dropping an edge
-    and measuring the detour between its ends finds it.
+    An edge whose ends share a neighbor closes a triangle, so one pass
+    over the edges settles girth 3.  Otherwise every shortest cycle
+    crosses each of its edges, so dropping an edge and measuring the
+    detour between its ends finds it.
     """
+    adj = g.adj
+    if any(adj[u] & adj[v] for u, v in g.edges()):
+        return 3
     best = INFINITE_GIRTH
     for u, v in g.edges():
         # BFS from u to v in g minus the edge uv
@@ -52,7 +57,7 @@ def girth(g: Graph) -> int | float:
             d += 1
             nxt = []
             for w in frontier:
-                row = g.adj[w]
+                row = adj[w]
                 if w == u:
                     row &= ~(1 << v)
                 for z in _bits(row):
@@ -62,7 +67,8 @@ def girth(g: Graph) -> int | float:
             frontier = nxt
         if dist[v] >= 0 and dist[v] + 1 < best:
             best = dist[v] + 1
-            if best == 3:
+            # a triangle-free graph has no shorter cycle
+            if best == 4:
                 break
     return best
 

@@ -8,16 +8,17 @@ exponential definition into one distance-matrix scan; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
 One equidistance kernel feeds everything else: for rows lo..hi-1 of the
-distance array, the boolean slab ``a[lo:hi, None, :] == a[None, :, :]``
-marks, for each pair {x, y}, the vertices that fail to resolve it.  Rows
-go in blocks that keep a slab under `SLAB_ENTRIES` entries, so a graph of
-order 62 is one slab.  The slab counts over pairs x < y give the
-resolving number.  Weighted by vertex bits, the same pairs give the
-pair masks of a single 2^n resolving-set table per graph, read once for
-the metric dimension (least size of a resolving set), the upper
-dimension (largest size of a minimal one) and res again for the chain
-check.  Each dimension witness is the lowest integer bit mask among the
-sets of its kind.
+distance array, the boolean slab ``a[lo:hi, None, :] == a[None, lo:, :]``
+marks, for each pair {x, y} with y >= lo, the vertices that fail to
+resolve it.  Pairs with y < lo sit in an earlier block as {y, x}, so the
+slab skips them.  Rows go in blocks that keep a slab under `SLAB_ENTRIES`
+entries, so a graph of order 62 is one slab.  The slab counts over pairs
+x < y give the resolving number.  Weighted by vertex bits, the same
+pairs give the pair masks of a single 2^n resolving-set table per graph,
+read once for the metric dimension (least size of a resolving set), the
+upper dimension (largest size of a minimal one) and res again for the
+chain check.  Each dimension witness is the lowest integer bit mask
+among the sets of its kind.
 
 Distances come in as the read-only array of `graphs.distance_matrix`.
 The public routines take it as `dm`, optional where they can build their
@@ -85,8 +86,8 @@ def _blocks(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _equidistant(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """`slab[x - lo, y]` marks the vertices that fail to resolve {x, y}."""
-    return a[lo:hi, None, :] == a[None, :, :]
+    """`slab[x - lo, y - lo]` marks the vertices that fail to resolve {x, y}."""
+    return a[lo:hi, None, :] == a[None, lo:, :]
 
 
 def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
@@ -129,12 +130,12 @@ def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
         # summing the bools as bytes counts them faster than count_nonzero
         eq = slab.view(np.uint8).sum(axis=2, dtype=np.int32)
         # only pairs x < y count; row-major argmax keeps the smallest pair
-        eq[np.arange(n) <= np.arange(lo, hi)[:, None]] = -1
-        i, y = divmod(int(np.argmax(eq)), n)
-        if int(eq[i, y]) > best:
-            best = int(eq[i, y])
-            best_pair = (lo + i, y)
-            witness = slab[i, y].copy()
+        eq[np.arange(lo, n) <= np.arange(lo, hi)[:, None]] = -1
+        i, j = divmod(int(np.argmax(eq)), n - lo)
+        if int(eq[i, j]) > best:
+            best = int(eq[i, j])
+            best_pair = (lo + i, lo + j)
+            witness = slab[i, j].copy()
     return ResolvingReport(
         best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
     )
@@ -178,7 +179,7 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     weights = 1 << np.arange(n, dtype=np.int64)
     above = np.arange(n) > np.arange(n)[:, None]
     pair_masks = np.concatenate(
-        [(_equidistant(a, lo, hi) @ weights)[above[lo:hi]] for lo, hi in _blocks(n)]
+        [(_equidistant(a, lo, hi) @ weights)[above[lo:hi, lo:]] for lo, hi in _blocks(n)]
     )
     bad = np.zeros(1 << n, dtype=bool)
     bad[pair_masks] = True

@@ -3,10 +3,11 @@
 Each one works straight off a definition and shares no logic with the
 routine it checks: a reachability BFS for connectivity, permutation-minimum
 forms against `canonical_form`, a permutation scan for the automorphisms
-that `canonical_form` reports, raw edge-subset enumeration against the
-enumeration engine, subset brute force against `clique_number`, and a
-subset scan with `is_resolving_set` against the resolving-set table behind
-the dimensions.
+that `canonical_form` reports, one global ranking of every free vertex per
+round against the cell-by-cell refinement of `canon._refine`, raw
+edge-subset enumeration against the enumeration engine, subset brute force
+against `clique_number`, and a subset scan with `is_resolving_set` against
+the resolving-set table behind the dimensions.
 """
 
 from itertools import combinations, permutations, product
@@ -97,6 +98,26 @@ def automorphisms_oracle(g: Graph) -> set[tuple[int, ...]]:
         if permute(g, perm) == g:
             found.add(tuple(perm))
     return found
+
+
+def refine_by_global_rank(
+    nbrs: list[tuple[int, ...]], colors: list[int], free: list[int], p: int
+) -> None:
+    """Refine the free colors in place by ranking (color, sorted neighbor
+    colors) over all free vertices at once, until the cell count is stable.
+
+    The placed vertices hold 0..p-1 and the free ones enter with color p;
+    the free ones are ranked from p upward each round.
+    """
+    ncells = 1
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in free]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)), p)}
+        for v, s in zip(free, sigs):
+            colors[v] = rank[s]
+        if len(rank) == ncells:
+            return
+        ncells = len(rank)
 
 
 def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:

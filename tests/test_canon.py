@@ -2,12 +2,18 @@ import random
 
 import pytest
 
-from resnum.canon import CANONICAL_CAP, CanonicalForm, canonical_form
+from resnum import canon
+from resnum.canon import CANONICAL_CAP, CanonicalForm, _refine, canonical_form
 from resnum.errors import TooLarge
 from resnum.families import complete_graph, cycle_graph
-from resnum.graphs import Graph, from_edge_list, permute
+from resnum.graphs import Graph, _bits, from_edge_list, permute
 
-from oracles import automorphisms_oracle, is_connected, permutation_min_form
+from oracles import (
+    automorphisms_oracle,
+    is_connected,
+    permutation_min_form,
+    refine_by_global_rank,
+)
 
 
 def _random_connected(rng, n):
@@ -139,3 +145,58 @@ def test_search_data_stay_out_of_equality(connected_by_order):
         oracle = permutation_min_form(permute(g, perm))
         assert oracle == permutation_min_form(g)
         assert canonical_form(oracle.to_graph()) == form
+
+
+def test_cell_refinement_matches_the_global_rank_oracle():
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        g = from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        )
+        nbrs = [tuple(_bits(row)) for row in g.adj]
+        placed = rng.sample(range(n), rng.randrange(n))
+        p = len(placed)
+        colors = [p] * n
+        for i, v in enumerate(placed):
+            colors[v] = i
+        free = [v for v in range(n) if colors[v] == p]
+        expected = colors.copy()
+        refine_by_global_rank(nbrs, expected, free, p)
+        cells = _refine(nbrs, colors, free, p)
+        assert colors == expected
+        # the cells come in color order, p first, and partition the free vertices
+        assert [sorted(cell) for cell in cells] == [
+            [v for v in free if expected[v] == c] for c in range(p, p + len(cells))
+        ]
+
+
+def test_canonical_forms_match_under_the_global_rank_oracle(
+    connected_by_order, trees_by_order, constrained_by_order, monkeypatch
+):
+    rng = random.Random(5)
+    graphs = [g for n in range(1, 8) for g in connected_by_order[n]]
+    graphs += [g for n in range(1, 13) for g in trees_by_order[n]]
+    graphs += [g for n in (8, 9, 10) for g in constrained_by_order[n]]
+    shuffled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled.append(permute(g, perm))
+
+    def forms():
+        return [
+            (f.bits, f.labelling, f.generators) for f in map(canonical_form, shuffled)
+        ]
+
+    def by_global_rank(nbrs, colors, free, p):
+        refine_by_global_rank(nbrs, colors, free, p)
+        return [
+            [v for v in free if colors[v] == c]
+            for c in range(p, max(colors[v] for v in free) + 1)
+        ]
+
+    cellwise = forms()
+    monkeypatch.setattr(canon, "_refine", by_global_rank)
+    assert forms() == cellwise

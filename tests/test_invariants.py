@@ -40,8 +40,8 @@ def test_girth_values():
 
 def test_girth_matches_networkx():
     rng = random.Random(31)
-    done = 0
-    while done < 50:
+    cases = []
+    while len(cases) < 50:
         n = rng.randint(3, 16)
         edges = [
             (u, v)
@@ -49,15 +49,34 @@ def test_girth_matches_networkx():
             for v in range(u + 1, n)
             if rng.random() < 0.3
         ]
-        g = from_edge_list(n, edges)
-        if not is_connected(g):
-            continue
-        done += 1
+        if is_connected(from_edge_list(n, edges)):
+            cases.append((n, edges))
+    # triangle-free graphs reach the per-edge search
+    for _ in range(30):
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        p = rng.uniform(0.2, 0.8)
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
+        cases.append((a + b, edges))
+    cases += [(k, list(cycle_graph(k).edges())) for k in range(4, 21)]
+    cases.append((10, list(nx.petersen_graph().edges())))
+    for _ in range(30):
+        n = rng.randint(4, 30)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        T = nx.Graph(tree)
+        far = [
+            (u, v)
+            for u, row in nx.all_pairs_shortest_path_length(T)
+            for v, d in row.items()
+            if u < v and d >= 3
+        ]
+        if far:
+            cases.append((n, tree + [rng.choice(far)]))
+    for n, edges in cases:
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(edges)
         theirs = nx.girth(G)
-        ours = girth(g)
+        ours = girth(from_edge_list(n, edges))
         assert (math.isinf(ours) and theirs == math.inf) or ours == theirs
 
 
