@@ -3,7 +3,8 @@
 Every report is newline-delimited JSON with sorted keys, one line per
 graph, so output can be piped and diffed.  Exit codes: 0 success, 2 bad
 input, 3 size cap exceeded, 4 theorem violation (reserved for outcomes
-that would falsify a published result; seeing it means a bug).
+that would falsify a published result; seeing it means a bug).  An error
+on a graph6 line names that line.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterator
+from typing import Callable
 
 from .bounds import PROP_IDS, verify_bounds
 from .catalog import (
@@ -28,7 +29,7 @@ from .invariants import invariant_summary
 from .resolve import metric_dimension, resolving_number, upper_dimension
 from .serial import (
     parse_edge_list,
-    parse_graph6_lines,
+    parse_graph6,
     to_json_line,
     write_graph6,
 )
@@ -44,19 +45,24 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _load_graphs(path: str, fmt: str) -> Iterator[Graph]:
-    """Yield the input graphs as they parse, so that the lines before a bad
-    one are reported first."""
-    text = _read_text(path)
-    if fmt == "edgelist":
-        yield parse_edge_list(text)
-        return
-    empty = True
-    for g in parse_graph6_lines(text):
-        empty = False
-        yield g
-    if empty:
-        raise InputError(f"no graph6 lines found in {path}")
+def _report_each(args: argparse.Namespace, report: Callable[[Graph], object]) -> int:
+    """Print `report(g)` as one JSON line per input graph, as each parses,
+    so that the lines before a bad one are reported first.  An error on a
+    graph6 line is re-raised as its own class with the line number in front."""
+    text = _read_text(args.input)
+    if args.format == "edgelist":
+        print(to_json_line(report(parse_edge_list(text))))
+        return 0
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise InputError(f"no graph6 lines found in {args.input}")
+    for lineno, line in lines:
+        try:
+            out = report(parse_graph6(line))
+        except ResnumError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        print(to_json_line(out))
+    return 0
 
 
 def _jsonable_girth(value) -> int | None:
@@ -64,7 +70,7 @@ def _jsonable_girth(value) -> int | None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    for g in _load_graphs(args.input, args.format):
+    def report(g: Graph) -> dict:
         dm = distance_matrix(g)
         rep = resolving_number(g, dm)
         inv = invariant_summary(g, dm)
@@ -85,30 +91,33 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 out["dim"] = dims.dim
             if args.updim:
                 out["updim"] = dims.updim
-        print(to_json_line(out))
-    return 0
+        return out
+
+    return _report_each(args, report)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    for g in _load_graphs(args.input, args.format):
+    def report(g: Graph) -> dict:
         cat = classify_res(g)
         out = {"category": cat.tag, "res": cat.res}
         if cat.tag.startswith("Catalog"):
             out["catalog_member"] = cat.member.graph6
-        print(to_json_line(out))
-    return 0
+        return out
+
+    return _report_each(args, report)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    for g in _load_graphs(args.input, args.format):
+    def report(g: Graph) -> list:
         dm = distance_matrix(g)
         inv = invariant_summary(g, dm)
         res = resolving_number(g, dm).res
         rows = verify_bounds(g, inv, res, dm)
         if args.prop != "all":
             rows = tuple(r for r in rows if r.prop_id == args.prop)
-        print(to_json_line([vars(r) for r in rows]))
-    return 0
+        return [vars(r) for r in rows]
+
+    return _report_each(args, report)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

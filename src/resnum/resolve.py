@@ -17,8 +17,10 @@ x < y give the resolving number.  Weighted by vertex bits, the same
 pairs give the pair masks of a single 2^n resolving-set table per graph,
 read once for the metric dimension (least size of a resolving set), the
 upper dimension (largest size of a minimal one) and res again for the
-chain check.  Each dimension witness is the lowest integer bit mask
-among the sets of its kind.
+chain check.  The table is a few Python ints with one bit per vertex
+subset, so its set algebra is big-int shifts, ands and ors.  Each
+dimension witness is the lowest integer bit mask among the sets of its
+kind.
 
 Distances come in as the read-only array of `graphs.distance_matrix`.
 The public routines take it as `dm`, optional where they can build their
@@ -28,6 +30,7 @@ own, so a caller that already holds it never pays for a second BFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -156,19 +159,49 @@ def resolving_number_oracle(g: Graph) -> int:
     return g.n - 1
 
 
-def _members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if int(mask) >> v & 1)
+def _lowest_subset(table: int, n: int) -> tuple[int, ...]:
+    """The members of the subset S whose bit is the lowest one set in table."""
+    s = (table & -table).bit_length() - 1
+    return tuple(v for v in range(n) if s >> v & 1)
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """`full`, `without[v]` and `size[k]` over the 2^n subsets of range(n),
+    each an int in which bit S stands for the vertex subset S.
+
+    `without[v]` marks the subsets that lack v: 2^v ones, then 2^v zeros,
+    repeated.  It is doubled up from one period by shifted copies, since
+    dividing a 2^n-bit int by (2^(2^(v+1)) - 1) is far slower.  `size[k]`
+    marks the k-subsets, built vertex by vertex: a k-subset of range(v + 1)
+    either lacks v or is a (k-1)-subset of range(v) with bit 2^v added.
+    """
+    span = 1 << n
+    without = []
+    for v in range(n):
+        mask, period = (1 << (1 << v)) - 1, 2 << v
+        while period < span:
+            mask |= mask << period
+            period *= 2
+        without.append(mask)
+    size = [1] + [0] * n
+    for v in range(n):
+        for k in range(v + 1, 0, -1):
+            size[k] |= size[k - 1] << (1 << v)
+    return (1 << span) - 1, tuple(without), tuple(size)
 
 
 def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     """dim, updim and both witnesses from one resolving-set table.
 
-    A subset fails exactly when it sits inside the non-resolver mask of
-    some pair, so marking every pair mask bad and closing the marks
-    downward, one vertex bit per pass, leaves the resolving sets good.
-    Minimality only needs single-vertex deletions: supersets of resolving
-    sets resolve, so a proper resolving subset implies a resolving subset
-    one element smaller.  res is one more than the largest pair-mask size.
+    The table is a few ints with one bit per vertex subset (bit S for the
+    set S), so each pass below is a shift, an and and an or on 2^n bits.  A
+    subset fails exactly when it sits inside the non-resolver mask of some
+    pair, so marking every pair mask bad and closing the marks downward,
+    one vertex bit per pass, leaves the resolving sets good.  Minimality
+    only needs single-vertex deletions: supersets of resolving sets
+    resolve, so a proper resolving subset implies a resolving subset one
+    element smaller.  res is one more than the largest pair-mask size.
     """
     n = g.n
     if n == 1:
@@ -180,22 +213,24 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     above = np.arange(n) > np.arange(n)[:, None]
     pair_masks = np.concatenate(
         [(_equidistant(a, lo, hi) @ weights)[above[lo:hi, lo:]] for lo, hi in _blocks(n)]
-    )
-    bad = np.zeros(1 << n, dtype=bool)
-    bad[pair_masks] = True
-    popcount = np.zeros(1 << n, dtype=np.int8)
+    ).tolist()
+    full, without, size = _subset_masks(n)
+    # set in a byte buffer: or-ing each 1 << mask into an int copies 2^n bits per pair
+    table = bytearray(max(1, (1 << n) >> 3))
+    for mask in pair_masks:
+        table[mask >> 3] |= 1 << (mask & 7)
+    bad = int.from_bytes(table, "little")
     for v in range(n):
-        # [:, 1] holds the masks with bit v set, [:, 0] the same masks without it
-        bad_v = bad.reshape(-1, 2, 1 << v)
-        bad_v[:, 0] |= bad_v[:, 1]
-        popcount.reshape(-1, 2, 1 << v)[:, 1] += 1
-    good = ~bad
-    minimal = good.copy()
+        # bit S moves to S - {v}, kept only where S held v
+        bad |= bad >> (1 << v) & without[v]
+    good = full & ~bad
+    minimal = good
     for v in range(n):
-        minimal.reshape(-1, 2, 1 << v)[:, 1] &= bad.reshape(-1, 2, 1 << v)[:, 0]
-    dim = int(popcount[good].min())
-    updim = int(popcount[minimal].max())
-    res = 1 + int(popcount[pair_masks].max())
+        # a set holding v stays only if dropping v leaves a bad set
+        minimal &= without[v] | bad << (1 << v)
+    dim = next(k for k in range(n + 1) if good & size[k])
+    updim = next(k for k in range(n, -1, -1) if minimal & size[k])
+    res = 1 + max(mask.bit_count() for mask in pair_masks)
     if not dim <= updim <= res:
         raise TheoremViolation(
             f"dimension chain broken: dim={dim} updim={updim} res={res}"
@@ -204,10 +239,8 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     return DimensionReport(
         dim=dim,
         updim=updim,
-        witness_min_set=_members(np.flatnonzero(good & (popcount == dim))[0], n),
-        witness_max_minimal_set=_members(
-            np.flatnonzero(minimal & (popcount == updim))[0], n
-        ),
+        witness_min_set=_lowest_subset(good & size[dim], n),
+        witness_max_minimal_set=_lowest_subset(minimal & size[updim], n),
     )
 
 

@@ -6,8 +6,9 @@ forms against `canonical_form`, a permutation scan for the automorphisms
 that `canonical_form` reports, one global ranking of every free vertex per
 round against the cell-by-cell refinement of `canon._refine`, raw
 edge-subset enumeration against the enumeration engine, subset brute force
-against `clique_number`, and a subset scan with `is_resolving_set` against
-the resolving-set table behind the dimensions.
+against `clique_number`, a subset scan with `is_resolving_set` against
+the resolving-set table behind the dimensions, and the same table as
+numpy arrays, one byte per subset, against the int-bitset table.
 """
 
 from itertools import combinations, permutations, product
@@ -17,7 +18,7 @@ import numpy as np
 from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
 from resnum.graphs import Graph, _bits, distance_matrix, permute
-from resnum.resolve import is_resolving_set
+from resnum.resolve import DimensionReport, is_resolving_set
 
 NAIVE_CAP = 6
 
@@ -191,4 +192,47 @@ def subset_scan_dimensions(g: Graph) -> tuple:
         updim,
         members(min(m for m in minimal if bin(m).count("1") == updim)),
         res,
+    )
+
+
+def dimension_table_oracle(g: Graph) -> DimensionReport:
+    """dim, updim and the lowest-mask witnesses from a 2^n table of numpy
+    arrays, indexed by subset mask.
+
+    Each pair's non-resolver mask is marked bad, and the marks are closed
+    downward one vertex at a time over `reshape(-1, 2, 1 << v)` views,
+    whose [:, 1] half holds the masks with bit v and [:, 0] the same masks
+    without it.  A good set is minimal when each single-vertex deletion is
+    bad.
+    """
+    n = g.n
+    if n == 1:
+        return DimensionReport(1, 1, (0,), (0,))
+    dm = distance_matrix(g)
+    weights = 1 << np.arange(n, dtype=np.int64)
+    pair_masks = [
+        int((dm[x] == dm[y]) @ weights) for x in range(n) for y in range(x + 1, n)
+    ]
+    bad = np.zeros(1 << n, dtype=bool)
+    bad[pair_masks] = True
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for v in range(n):
+        bad_v = bad.reshape(-1, 2, 1 << v)
+        bad_v[:, 0] |= bad_v[:, 1]
+        popcount.reshape(-1, 2, 1 << v)[:, 1] += 1
+    good = ~bad
+    minimal = good.copy()
+    for v in range(n):
+        minimal.reshape(-1, 2, 1 << v)[:, 1] &= bad.reshape(-1, 2, 1 << v)[:, 0]
+    dim = int(popcount[good].min())
+    updim = int(popcount[minimal].max())
+
+    def members(mask):
+        return tuple(v for v in range(n) if int(mask) >> v & 1)
+
+    return DimensionReport(
+        dim,
+        updim,
+        members(np.flatnonzero(good & (popcount == dim))[0]),
+        members(np.flatnonzero(minimal & (popcount == updim))[0]),
     )

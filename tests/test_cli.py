@@ -7,7 +7,8 @@ import pytest
 from resnum import canon
 from resnum.catalog import load_default_catalog
 from resnum.cli import main
-from resnum.serial import EDGE_LIST_CAP
+from resnum.families import path_graph
+from resnum.serial import EDGE_LIST_CAP, write_graph6
 
 
 def run(capsys, *argv):
@@ -193,6 +194,28 @@ def test_good_lines_print_before_a_bad_one(tmp_path, capsys, command):
     bad.write_text("C~\nCh\nC\x7f\n")
     code, out, err = run(capsys, command, "--input", str(bad))
     assert code == 2 and out == expected and "line 3" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "classify"])
+def test_a_graph_error_names_its_line(tmp_path, capsys, command):
+    good = tmp_path / "good.g6"
+    good.write_text("A_\nBw\n")
+    code, expected, _ = run(capsys, command, "--input", str(good))
+    assert code == 0 and len(expected.splitlines()) == 2
+    # the third line parses but is disconnected, so only its report fails
+    bad = tmp_path / "bad.g6"
+    bad.write_text("A_\nBw\nA?\n")
+    code, out, err = run(capsys, command, "--input", str(bad))
+    assert code == 2 and out == expected
+    assert err == "input error: line 3: distance matrix requires a connected graph\n"
+
+
+def test_a_size_cap_names_its_line(tmp_path, capsys):
+    f = tmp_path / "g.g6"
+    f.write_text("C~\n" + write_graph6(path_graph(17)) + "\n")
+    code, out, err = run(capsys, "compute", "--input", str(f), "--dim")
+    assert code == 3 and json.loads(out)["dim"] == 3
+    assert err.startswith("size cap: line 2: metric dimension is capped")
 
 
 def test_input_without_graphs_exits_2(tmp_path, capsys):

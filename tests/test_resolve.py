@@ -30,7 +30,7 @@ from resnum.resolve import (
     upper_dimension,
 )
 
-from oracles import subset_scan_dimensions
+from oracles import dimension_table_oracle, subset_scan_dimensions
 
 
 @pytest.mark.parametrize(
@@ -142,6 +142,37 @@ def test_dimensions_match_subset_scan(connected_by_order):
         dm = distance_matrix(g)
         assert metric_dimension(g, dm) == metric_dimension(g)
         assert upper_dimension(g, dm) == upper_dimension(g)
+
+
+def _random_connected(n, rng, p):
+    """A random spanning tree (a tree when p = 0) plus each other edge with
+    probability p."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return from_edge_list(n, sorted(edges))
+
+
+def test_dimensions_match_the_numpy_table_oracle(connected_by_order):
+    rng = random.Random(2013)
+    graphs = [g for n in range(1, 8) for g in connected_by_order[n]]
+    for n in range(8, 17):
+        graphs += [_random_connected(n, rng, p) for p in (0.0, 0.0, 0.15, 0.3, 0.6)]
+        graphs += [cycle_graph(n), complete_graph(n), path_graph(n), star_graph(n - 1)]
+    for g in graphs:
+        assert _dimensions(g, None) == dimension_table_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_masks_bit_by_bit(n):
+    full, without, size = resolve._subset_masks(n)
+    assert full == (1 << (1 << n)) - 1
+    assert len(without) == n and len(size) == n + 1
+    for s in range(1 << n):
+        for k in range(n + 1):
+            assert (size[k] >> s & 1) == (bin(s).count("1") == k)
+        for v in range(n):
+            assert (without[v] >> s & 1) == (not s >> v & 1)
+    assert all(mask >> (1 << n) == 0 for mask in without + size)
 
 
 def test_chain_holds_on_all_small_classes(connected_by_order):
