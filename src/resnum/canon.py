@@ -12,8 +12,13 @@ or more vertices, by sorted neighbor colors, keeping the groups in key
 order.  Each placement refines again from the two cells placed and free:
 the order of the cells picks the branching cell and so fixes the
 labelling, and the parent's cells refined onward come out in another
-order.  Two graphs receive equal forms iff they are isomorphic; the
-permutation oracle in the tests pins that down at small orders.
+order.  Most placements are forced: round one already splits off one
+vertex as the least cell, and since cells only nest and a one-vertex cell
+never splits, that vertex is the branch.  `_leader` finds it from the
+adjacency masks, and `_refine` runs only when round one's least cell is
+not a single vertex.  Two graphs receive equal forms iff they are
+isomorphic; the permutation oracle in the tests pins that down at small
+orders.
 
 The form also carries what the search finds on the way: the labelling of
 the first leaf that reaches the best string, and generators of the
@@ -94,6 +99,42 @@ def _refine(
                 colors[v] = c
 
 
+def _leader(adj: tuple[int, ...], placed: list[int], free: int) -> int | None:
+    """The vertex round one of `_refine` splits off alone as the least cell,
+    or None if that cell has two or more vertices.
+
+    Round one keys a free vertex by its sorted placed-neighbour positions,
+    then the free color len(placed) once per free neighbour, so the least
+    key is read from masks: walking the placed vertices in order, a vertex
+    adjacent to the next one sorts before one that is not, unless the
+    latter's key has ended.  Cells only nest and a one-vertex cell never
+    splits, so the vertex is the final `cells[0]`.
+    """
+    cell, done = free, 0
+    for u in placed:
+        done |= 1 << u
+        w = cell & adj[u]
+        if w and w != cell:
+            # a key with no placed neighbour to come and no free one has
+            # ended, and a shorter key sorts first
+            ended = 0
+            for v in _bits(cell ^ w):
+                if not adj[v] & ~done:
+                    ended |= 1 << v
+            cell = ended or w
+            if not cell & (cell - 1):
+                return cell.bit_length() - 1
+    # the keys left differ only in their count of free neighbours
+    leader, fewest = None, len(adj)
+    for v in _bits(cell):
+        k = (adj[v] & free).bit_count()
+        if k < fewest:
+            leader, fewest = v, k
+        elif k == fewest:
+            leader = None
+    return leader
+
+
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     # swapping u and v is an automorphism iff they agree off each other
     return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
@@ -108,6 +149,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         return CanonicalForm(1, 0, (0,))
     adj = g.adj
     nbrs = [tuple(_bits(row)) for row in adj]
+    everyone = (1 << n) - 1
     # best[i] holds the i+1 adjacency bits of placement position i+1,
     # most significant bit toward position 0; list order is string order.
     best: list[int] | None = None
@@ -130,13 +172,20 @@ def canonical_form(g: Graph) -> CanonicalForm:
             elif rows == best:
                 ties.append(placed)
             return
-        colors = [p] * n
-        for i, v in enumerate(placed):
-            colors[v] = i
-        free = [v for v in range(n) if colors[v] == p]
+        free = everyone
+        for v in placed:
+            free ^= 1 << v
         # branch on the first cell; a one-vertex cell has one candidate
+        leader = _leader(adj, placed, free)
+        if leader is None:
+            colors = [p] * n
+            for i, v in enumerate(placed):
+                colors[v] = i
+            cell = _refine(nbrs, colors, list(_bits(free)), p)[0]
+        else:
+            cell = [leader]
         cands = []
-        for v in _refine(nbrs, colors, free, p)[0]:
+        for v in cell:
             r = 0
             for u in placed:
                 r = r << 1 | (adj[v] >> u & 1)

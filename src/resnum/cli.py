@@ -28,6 +28,7 @@ from .graphs import Graph, distance_matrix
 from .invariants import invariant_summary
 from .resolve import metric_dimension, resolving_number, upper_dimension
 from .serial import (
+    nonblank_lines,
     parse_edge_list,
     parse_graph6,
     to_json_line,
@@ -53,7 +54,7 @@ def _report_each(args: argparse.Namespace, report: Callable[[Graph], object]) ->
     if args.format == "edgelist":
         print(to_json_line(report(parse_edge_list(text))))
         return 0
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    lines = list(nonblank_lines(text))
     if not lines:
         raise InputError(f"no graph6 lines found in {args.input}")
     for lineno, line in lines:
@@ -232,7 +233,3 @@ def main(argv: list[str] | None = None) -> int:
     except ResnumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

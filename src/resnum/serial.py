@@ -86,15 +86,21 @@ def write_graph6(g: Graph) -> str:
     )
 
 
-def parse_graph6_lines(text: str) -> Iterator[Graph]:
-    """Decode every nonempty line of a graph6 stream; errors name their line."""
+def nonblank_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield each nonblank line of text with its line number, counted from 1."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            try:
-                g = parse_graph6(line)
-            except MalformedGraph6 as exc:
-                raise MalformedGraph6(f"line {lineno}: {exc}") from None
-            yield g
+            yield lineno, line
+
+
+def parse_graph6_lines(text: str) -> Iterator[Graph]:
+    """Decode every nonempty line of a graph6 stream; errors name their line."""
+    for lineno, line in nonblank_lines(text):
+        try:
+            g = parse_graph6(line)
+        except MalformedGraph6 as exc:
+            raise MalformedGraph6(f"line {lineno}: {exc}") from None
+        yield g
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -147,7 +147,10 @@ def test_search_data_stay_out_of_equality(connected_by_order):
         assert canonical_form(oracle.to_graph()) == form
 
 
-def test_cell_refinement_matches_the_global_rank_oracle():
+def _search_nodes():
+    """2,000 seeded search nodes: a random graph of order 1..12, disconnected
+    ones and isolated vertices included, and a random placed prefix, with
+    neighbour lists, entry colors and free vertices as `search` builds them."""
     rng = random.Random(41)
     for _ in range(2000):
         n = rng.randint(1, 12)
@@ -162,6 +165,12 @@ def test_cell_refinement_matches_the_global_rank_oracle():
         for i, v in enumerate(placed):
             colors[v] = i
         free = [v for v in range(n) if colors[v] == p]
+        yield g, nbrs, placed, colors, free
+
+
+def test_cell_refinement_matches_the_global_rank_oracle():
+    for g, nbrs, placed, colors, free in _search_nodes():
+        p = len(placed)
         expected = colors.copy()
         refine_by_global_rank(nbrs, expected, free, p)
         cells = _refine(nbrs, colors, free, p)
@@ -172,9 +181,14 @@ def test_cell_refinement_matches_the_global_rank_oracle():
         ]
 
 
-def test_canonical_forms_match_under_the_global_rank_oracle(
-    connected_by_order, trees_by_order, constrained_by_order, monkeypatch
-):
+def _forms(graphs):
+    return [(f.bits, f.labelling, f.generators) for f in map(canonical_form, graphs)]
+
+
+@pytest.fixture(scope="module")
+def shuffled_forms(connected_by_order, trees_by_order, constrained_by_order):
+    """Every class to order 7, the trees to 12 and the constrained orders
+    8..10, each under a random relabelling, with their search results."""
     rng = random.Random(5)
     graphs = [g for n in range(1, 8) for g in connected_by_order[n]]
     graphs += [g for n in range(1, 13) for g in trees_by_order[n]]
@@ -184,11 +198,11 @@ def test_canonical_forms_match_under_the_global_rank_oracle(
         perm = list(range(g.n))
         rng.shuffle(perm)
         shuffled.append(permute(g, perm))
+    return shuffled, _forms(shuffled)
 
-    def forms():
-        return [
-            (f.bits, f.labelling, f.generators) for f in map(canonical_form, shuffled)
-        ]
+
+def test_canonical_forms_match_under_the_global_rank_oracle(shuffled_forms, monkeypatch):
+    shuffled, cellwise = shuffled_forms
 
     def by_global_rank(nbrs, colors, free, p):
         refine_by_global_rank(nbrs, colors, free, p)
@@ -197,6 +211,23 @@ def test_canonical_forms_match_under_the_global_rank_oracle(
             for c in range(p, max(colors[v] for v in free) + 1)
         ]
 
-    cellwise = forms()
     monkeypatch.setattr(canon, "_refine", by_global_rank)
-    assert forms() == cellwise
+    assert _forms(shuffled) == cellwise
+
+
+def test_leader_is_round_ones_lone_least_cell():
+    for g, nbrs, placed, colors, free in _search_nodes():
+        # round one of `_refine`, spelled out: the free vertices of least key
+        keys = {v: sorted(colors[u] for u in nbrs[v]) for v in free}
+        least_key = min(keys.values())
+        least = [v for v in free if keys[v] == least_key]
+        leader = canon._leader(g.adj, placed, sum(1 << v for v in free))
+        assert leader == (least[0] if len(least) == 1 else None)
+        if leader is not None:
+            assert _refine(nbrs, colors, free, len(placed))[0] == [leader]
+
+
+def test_forms_hold_without_the_leader_shortcut(shuffled_forms, monkeypatch):
+    shuffled, with_leader = shuffled_forms
+    monkeypatch.setattr(canon, "_leader", lambda adj, placed, free: None)
+    assert _forms(shuffled) == with_leader

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import resnum
 from resnum import canon
 from resnum.catalog import load_default_catalog
 from resnum.cli import main
@@ -132,6 +136,15 @@ def test_gen_and_enum(capsys):
     code, out, _ = run(capsys, "enum", "--n", "4")
     assert code == 0
     assert len(out.strip().splitlines()) == 6
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["gen", "--family", "wheel", "--params", "5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(resnum.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "resnum", *argv], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
 
 
 def test_enum_trees(capsys):

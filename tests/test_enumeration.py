@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from resnum import enumeration
+from resnum import canon, enumeration
 from resnum.canon import canonical_form
 from resnum.enumeration import EnumConstraints, _tree_code, enumerate_graphs
 from resnum.errors import InputError, TooLarge
@@ -179,17 +179,18 @@ def test_tree_code_is_complete(trees_by_order):
     assert len(pairs) == sum(TREE_COUNTS[n] for n in range(1, 11))
 
 
-def _canon_calls_per_order(monkeypatch, constraints):
-    """canonical_form calls each enumerate_graphs call makes, from a cold level cache."""
+def _canon_calls_per_order(monkeypatch, constraints, module=enumeration, name="canonical_form"):
+    """Calls of `module.name` each enumerate_graphs call makes, from a cold
+    level cache; by default the canonical_form calls."""
     calls = 0
-    real = enumeration.canonical_form
+    real = getattr(module, name)
 
-    def counted(g):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return real(g)
+        return real(*args)
 
-    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
     out = []
     for c in constraints:
@@ -218,3 +219,14 @@ def test_canonical_form_calls_catalog_regions(monkeypatch):
     regions = [EnumConstraints(n) for n in range(2, 8)]
     regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
     assert sum(_canon_calls_per_order(monkeypatch, regions)) == 1462
+
+
+def test_refine_runs_only_where_round_one_leaves_no_lone_least_cell(monkeypatch):
+    # every other search node branches on the vertex `_leader` reads from
+    # masks; refining at every node took 17,025 calls on the tree ladder
+    # and 17,480 on the catalog regions
+    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
+    assert sum(_canon_calls_per_order(monkeypatch, ladder, canon, "_refine")) == 4329
+    regions = [EnumConstraints(n) for n in range(2, 8)]
+    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
+    assert sum(_canon_calls_per_order(monkeypatch, regions, canon, "_refine")) == 3325
