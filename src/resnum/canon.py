@@ -190,16 +190,18 @@ def canonical_form(g: Graph) -> CanonicalForm:
             for u in placed:
                 r = r << 1 | (adj[v] >> u & 1)
             cands.append((r, v))
-        cands.sort()
-        reps: list[tuple[int, int]] = []
-        for r, v in cands:
-            twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
-            if twin is None:
-                reps.append((r, v))
-            elif root(twin) != root(v):
-                # a spanning forest of swaps generates the same group
-                joined[root(twin)] = root(v)
-                swaps.append((twin, v))
+        reps = cands  # a lone candidate has no twin to skip
+        if len(cands) > 1:
+            cands.sort()
+            reps = []
+            for r, v in cands:
+                twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
+                if twin is None:
+                    reps.append((r, v))
+                elif root(twin) != root(v):
+                    # a spanning forest of swaps generates the same group
+                    joined[root(twin)] = root(v)
+                    swaps.append((twin, v))
         for r, v in reps:
             new_rows = rows + [r] if p else rows
             if p and best is not None and new_rows > best[: len(new_rows)]:

@@ -19,11 +19,16 @@ canonical position.  That vertex picks one parent class and one orbit of
 S per child class, so the children need no set to drop duplicates, and
 the invariant turns most other children away before canon runs.
 
-Trees are the case of infinite girth, where S is a single vertex; there
-a child is first keyed by its centre-rooted AHU code, a complete tree
-invariant, so each tree class is canonicalised once.  A brute-force
-oracle in the tests (all edge subsets, deduped by the minimum bit string
-over all permutations) guards the engine at tiny orders.
+Trees, the case of infinite girth, need no parent level.  A tree rooted
+at its centre, or at the end of its central edge that a size-then-order
+rule picks, has one canonical level sequence, and the free-tree
+generator of Wright, Richmond, Odlyzko and McKay, WROM below (Constant
+time generation of free trees, SIAM J. Comput. 15 (1986)), walks just
+those sequences.  So every tree class of order n is built once and
+canonicalised once.  A brute-force oracle in the tests (all edge
+subsets, deduped by the minimum bit string over all permutations) guards
+the graph engine at tiny orders; the tree counts and pairwise distinct
+forms guard the tree generator up to the cap.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _bits, distance_matrix
+from .graphs import Graph, _bits, distance_matrix, permute
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -48,8 +53,10 @@ TREES_CAP = 12
 class EnumConstraints:
     """What to enumerate: order, optional degree / girth caps, tree mode.
 
-    A `min_girth` of infinity means acyclic and is treated as tree mode.
-    Orders 8..10 are reachable only with max_degree <= 3 and
+    A `min_girth` of infinity means acyclic and is treated as tree mode,
+    which generates the trees of order n directly, up to n = 12, and
+    drops those above `max_degree`.  Other graphs are grown level by
+    level: orders 8..10 are reachable only with max_degree <= 3 and
     min_girth >= 5; the unconstrained space is capped at 7.
     """
 
@@ -97,9 +104,7 @@ def _joins(
     free = [v for v in range(g.n) if max_degree is None or g.degree(v) < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
     close = None
-    if min_girth is not None and math.isinf(min_girth):
-        largest = min(largest, 1)
-    elif min_girth is not None and largest > 1:
+    if min_girth is not None and largest > 1:
         close = distance_matrix(g) < min_girth - 2
     return [
         s
@@ -109,34 +114,76 @@ def _joins(
     ]
 
 
-def _tree_code(g: Graph) -> tuple[str, ...]:
-    """AHU code of a tree rooted at its centre, or at each end of its bicentre.
+def _centred(levels: list[int], m: int) -> bool:
+    """True iff a canonical level sequence roots its tree at the centre,
+    and at the end of the central edge that WROM picks when there are two.
 
-    Leaves are peeled a layer at a time, each leaving its code with its
-    one remaining neighbour; two trees get equal codes iff they are
-    isomorphic.
+    The root's first subtree spans levels[1:m] and is its highest, of
+    height h; the root is a centre iff the rest reaches depth h or h - 1.
+    At h - 1 the central edge joins the root to vertex 1, and either end
+    may be the root: the one kept leaves the first subtree no larger than
+    the rest, by order and then by level sequence, both read from their
+    own roots.
     """
-    deg = list(g.degrees())
-    kids: list[list[str]] = [[] for _ in range(g.n)]
+    h = max(levels[1:m])
+    rest = max(levels[m:], default=0)
+    if rest != h - 1:
+        return rest == h
+    return (m - 1, [d - 1 for d in levels[1:m]]) <= (len(levels) - m + 1, [0] + levels[m:])
 
-    def code(v: int) -> str:
-        return "(" + "".join(sorted(kids[v])) + ")"
 
-    layer = [v for v in range(g.n) if deg[v] <= 1]
-    left = g.n
-    while left > 2:
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in g.neighbors(v):
-                if deg[w]:
-                    kids[w].append(code(v))
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(map(code, layer)))
+def _free_trees(n: int) -> Iterator[Graph]:
+    """Yield one tree of each isomorphism class of order n.
+
+    A rooted tree is held as its canonical level sequence: the depth of
+    each vertex in preorder, the subtrees of every vertex in decreasing
+    order of their own sequences.  The Beyer–Hedetniemi successor (SIAM
+    J. Comput. 9 (1980)) steps through these in decreasing order: it
+    refills the sequence from its last vertex p deeper than 1 on, which
+    lowers it the least.  WROM starts at the path rooted at its centre and
+    yields the sequences that `_centred` accepts.  Vertex i of each tree
+    is position i of its sequence.
+    """
+    if n == 1:
+        yield Graph(1, (0,))
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        # the root's first subtree ends where its second child starts
+        m = 2
+        while m < n and levels[m] != 1:
+            m += 1
+        if _centred(levels, m):
+            rows = [0] * n
+            last = [0] * n  # last[d]: the latest vertex at depth d
+            for v in range(1, n):
+                u = last[levels[v] - 1]
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                last[levels[v]] = v
+            yield Graph(n, tuple(rows))
+            p = n - 1
+            while levels[p] == 1:
+                p -= 1
+            if p == 0:
+                return  # the star comes last
+            deep = False
+        else:
+            # the rest only gets smaller while the first subtree stays, so
+            # no later sequence with it is centred: change the first subtree
+            p = m - 1
+            deep = levels[p] > 2
+        # refill from p by repeating the sequence from p's parent on
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            levels[i] = levels[i - p + q]
+        if deep:
+            # the refill left the root one child; the highest rest the new
+            # first subtree allows is a path as deep as it
+            h = max(levels)
+            levels[n - h:] = range(1, h + 1)
 
 
 def _orbit(mask: int, generators: tuple[tuple[int, ...], ...]) -> set[int]:
@@ -208,10 +255,21 @@ def _grow(
     """Sorted canonical forms of the connected graphs of order n within the caps.
 
     With an `rng`, parents and neighbour sets are shuffled at every level
-    and no level comes from the cache.
+    and no level comes from the cache; trees are shuffled and each is
+    relabelled at random.
     """
     if n == 1:
         return (canonical_form(Graph(1, (0,))),)
+    if min_girth == math.inf:
+        trees = [
+            t
+            for t in _free_trees(n)
+            if max_degree is None or max(t.degrees()) <= max_degree
+        ]
+        if rng is not None:
+            rng.shuffle(trees)
+            trees = [permute(t, rng.sample(range(n), n)) for t in trees]
+        return tuple(sorted(map(canonical_form, trees)))
     if rng is None:
         parents = list(_level(n - 1, max_degree, min_girth))
     else:
@@ -219,8 +277,6 @@ def _grow(
         rng.shuffle(parents)
     new = 1 << (n - 1)
     children: list[CanonicalForm] = []
-    # a tree class is canonicalised once, the first time its code is seen
-    trees: set[tuple[str, ...]] | None = set() if min_girth == math.inf else None
     for form in parents:
         g = form.to_graph()
         joins = _joins(g, max_degree, min_girth)
@@ -229,24 +285,16 @@ def _grow(
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
         for s in joins:
             mask = sum(1 << v for v in s)
-            if trees is None:
-                if mask in tried:
-                    continue
-                tried |= _orbit(mask, form.generators)
+            if mask in tried:
+                continue
+            tried |= _orbit(mask, form.generators)
             rows = list(g.adj)
             for v in s:
                 rows[v] |= new
             rows.append(mask)
-            child = Graph(n, tuple(rows))
-            if trees is None:
-                kept = _canonical_child(child)
-                if kept is not None:
-                    children.append(kept)
-            else:
-                code = _tree_code(child)
-                if code not in trees:
-                    trees.add(code)
-                    children.append(canonical_form(child))
+            kept = _canonical_child(Graph(n, tuple(rows)))
+            if kept is not None:
+                children.append(kept)
     return tuple(sorted(children))
 
 

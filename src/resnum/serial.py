@@ -47,6 +47,8 @@ def parse_graph6(line: str) -> Graph:
         raise MalformedGraph6("empty line")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+        if not s:
+            raise MalformedGraph6("no graph after the >>graph6<< header")
     vals = [ord(c) - 63 for c in s]
     if any(v < 0 or v > 63 for v in vals):
         raise MalformedGraph6(f"byte outside graph6 range in {line!r}")

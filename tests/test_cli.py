@@ -197,6 +197,27 @@ def test_graph6_error_names_its_line(tmp_path, capsys):
     assert [json.loads(line)["m"] for line in out.splitlines()] == [6, 3]
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "classify"])
+def test_a_bare_graph6_header_names_its_line(tmp_path, capsys, command):
+    good = tmp_path / "good.g6"
+    good.write_text(">>graph6<<C~\n")
+    code, expected, _ = run(capsys, command, "--input", str(good))
+    assert code == 0 and len(expected.splitlines()) == 1
+    bad = tmp_path / "bad.g6"
+    bad.write_text(">>graph6<<C~\n>>graph6<<\n")
+    code, out, err = run(capsys, command, "--input", str(bad))
+    assert code == 2 and out == expected
+    assert err == "input error: line 2: no graph after the >>graph6<< header\n"
+
+
+def test_a_bare_graph6_header_in_a_fixture_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "fixture.g6"
+    f.write_text(">>graph6<<\n")
+    code, out, err = run(capsys, "catalog", "--res", "3", "--fixture", str(f))
+    assert code == 2 and out == ""
+    assert err == "input error: no graph after the >>graph6<< header\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 def test_good_lines_print_before_a_bad_one(tmp_path, capsys, command):
     good = tmp_path / "good.g6"

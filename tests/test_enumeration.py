@@ -7,16 +7,14 @@ permutation-minimum oracle reproduced them independently.
 
 import hashlib
 import math
-import random
 from functools import lru_cache
 
 import pytest
 
 from resnum import canon, enumeration
 from resnum.canon import canonical_form
-from resnum.enumeration import EnumConstraints, _tree_code, enumerate_graphs
+from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.errors import InputError, TooLarge
-from resnum.graphs import permute
 from resnum.invariants import girth
 from resnum.serial import write_graph6
 
@@ -117,6 +115,17 @@ def test_order_insensitive_to_generation_sequence(
     assert tuple(enumerate_graphs(trees, _shuffle_seed=7)) == trees_by_order[8]
 
 
+def test_a_shuffled_tree_level_canonicalises_relabelled_trees(monkeypatch, trees_by_order):
+    seen = []
+    real = enumeration.canonical_form
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: seen.append(g) or real(g))
+    trees = EnumConstraints(8, trees_only=True)
+    assert tuple(enumerate_graphs(trees, _shuffle_seed=7)) == trees_by_order[8]
+    # canon never sees a tree as the generator labelled it
+    assert len(seen) == TREE_COUNTS[8]
+    assert not set(seen) & set(enumeration._free_trees(8))
+
+
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
     cubic = [
         g for g in constrained_by_order[10] if set(g.degrees()) == {3}
@@ -164,19 +173,22 @@ def test_streams_match_golden_digest(connected_by_order, trees_by_order, constra
     assert h.hexdigest() == STREAMS_SHA256
 
 
-def test_tree_code_is_complete(trees_by_order):
-    rng = random.Random(5)
-    pairs = set()
-    for n in range(1, 11):
-        for g in trees_by_order[n]:
-            for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                h = permute(g, perm)
-                pairs.add((_tree_code(h), canonical_form(h)))
-    # equal codes exactly when equal forms: the pairing is a bijection
-    assert len(pairs) == len({c for c, _ in pairs}) == len({f for _, f in pairs})
-    assert len(pairs) == sum(TREE_COUNTS[n] for n in range(1, 11))
+def test_free_trees_yield_each_class_once():
+    # A000055(n) pairwise non-isomorphic trees of order n are all of them
+    for n in range(1, 13):
+        trees = list(enumeration._free_trees(n))
+        assert len(trees) == TREE_COUNTS[n]
+        assert all(t.n == n and t.m == n - 1 and is_connected(t) for t in trees)
+        assert len({canonical_form(t) for t in trees}) == TREE_COUNTS[n]
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3])
+def test_tree_degree_cap_equals_filtering(trees_by_order, max_degree):
+    # past order 7 the unconstrained engine is capped; the tree stream is the reference
+    for n in range(8, 13):
+        expected = tuple(g for g in trees_by_order[n] if max(g.degrees()) <= max_degree)
+        capped = EnumConstraints(n, max_degree, trees_only=True)
+        assert tuple(enumerate_graphs(capped)) == expected
 
 
 def _canon_calls_per_order(monkeypatch, constraints, module=enumeration, name="canonical_form"):
@@ -205,6 +217,17 @@ def test_each_tree_class_is_canonicalised_once(monkeypatch):
     calls = _canon_calls_per_order(monkeypatch, ladder)
     assert calls == [TREE_COUNTS[n] for n in range(1, 13)]
     assert sum(calls) == 987
+    # a tree level needs no parent level
+    assert _canon_calls_per_order(monkeypatch, [EnumConstraints(12, trees_only=True)]) == [551]
+
+
+def test_the_tree_walk_jumps_past_rejected_first_subtrees(monkeypatch):
+    # level sequences examined per order; stepping one sequence at a time
+    # would examine 3,106 at n = 12, and jumping without resetting the
+    # tail to a path 2,153
+    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
+    examined = _canon_calls_per_order(monkeypatch, ladder, enumeration, "_centred")
+    assert examined == [0, 1, 1, 2, 3, 7, 13, 28, 57, 126, 274, 627]
 
 
 def test_canonical_form_calls_unconstrained(monkeypatch):

@@ -102,6 +102,8 @@ def test_write_rejects_large_orders():
         "C\x1f",  # byte below 63
         "C\x7f",  # byte above 126
         "~??",  # multi-byte order header unsupported
+        ">>graph6<<",  # a header with no graph after it
+        " >>graph6<< ",
     ],
 )
 def test_malformed_graph6(line):
