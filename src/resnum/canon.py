@@ -12,27 +12,39 @@ or more vertices, by sorted neighbor colors, keeping the groups in key
 order.  Each placement refines again from the two cells placed and free:
 the order of the cells picks the branching cell and so fixes the
 labelling, and the parent's cells refined onward come out in another
-order.  Most placements are forced: round one already splits off one
-vertex as the least cell, and since cells only nest and a one-vertex cell
-never splits, that vertex is the branch.  `_leader` finds it from the
-adjacency masks, and `_refine` runs only when round one's least cell is
-not a single vertex.  Two graphs receive equal forms iff they are
-isomorphic; the permutation oracle in the tests pins that down at small
-orders.
+order.  Most placements are forced: round one's least cell is one vertex
+or a class of twins, and since cells only nest and neither ever splits
+(an automorphism fixing the placed vertices swaps two twins), that cell
+is the branch.  `_leader` finds it from the adjacency masks, and
+`_refine` runs only when round one leaves another least cell.  Two graphs
+receive equal forms iff they are isomorphic; the permutation oracle in
+the tests pins that down at small orders.
 
-The form also carries what the search finds on the way: the labelling of
-the first leaf that reaches the best string, and generators of the
-automorphism group in canonical positions.  Each later leaf that ties the
-best string gives one generator, and each twin swap whose branch was
-skipped gives a transposition unless earlier swaps already join its two
-vertices.  Together they generate the whole group: the automorphisms map
-the first best leaf one-to-one onto the leaves of the unpruned search
-tree that tie it.  Pruning drops no such leaf, since it cuts only
-strictly worse prefixes, and a leaf under a skipped twin branch is the
-image, under that twin swap, of a leaf under the explored branch.  A
-swap left out is a product of kept ones, since the transpositions along
-a spanning tree generate every transposition of its vertices.  So every
-tied leaf is a product of recorded generators applied to the first one.
+The search also prunes by the automorphisms it finds (the orbit pruning
+of McKay and Piperno, *Practical graph isomorphism II*, 2014), kept as
+vertex maps: each later leaf that ties the best string gives the map from
+the first best leaf onto it, and each twin swap whose branch was skipped
+gives a transposition unless earlier swaps already join its two vertices.
+A candidate in the orbit of an explored sibling, under the maps found so
+far that fix the placed vertices, is skipped; and a tied leaf sends the
+search straight back to the node where its path left the first leaf's,
+since its map fixes the prefix there and sends the subtree explored first
+onto the current one.  Refinement commutes with automorphisms, so a
+subtree skipped either way is the image of an earlier one under a product
+of kept maps, and its leaves repeat strings already seen: the best string
+and the first leaf reaching it do not move.
+
+The form carries the labelling of that first leaf and every map found,
+written in canonical positions.  They generate the whole group: the
+automorphisms map the first best leaf one-to-one onto the leaves of the
+unpruned search tree that tie it.  The prefix cut drops no such leaf,
+since it cuts only strictly worse prefixes.  A tied leaf is reached, or
+lies under a skipped twin branch, a skipped orbit or a jumped subtree,
+and is then the image of an earlier tied leaf under a product of kept
+maps; a swap left out is a product of kept ones, since the
+transpositions along a spanning tree generate every transposition of its
+vertices.  By induction in search order, every tied leaf is a product of
+kept maps applied to the first one.
 """
 
 from __future__ import annotations
@@ -100,16 +112,19 @@ def _refine(
 
 
 def _leader(adj: tuple[int, ...], placed: list[int], free: int) -> int | None:
-    """The vertex round one of `_refine` splits off alone as the least cell,
-    or None if that cell has two or more vertices.
+    """Round one's least cell of `_refine`, as a mask, when no later round
+    can split it: one vertex or a class of twins; else None.
 
     Round one keys a free vertex by its sorted placed-neighbour positions,
     then the free color len(placed) once per free neighbour, so the least
     key is read from masks: walking the placed vertices in order, a vertex
     adjacent to the next one sorts before one that is not, unless the
-    latter's key has ended.  Cells only nest and a one-vertex cell never
-    splits, so the vertex is the final `cells[0]`.
+    latter's key has ended.  Cells only nest, a one-vertex cell never
+    splits, and neither do twins, which an automorphism fixing the placed
+    vertices swaps, so the cell is the final `cells[0]`.
     """
+    if not free & (free - 1):
+        return free
     cell, done = free, 0
     for u in placed:
         done |= 1 << u
@@ -123,21 +138,38 @@ def _leader(adj: tuple[int, ...], placed: list[int], free: int) -> int | None:
                     ended |= 1 << v
             cell = ended or w
             if not cell & (cell - 1):
-                return cell.bit_length() - 1
+                return cell
     # the keys left differ only in their count of free neighbours
-    leader, fewest = None, len(adj)
+    least, fewest = 0, len(adj)
     for v in _bits(cell):
         k = (adj[v] & free).bit_count()
         if k < fewest:
-            leader, fewest = v, k
+            least, fewest = 1 << v, k
         elif k == fewest:
-            leader = None
-    return leader
+            least |= 1 << v
+    v = least.bit_length() - 1
+    if all(_twins(adj, v, u) for u in _bits(least ^ 1 << v)):
+        return least
+    return None
 
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     # swapping u and v is an automorphism iff they agree off each other
     return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+
+
+def _orbits(mask: int, perms: list[tuple[int, ...]]) -> int:
+    """The union of the orbits of the vertices in mask under the group perms generate."""
+    todo = mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        for perm in perms:
+            w = perm[v]
+            if not mask >> w & 1:
+                mask |= 1 << w
+                todo |= 1 << w
+    return mask
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -149,81 +181,117 @@ def canonical_form(g: Graph) -> CanonicalForm:
         return CanonicalForm(1, 0, (0,))
     adj = g.adj
     nbrs = [tuple(_bits(row)) for row in adj]
-    everyone = (1 << n) - 1
-    # best[i] holds the i+1 adjacency bits of placement position i+1,
-    # most significant bit toward position 0; list order is string order.
-    best: list[int] | None = None
+    # the string of p placed vertices is their p(p-1)/2 triangle bits as one
+    # int, position 0 first; best starts above every string of n vertices
+    total = n * (n - 1) // 2
+    shift = [total - (p + 1) * p // 2 for p in range(n)]
+    best = 1 << total
     first: list[int] = []  # placement order of the first leaf reaching best
-    ties: list[list[int]] = []  # placement orders of later leaves equal to best
-    swaps: list[tuple[int, int]] = []  # twins whose swap is an automorphism
+    autos: list[tuple[tuple[int, ...], int]] = []  # (vertex map, fixed-vertex mask)
     joined = list(range(n))  # union-find over the kept swaps
+    placed: list[int] = []
 
     def root(v: int) -> int:
         while joined[v] != v:
             joined[v] = v = joined[joined[v]]
         return v
 
-    def search(placed: list[int], rows: list[int]) -> None:
-        nonlocal best, first, ties
-        p = len(placed)
-        if p == n:
-            if best is None or rows < best:
-                best, first, ties = rows, placed, []
-            elif rows == best:
-                ties.append(placed)
-            return
-        free = everyone
-        for v in placed:
-            free ^= 1 << v
-        # branch on the first cell; a one-vertex cell has one candidate
-        leader = _leader(adj, placed, free)
-        if leader is None:
-            colors = [p] * n
-            for i, v in enumerate(placed):
-                colors[v] = i
-            cell = _refine(nbrs, colors, list(_bits(free)), p)[0]
-        else:
-            cell = [leader]
-        cands = []
-        for v in cell:
-            r = 0
-            for u in placed:
-                r = r << 1 | (adj[v] >> u & 1)
-            cands.append((r, v))
-        reps = cands  # a lone candidate has no twin to skip
-        if len(cands) > 1:
-            cands.sort()
-            reps = []
-            for r, v in cands:
-                twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
-                if twin is None:
-                    reps.append((r, v))
-                elif root(twin) != root(v):
-                    # a spanning forest of swaps generates the same group
-                    joined[root(twin)] = root(v)
-                    swaps.append((twin, v))
-        for r, v in reps:
-            new_rows = rows + [r] if p else rows
-            if p and best is not None and new_rows > best[: len(new_rows)]:
-                continue
-            search(placed + [v], new_rows)
+    def keep(image: list[int]) -> None:
+        fixed = 0
+        for v, w in enumerate(image):
+            if v == w:
+                fixed |= 1 << v
+        autos.append((tuple(image), fixed))
 
-    search([], [])
-    assert best is not None
-    bits = 0
-    for i, r in enumerate(best):
-        bits = bits << (i + 1) | r
+    def swap(a: int, b: int) -> None:
+        # a spanning forest of twin swaps generates the same group
+        if root(a) != root(b):
+            joined[root(a)] = root(b)
+            image = list(range(n))
+            image[a], image[b] = b, a
+            keep(image)
+
+    def row(v: int) -> int:
+        # v's adjacency to the placed vertices, position 0 most significant
+        r = 0
+        for u in placed:
+            r = r << 1 | (adj[v] >> u & 1)
+        return r
+
+    def search(s: int, free: int) -> int:
+        """Explore below `placed`, holding string s and free mask free; return
+        the depth to resume at, less than len(placed) after a tied leaf."""
+        top = len(placed)
+        # follow forced placements, the one vertex or the lowest of the
+        # twins `_leader` reads from masks, up to a leaf or a refined cell
+        while free:
+            p = len(placed)
+            least = _leader(adj, placed, free)
+            if least is None:
+                break
+            v = (least & -least).bit_length() - 1
+            if least & (least - 1):
+                for u in _bits(least ^ 1 << v):
+                    swap(v, u)
+            s = s << p | row(v)
+            if s > best >> shift[p]:
+                del placed[top:]
+                return n
+            placed.append(v)
+            free ^= 1 << v
+        back = leaf(s) if not free else branch(s, free)
+        del placed[top:]
+        return back
+
+    def leaf(s: int) -> int:
+        nonlocal best, first
+        if s < best:
+            best, first = s, placed.copy()
+            return n
+        # a tie: first -> placed is an automorphism fixing their common
+        # prefix, which maps the subtree first left there onto this one
+        image = list(range(n))
+        k = -1
+        for i, (u, v) in enumerate(zip(first, placed)):
+            image[u] = v
+            if k < 0 and u != v:
+                k = i
+        keep(image)
+        return k
+
+    def branch(s: int, free: int) -> int:
+        # branch on the first cell of the refined partition
+        p = len(placed)
+        colors = [p] * n
+        for i, v in enumerate(placed):
+            colors[v] = i
+        cands = sorted((row(v), v) for v in _refine(nbrs, colors, list(_bits(free)), p)[0])
+        reps: list[tuple[int, int]] = []
+        for r, v in cands:
+            twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
+            if twin is None:
+                reps.append((r, v))
+            else:
+                swap(twin, v)
+        prefix = ~free & ((1 << n) - 1)
+        seen = 0  # explored candidates and their images under `autos` fixing placed
+        for r, v in reps:
+            if seen >> v & 1:
+                continue
+            t = s << p | r
+            if t > best >> shift[p]:
+                continue
+            placed.append(v)
+            back = search(t, free ^ 1 << v)
+            placed.pop()
+            if back < p:
+                return back
+            seen = _orbits(seen | 1 << v, [a for a, fixed in autos if prefix & ~fixed == 0])
+        return n
+
+    search(0, (1 << n) - 1)
     labelling = [0] * n
     for i, v in enumerate(first):
         labelling[v] = i
-    generators = []
-    for leaf in ties:
-        at = [0] * n
-        for i, v in enumerate(leaf):
-            at[v] = i
-        generators.append(tuple(at[v] for v in first))
-    for a, b in sorted(swaps):
-        swap = list(range(n))
-        swap[labelling[a]], swap[labelling[b]] = labelling[b], labelling[a]
-        generators.append(tuple(swap))
-    return CanonicalForm(n, bits, tuple(labelling), tuple(generators))
+    generators = tuple(tuple(labelling[a[v]] for v in first) for a, _ in autos)
+    return CanonicalForm(n, best, tuple(labelling), generators)

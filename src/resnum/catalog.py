@@ -17,11 +17,11 @@ from typing import Iterator
 
 from . import enumeration
 from .canon import CanonicalForm, canonical_form
-from .errors import CatalogMissing, TheoremViolation
+from .errors import CatalogMissing, ResnumError, TheoremViolation
 from .graphs import Graph, distance_matrix
 from .invariants import girth, invariant_summary
 from .resolve import resolving_number
-from .serial import parse_graph6, write_graph6
+from .serial import nonblank_lines, parse_graph6, write_graph6
 
 FIXTURE_NAME = "res3_catalog.g6"
 
@@ -69,6 +69,12 @@ def _member_from_graph(g: Graph) -> CatalogMember:
     )
 
 
+def _structural(g: Graph) -> bool:
+    """Whether a connected res-3 graph is an even cycle or the 3-leaf star."""
+    degs = g.degrees()
+    return all(d == 2 for d in degs) or sorted(degs) == [1, 1, 1, 3]
+
+
 def _candidate_stream() -> Iterator[Graph]:
     # enumerate_graphs is looked up on its module at call time, so a
     # wrapper installed there (a tracer, a timer) sees every candidate
@@ -89,10 +95,7 @@ def build_res3_catalog() -> Res3Catalog:
     seen: dict[CanonicalForm, CatalogMember] = {}
     for g in _candidate_stream():
         dm = distance_matrix(g)
-        if resolving_number(g, dm).res != 3:
-            continue
-        inv = invariant_summary(g, dm)
-        if inv.is_cycle or (inv.is_star and g.n == 4):
+        if resolving_number(g, dm).res != 3 or _structural(g):
             continue
         member = _member_from_graph(g)
         seen.setdefault(member.form, member)
@@ -104,17 +107,32 @@ def render_fixture(catalog: Res3Catalog) -> str:
     return "".join(m.graph6 + "\n" for m in catalog.members)
 
 
+def _fixture_member(line: str) -> CatalogMember:
+    g = parse_graph6(line)
+    dm = distance_matrix(g)
+    if resolving_number(g, dm).res != 3:
+        raise CatalogMissing(f"graph {line!r} does not have res = 3")
+    if _structural(g):
+        raise CatalogMissing(
+            f"graph {line!r} is an even cycle or the 3-star, which are "
+            "classified structurally, not catalog members"
+        )
+    return _member_from_graph(g)
+
+
 def load_fixture_text(text: str) -> Res3Catalog:
-    """Rebuild a catalog from fixture lines, re-verifying every member."""
+    """Rebuild a catalog from fixture lines, re-verifying every member.
+
+    An error names its fixture line and keeps its class.  Even cycles and
+    the 3-star have res = 3 but are classified structurally, so a line
+    holding one is bad input, not a catalog member.
+    """
     members = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        g = parse_graph6(line)
-        dm = distance_matrix(g)
-        if resolving_number(g, dm).res != 3:
-            raise CatalogMissing(f"fixture line {line!r} does not have res = 3")
-        members.append(_member_from_graph(g))
+    for lineno, line in nonblank_lines(text):
+        try:
+            members.append(_fixture_member(line))
+        except ResnumError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     if not members:
         raise CatalogMissing("fixture contains no members")
     members.sort(key=lambda m: m.graph6)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -110,6 +111,41 @@ def test_labelling_and_generators_match_the_automorphism_oracle(
         assert _closure(form.generators, g.n) == automorphisms_oracle(rep)
 
 
+def _petersen():
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    star = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, rim + spokes + star)
+
+
+def _cube():
+    return from_edge_list(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+
+
+def _prism():
+    return from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [(_petersen(), 120), (_cube(), 48), (cycle_graph(8), 16), (_prism(), 12)],
+    ids=["petersen", "cube", "C8", "prism"],
+)
+def test_generators_span_vertex_transitive_groups_without_twins(g, order):
+    # no two vertices are twins, so every generator comes from a tied leaf;
+    # the closure is a subgroup of Aut of the known order, hence all of it
+    rng = random.Random(order)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = permute(g, perm)
+        form = canonical_form(h)
+        rep = form.to_graph()
+        assert permute(h, form.labelling) == rep
+        assert all(permute(rep, gen) == rep for gen in form.generators)
+        assert len(_closure(form.generators, g.n)) == order
+
+
 def test_twin_swaps_form_a_spanning_forest(trees_by_order):
     # S_k needs k - 1 transpositions; K_8 has one twin class of 8
     assert len(canonical_form(complete_graph(8)).generators) == 7
@@ -181,6 +217,12 @@ def test_cell_refinement_matches_the_global_rank_oracle():
         ]
 
 
+# sha256 over repr((bits, labelling)) of every form in `shuffled_forms`, in
+# order, taken from the search before it pruned by automorphisms: pruning
+# keeps the first leaf that reaches the best string, so neither may move
+LABELLING_SHA256 = "41d490e5f35956eacf6dc4dd46d1a9d5ac3c1d44ec0398a9d0006a6494162b3c"
+
+
 def _forms(graphs):
     return [(f.bits, f.labelling, f.generators) for f in map(canonical_form, graphs)]
 
@@ -215,19 +257,28 @@ def test_canonical_forms_match_under_the_global_rank_oracle(shuffled_forms, monk
     assert _forms(shuffled) == cellwise
 
 
-def test_leader_is_round_ones_lone_least_cell():
+def test_leader_is_round_ones_least_cell_when_no_later_round_splits_it():
     for g, nbrs, placed, colors, free in _search_nodes():
         # round one of `_refine`, spelled out: the free vertices of least key
         keys = {v: sorted(colors[u] for u in nbrs[v]) for v in free}
         least_key = min(keys.values())
         least = [v for v in free if keys[v] == least_key]
+        # a lone vertex, or twins: no automorphism-invariant round splits them
+        settled = all(canon._twins(g.adj, least[0], v) for v in least[1:])
         leader = canon._leader(g.adj, placed, sum(1 << v for v in free))
-        assert leader == (least[0] if len(least) == 1 else None)
+        assert leader == (sum(1 << v for v in least) if settled else None)
         if leader is not None:
-            assert _refine(nbrs, colors, free, len(placed))[0] == [leader]
+            assert _refine(nbrs, colors, free, len(placed))[0] == least
 
 
 def test_forms_hold_without_the_leader_shortcut(shuffled_forms, monkeypatch):
     shuffled, with_leader = shuffled_forms
     monkeypatch.setattr(canon, "_leader", lambda adj, placed, free: None)
     assert _forms(shuffled) == with_leader
+
+
+def test_labelling_matches_golden_digest(shuffled_forms):
+    h = hashlib.sha256()
+    for bits, labelling, _ in shuffled_forms[1]:
+        h.update(repr((bits, labelling)).encode())
+    assert h.hexdigest() == LABELLING_SHA256

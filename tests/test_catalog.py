@@ -25,7 +25,7 @@ from resnum.catalog import (
     load_fixture_text,
     render_fixture,
 )
-from resnum.errors import CatalogMissing
+from resnum.errors import CatalogMissing, MalformedGraph6
 from resnum.families import complete_graph, cycle_graph, wheel_graph
 from resnum.graphs import distance_matrix
 from resnum.invariants import invariant_summary
@@ -140,8 +140,10 @@ def test_fixture_text_roundtrip():
 
 
 def test_fixture_rejects_non_members():
-    with pytest.raises(CatalogMissing):
-        load_fixture_text("Ch\n")  # P4 has res 2
+    with pytest.raises(CatalogMissing, match="^line 2: "):
+        load_fixture_text("C~\nCh\n")  # P4 has res 2
+    with pytest.raises(MalformedGraph6, match="^line 1: byte outside graph6 range"):
+        load_fixture_text("XYZ!\n")
     with pytest.raises(CatalogMissing):
         load_fixture_text("\n\n")
 

@@ -215,7 +215,19 @@ def test_a_bare_graph6_header_in_a_fixture_is_an_input_error(tmp_path, capsys):
     f.write_text(">>graph6<<\n")
     code, out, err = run(capsys, "catalog", "--res", "3", "--fixture", str(f))
     assert code == 2 and out == ""
-    assert err == "input error: no graph after the >>graph6<< header\n"
+    assert err == "input error: line 1: no graph after the >>graph6<< header\n"
+
+
+@pytest.mark.parametrize("graph6", ["EhEG", "Cs"], ids=["C6", "K1,3"])
+def test_a_structurally_classified_graph_in_a_fixture_is_an_input_error(
+    tmp_path, capsys, graph6
+):
+    # res 3, but not a catalog member: bad input (2), not a theorem violation (4)
+    f = tmp_path / "fixture.g6"
+    f.write_text(f"C~\n\n{graph6}\n")
+    code, out, err = run(capsys, "catalog", "--res", "3", "--fixture", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: line 3: graph '{graph6}' is an even cycle or the 3-star")
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])

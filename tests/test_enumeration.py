@@ -7,6 +7,7 @@ permutation-minimum oracle reproduced them independently.
 
 import hashlib
 import math
+import sys
 from functools import lru_cache
 
 import pytest
@@ -244,12 +245,37 @@ def test_canonical_form_calls_catalog_regions(monkeypatch):
     assert sum(_canon_calls_per_order(monkeypatch, regions)) == 1462
 
 
-def test_refine_runs_only_where_round_one_leaves_no_lone_least_cell(monkeypatch):
-    # every other search node branches on the vertex `_leader` reads from
-    # masks; refining at every node took 17,025 calls on the tree ladder
-    # and 17,480 on the catalog regions
+def test_search_nodes_on_the_tree_ladder(monkeypatch):
+    # an inner search node calls `_leader` once and a leaf calls the nested
+    # `leaf`; before the search skipped branches by the automorphisms it
+    # finds, the ladder took 17,025 inner nodes and 1,901 leaves
+    leaf = next(
+        c for c in canon.canonical_form.__code__.co_consts
+        if getattr(c, "co_name", None) == "leaf"
+    )
+    counts = {canon._leader.__code__: 0, leaf: 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    sys.setprofile(count)
+    try:
+        for n in range(1, 13):
+            list(enumerate_graphs(EnumConstraints(n, trees_only=True)))
+    finally:
+        sys.setprofile(None)
+    assert list(counts.values()) == [14209, 1406]
+
+
+def test_refine_runs_only_where_round_ones_least_cell_may_still_split(monkeypatch):
+    # every other search node branches on the cell `_leader` reads from
+    # masks, one vertex or a class of twins; refining at every node took
+    # 17,025 calls on the tree ladder and 17,480 on the catalog regions,
+    # and refining wherever that cell was not one vertex 4,329 and 3,325
     ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    assert sum(_canon_calls_per_order(monkeypatch, ladder, canon, "_refine")) == 4329
+    assert sum(_canon_calls_per_order(monkeypatch, ladder, canon, "_refine")) == 1426
     regions = [EnumConstraints(n) for n in range(2, 8)]
     regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    assert sum(_canon_calls_per_order(monkeypatch, regions, canon, "_refine")) == 3325
+    assert sum(_canon_calls_per_order(monkeypatch, regions, canon, "_refine")) == 1552
