@@ -6,6 +6,14 @@ order 7 plus a degree/girth-capped scan of orders 8..10, both grown one
 vertex at a time by `enumeration`, re-derives the catalog instead of
 transcribing drawings.  The result is frozen as a fixture of sorted
 graph6 lines; rebuilding must reproduce it byte for byte.
+
+Most candidates are ruled out before any distance is computed.  The res
+of a graph is one more than the most vertices equidistant from a single
+pair, so three such vertices make it at least 4, and the adjacency rows
+show two exact cases of that: a pair with three common neighbours, and,
+from order 5 on, a pair of twins, whose other n - 2 vertices are each as
+far from one twin as from the other.  Only what passes both tests gets
+a distance matrix and a `resolving_number` scan.
 """
 
 from __future__ import annotations
@@ -75,6 +83,25 @@ def _structural(g: Graph) -> bool:
     return all(d == 2 for d in degs) or sorted(degs) == [1, 1, 1, 3]
 
 
+def _three_equidistant(g: Graph) -> bool:
+    """Whether the rows alone show a pair with three vertices equidistant
+    from it, so that res(g) >= 4.
+
+    The common neighbours of a pair are at distance 1 from both ends, and
+    every vertex outside a pair of twins u, v (N(u) - v = N(v) - u) is as
+    far from u as from v, which makes n - 2 >= 3 from order 5 on.
+    """
+    n = g.n
+    if n < 5:
+        return False
+    adj = g.adj
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (adj[u] & adj[v]).bit_count() >= 3 or not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                return True
+    return False
+
+
 def _candidate_stream() -> Iterator[Graph]:
     # enumerate_graphs is looked up on its module at call time, so a
     # wrapper installed there (a tracer, a timer) sees every candidate
@@ -89,11 +116,14 @@ def _candidate_stream() -> Iterator[Graph]:
 def build_res3_catalog() -> Res3Catalog:
     """Scan the bounded space and keep every res-3 class that needs cataloging.
 
-    Even cycles and the 3-leaf star are classified structurally, so they
-    stay out of the member list.
+    A candidate whose rows already force res >= 4 is dropped before its
+    distance matrix is built.  Even cycles and the 3-leaf star are
+    classified structurally, so they stay out of the member list.
     """
     seen: dict[CanonicalForm, CatalogMember] = {}
     for g in _candidate_stream():
+        if _three_equidistant(g):
+            continue
         dm = distance_matrix(g)
         if resolving_number(g, dm).res != 3 or _structural(g):
             continue

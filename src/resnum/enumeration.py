@@ -17,7 +17,8 @@ the orbit of its canonical deletion: among the non-cut vertices that
 maximise (degree, sorted neighbour degrees), the one at the smallest
 canonical position.  That vertex picks one parent class and one orbit of
 S per child class, so the children need no set to drop duplicates, and
-the invariant turns most other children away before canon runs.
+the invariant, read off the child's rows and degrees, turns most other
+children away before a `Graph` is built and canon runs.
 
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
@@ -98,10 +99,11 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
 
 
 def _joins(
-    g: Graph, max_degree: int | None, min_girth: int | float | None
+    g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
 ) -> list[tuple[int, ...]]:
-    """Every neighbour set S a new vertex may join without breaking a cap."""
-    free = [v for v in range(g.n) if max_degree is None or g.degree(v) < max_degree]
+    """Every neighbour set S a new vertex may join without breaking a cap,
+    given the degrees of g."""
+    free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
     close = None
     if min_girth is not None and largest > 1:
@@ -202,45 +204,63 @@ def _orbit(mask: int, generators: tuple[tuple[int, ...], ...]) -> set[int]:
     return orbit
 
 
-def _is_cut(g: Graph, v: int) -> bool:
-    """True iff deleting v disconnects g."""
-    rest = (1 << g.n) - 1 & ~(1 << v)
+def _is_cut(rows: list[int], v: int) -> bool:
+    """True iff deleting v disconnects the graph with these adjacency rows."""
+    rest = (1 << len(rows)) - 1 & ~(1 << v)
     seen = frontier = rest & -rest
     while frontier:
         nxt = 0
         for u in _bits(frontier):
-            nxt |= g.adj[u]
+            nxt |= rows[u]
         frontier = nxt & rest & ~seen
         seen |= frontier
     return seen != rest
 
 
-def _canonical_child(child: Graph) -> CanonicalForm | None:
-    """The child's form if its last vertex is its canonical deletion, else None.
+def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
+    """The last vertex and the deletable vertices tied with it, or None
+    when a deletable vertex beats it on (degree, sorted neighbour degrees).
 
-    The deletable vertices are the non-cut ones that maximise (degree,
-    sorted neighbour degrees); the canonical one sits at the smallest
-    canonical position among them.  The new vertex passes when it lies in
-    that vertex's orbit.  A new vertex that another deletable vertex
-    beats on the invariant is turned away before canon runs.
+    A vertex of higher degree beats it on degree alone, so it needs only
+    the cut test; neighbour degrees are sorted only for equal degrees.
     """
-    w = child.n - 1
-    deg = child.degrees()
-
-    def key(v: int) -> tuple[int, list[int]]:
-        return deg[v], sorted(deg[u] for u in child.neighbors(v))
-
-    top = key(w)
+    w = len(rows) - 1
+    d = deg[w]
+    top = None
     tied = [w]
     for v in range(w):
-        if deg[v] < top[0]:
+        if deg[v] < d:
             continue
-        k = key(v)
-        if k >= top and not _is_cut(child, v):
+        if deg[v] > d:
+            if not _is_cut(rows, v):
+                return None
+            continue
+        if top is None:
+            top = sorted(deg[u] for u in _bits(rows[w]))
+        k = sorted(deg[u] for u in _bits(rows[v]))
+        if k >= top and not _is_cut(rows, v):
             if k > top:
                 return None
             tied.append(v)
-    form = canonical_form(child)
+    return tied
+
+
+def _canonical_child(rows: list[int], deg: list[int]) -> CanonicalForm | None:
+    """The child's form if its last vertex is its canonical deletion, else None.
+
+    The child comes as its adjacency rows and degrees, and becomes a
+    `Graph` only if it reaches canon.  The deletable vertices are the
+    non-cut ones that maximise (degree, sorted neighbour degrees); the
+    canonical one sits at the smallest canonical position among them.
+    The new vertex passes when it lies in that vertex's orbit.  A new
+    vertex that another deletable vertex beats on the invariant is turned
+    away before canon runs.
+    """
+    tied = _deletion_ties(rows, deg)
+    if tied is None:
+        return None
+    w = len(rows) - 1
+    form = canonical_form(Graph(w + 1, tuple(rows)))
     at = form.labelling
     lowest = min(at[v] for v in tied)
     return form if 1 << lowest in _orbit(1 << at[w], form.generators) else None
@@ -279,7 +299,8 @@ def _grow(
     children: list[CanonicalForm] = []
     for form in parents:
         g = form.to_graph()
-        joins = _joins(g, max_degree, min_girth)
+        deg = g.degrees()
+        joins = _joins(g, deg, max_degree, min_girth)
         if rng is not None:
             rng.shuffle(joins)
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
@@ -289,10 +310,13 @@ def _grow(
                 continue
             tried |= _orbit(mask, form.generators)
             rows = list(g.adj)
+            degs = list(deg)
             for v in s:
                 rows[v] |= new
+                degs[v] += 1
             rows.append(mask)
-            kept = _canonical_child(Graph(n, tuple(rows)))
+            degs.append(len(s))
+            kept = _canonical_child(rows, degs)
             if kept is not None:
                 children.append(kept)
     return tuple(sorted(children))

@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import settings
 
+from resnum import enumeration
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 
 # the same examples on every run, a bounded number of them, no example
@@ -36,3 +39,30 @@ def constrained_by_order():
         )
         for n in (8, 9, 10)
     }
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(module, name)` wraps `module.name` in a counter on a cold
+    level cache, so enumeration work is counted in full, and returns a
+    function that reads the calls made since its last read."""
+
+    def install(module, name):
+        calls = 0
+        real = getattr(module, name)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        def read():
+            nonlocal calls
+            made, calls = calls, 0
+            return made
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+        return read
+
+    return install

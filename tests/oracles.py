@@ -5,7 +5,9 @@ routine it checks: a reachability BFS for connectivity, permutation-minimum
 forms against `canonical_form`, a permutation scan for the automorphisms
 that `canonical_form` reports, one global ranking of every free vertex per
 round against the cell-by-cell refinement of `canon._refine`, raw
-edge-subset enumeration against the enumeration engine, subset brute force
+edge-subset enumeration against the enumeration engine, the canonical
+deletion pre-check on a `Graph`, with the full key for every rival,
+against the one on rows and degrees, subset brute force
 against `clique_number`, a subset scan with `is_resolving_set` against
 the resolving-set table behind the dimensions, and the same table as
 numpy arrays, one byte per subset, against the int-bitset table.
@@ -119,6 +121,45 @@ def refine_by_global_rank(
         if len(rank) == ncells:
             return
         ncells = len(rank)
+
+
+def _is_cut(g: Graph, v: int) -> bool:
+    """True iff deleting v disconnects g."""
+    rest = (1 << g.n) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def deletion_ties_oracle(child: Graph) -> list[int] | None:
+    """The last vertex and the non-cut vertices tied with it on (degree,
+    sorted neighbour degrees), or None when a non-cut vertex beats it.
+
+    Every vertex of at least its degree gets the full key, whatever its
+    degree.
+    """
+    w = child.n - 1
+    deg = child.degrees()
+
+    def key(v: int) -> tuple[int, list[int]]:
+        return deg[v], sorted(deg[u] for u in child.neighbors(v))
+
+    top = key(w)
+    tied = [w]
+    for v in range(w):
+        if deg[v] < top[0]:
+            continue
+        k = key(v)
+        if k >= top and not _is_cut(child, v):
+            if k > top:
+                return None
+            tied.append(v)
+    return tied
 
 
 def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:

@@ -97,6 +97,24 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
     assert len(found) == 2 and canonical_form(cycle_graph(8)) in found
 
 
+def test_the_row_test_rules_out_only_res_4_and_above():
+    # the catalog candidates, then the 87 classes of the (8, 3, 4) region
+    # the scan skips (the test above); the rows rule out 877 and 34 of them
+    graphs = list(catalog._candidate_stream())
+    assert len(graphs) == 1294
+    graphs += [form.to_graph() for form in enumeration._level(8, 3, 4)]
+    ruled_out = [g for g in graphs if catalog._three_equidistant(g)]
+    assert len(ruled_out) == 877 + 34
+    assert all(resolving_number(g).res >= 4 for g in ruled_out)
+
+
+def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
+    # every one of the 1,294 candidates did before the row test
+    calls = count_calls(catalog, "resolving_number")
+    build_res3_catalog()
+    assert calls() == 417
+
+
 def test_girth_split():
     cat = load_default_catalog()
     g3 = cat.slice_by_girth(3)

@@ -16,10 +16,16 @@ from resnum import canon, enumeration
 from resnum.canon import canonical_form
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.errors import InputError, TooLarge
+from resnum.graphs import Graph
 from resnum.invariants import girth
 from resnum.serial import write_graph6
 
-from oracles import is_connected, naive_enumeration_oracle, permutation_min_form
+from oracles import (
+    deletion_ties_oracle,
+    is_connected,
+    naive_enumeration_oracle,
+    permutation_min_form,
+)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -127,6 +133,34 @@ def test_a_shuffled_tree_level_canonicalises_relabelled_trees(monkeypatch, trees
     assert not set(seen) & set(enumeration._free_trees(8))
 
 
+def test_row_precheck_matches_the_graph_oracle(monkeypatch):
+    # every child the graph engine builds on the catalog regions, each
+    # checked for its degree list and its verdict: rejected before canon
+    # (None) or the same tied vertices in the same order
+    children = []
+    real = enumeration._deletion_ties
+
+    def record(rows, deg):
+        tied = real(rows, deg)
+        children.append((tuple(rows), tuple(deg), tied))
+        return tied
+
+    monkeypatch.setattr(enumeration, "_deletion_ties", record)
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    regions = [EnumConstraints(n) for n in range(2, 8)]
+    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
+    for c in regions:
+        list(enumerate_graphs(c))
+    rejected = 0
+    for rows, deg, tied in children:
+        child = Graph(len(rows), rows)
+        assert deg == child.degrees()
+        assert tied == deletion_ties_oracle(child)
+        rejected += tied is None
+    # the other 1,460 children reach canon
+    assert (len(children), rejected) == (5548, 4088)
+
+
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
     cubic = [
         g for g in constrained_by_order[10] if set(g.degrees()) == {3}
@@ -192,57 +226,47 @@ def test_tree_degree_cap_equals_filtering(trees_by_order, max_degree):
         assert tuple(enumerate_graphs(capped)) == expected
 
 
-def _canon_calls_per_order(monkeypatch, constraints, module=enumeration, name="canonical_form"):
+def _calls_per_order(count_calls, constraints, module=enumeration, name="canonical_form"):
     """Calls of `module.name` each enumerate_graphs call makes, from a cold
     level cache; by default the canonical_form calls."""
-    calls = 0
-    real = getattr(module, name)
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    calls = count_calls(module, name)
     out = []
     for c in constraints:
-        calls = 0
         list(enumerate_graphs(c))
-        out.append(calls)
+        out.append(calls())
     return out
 
 
-def test_each_tree_class_is_canonicalised_once(monkeypatch):
+def test_each_tree_class_is_canonicalised_once(count_calls):
     ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    calls = _canon_calls_per_order(monkeypatch, ladder)
+    calls = _calls_per_order(count_calls, ladder)
     assert calls == [TREE_COUNTS[n] for n in range(1, 13)]
     assert sum(calls) == 987
     # a tree level needs no parent level
-    assert _canon_calls_per_order(monkeypatch, [EnumConstraints(12, trees_only=True)]) == [551]
+    assert _calls_per_order(count_calls, [EnumConstraints(12, trees_only=True)]) == [551]
 
 
-def test_the_tree_walk_jumps_past_rejected_first_subtrees(monkeypatch):
+def test_the_tree_walk_jumps_past_rejected_first_subtrees(count_calls):
     # level sequences examined per order; stepping one sequence at a time
     # would examine 3,106 at n = 12, and jumping without resetting the
     # tail to a path 2,153
     ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    examined = _canon_calls_per_order(monkeypatch, ladder, enumeration, "_centred")
+    examined = _calls_per_order(count_calls, ladder, enumeration, "_centred")
     assert examined == [0, 1, 1, 2, 3, 7, 13, 28, 57, 126, 274, 627]
 
 
-def test_canonical_form_calls_unconstrained(monkeypatch):
+def test_canonical_form_calls_unconstrained(count_calls):
     # one neighbour set per orbit, and only children that pass the cheap
     # deletion test reach canon: 1,047 calls for the 996 classes
-    calls = _canon_calls_per_order(monkeypatch, [EnumConstraints(n) for n in range(1, 8)])
+    calls = _calls_per_order(count_calls, [EnumConstraints(n) for n in range(1, 8)])
     assert calls == [1, 1, 2, 6, 21, 114, 902]
 
 
-def test_canonical_form_calls_catalog_regions(monkeypatch):
+def test_canonical_form_calls_catalog_regions(count_calls):
     # the regions the res-3 catalog scans: 1,294 classes
     regions = [EnumConstraints(n) for n in range(2, 8)]
     regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    assert sum(_canon_calls_per_order(monkeypatch, regions)) == 1462
+    assert sum(_calls_per_order(count_calls, regions)) == 1462
 
 
 def test_search_nodes_on_the_tree_ladder(monkeypatch):
@@ -269,13 +293,13 @@ def test_search_nodes_on_the_tree_ladder(monkeypatch):
     assert list(counts.values()) == [14209, 1406]
 
 
-def test_refine_runs_only_where_round_ones_least_cell_may_still_split(monkeypatch):
+def test_refine_runs_only_where_round_ones_least_cell_may_still_split(count_calls):
     # every other search node branches on the cell `_leader` reads from
     # masks, one vertex or a class of twins; refining at every node took
     # 17,025 calls on the tree ladder and 17,480 on the catalog regions,
     # and refining wherever that cell was not one vertex 4,329 and 3,325
     ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    assert sum(_canon_calls_per_order(monkeypatch, ladder, canon, "_refine")) == 1426
+    assert sum(_calls_per_order(count_calls, ladder, canon, "_refine")) == 1426
     regions = [EnumConstraints(n) for n in range(2, 8)]
     regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    assert sum(_canon_calls_per_order(monkeypatch, regions, canon, "_refine")) == 1552
+    assert sum(_calls_per_order(count_calls, regions, canon, "_refine")) == 1552
