@@ -133,4 +133,5 @@ __all__ = [
     "verify_bounds",
     "vertex_pairs",
     "wheel_graph",
+    "write_graph6",
 ]

@@ -9,7 +9,6 @@ Inapplicability is data, never an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence

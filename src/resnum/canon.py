@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import TooLarge
-from .graphs import Graph, _bits
+from .graphs import Graph, _positions
 from .serial import triangle_graph
 
 CANONICAL_CAP = 16
@@ -133,7 +133,7 @@ def _leader(adj: tuple[int, ...], placed: list[int], free: int) -> int | None:
             # a key with no placed neighbour to come and no free one has
             # ended, and a shorter key sorts first
             ended = 0
-            for v in _bits(cell ^ w):
+            for v in _positions[cell ^ w]:
                 if not adj[v] & ~done:
                     ended |= 1 << v
             cell = ended or w
@@ -141,14 +141,14 @@ def _leader(adj: tuple[int, ...], placed: list[int], free: int) -> int | None:
                 return cell
     # the keys left differ only in their count of free neighbours
     least, fewest = 0, len(adj)
-    for v in _bits(cell):
+    for v in _positions[cell]:
         k = (adj[v] & free).bit_count()
         if k < fewest:
             least, fewest = 1 << v, k
         elif k == fewest:
             least |= 1 << v
     v = least.bit_length() - 1
-    if all(_twins(adj, v, u) for u in _bits(least ^ 1 << v)):
+    if all(_twins(adj, v, u) for u in _positions[least ^ 1 << v]):
         return least
     return None
 
@@ -180,7 +180,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n == 1:
         return CanonicalForm(1, 0, (0,))
     adj = g.adj
-    nbrs = [tuple(_bits(row)) for row in adj]
+    nbrs = [_positions[row] for row in adj]
     # the string of p placed vertices is their p(p-1)/2 triangle bits as one
     # int, position 0 first; best starts above every string of n vertices
     total = n * (n - 1) // 2
@@ -231,7 +231,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 break
             v = (least & -least).bit_length() - 1
             if least & (least - 1):
-                for u in _bits(least ^ 1 << v):
+                for u in _positions[least ^ 1 << v]:
                     swap(v, u)
             s = s << p | row(v)
             if s > best >> shift[p]:
@@ -265,7 +265,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         colors = [p] * n
         for i, v in enumerate(placed):
             colors[v] = i
-        cands = sorted((row(v), v) for v in _refine(nbrs, colors, list(_bits(free)), p)[0])
+        cands = sorted((row(v), v) for v in _refine(nbrs, colors, list(_positions[free]), p)[0])
         reps: list[tuple[int, int]] = []
         for r, v in cands:
             twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)

@@ -6,7 +6,9 @@ from level n - 1: each canonical parent gains one new vertex joined to a
 nonempty set S of its vertices.  Maximum degree and girth survive that
 deletion, so they prune S before the canonical form is ever computed:
 the new vertex and every member of S must stay within the degree cap,
-and two members of S at distance d would close a cycle of length d + 2.
+and two members of S at distance d would close a cycle of length d + 2,
+so under a girth floor g no member of S may lie in the ball of another,
+grown on the parent's adjacency rows to radius ceil(g) - 3.
 
 Each class is produced once, by McKay's canonical deletion (Isomorph-free
 exhaustive generation, J. Algorithms 26 (1998)).  A parent is tried with
@@ -43,7 +45,7 @@ from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _bits, distance_matrix, permute
+from .graphs import Graph, _positions, permute
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -102,17 +104,24 @@ def _joins(
     g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
-    given the degrees of g."""
+    given the degrees of g: under a girth floor, no member of S lies in
+    another's ball of radius ceil(min_girth) - 3 on the rows of g."""
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
-    close = None
+    near = None
     if min_girth is not None and largest > 1:
-        close = distance_matrix(g) < min_girth - 2
+        near = []
+        for v in range(g.n):
+            ball = 1 << v
+            for _ in range(math.ceil(min_girth) - 3):
+                for u in _positions[ball]:
+                    ball |= g.adj[u]
+            near.append(ball ^ 1 << v)
     return [
         s
         for size in range(1, largest + 1)
         for s in combinations(free, size)
-        if close is None or not any(close[a, b] for a, b in combinations(s, 2))
+        if near is None or not any(near[a] >> b & 1 for a, b in combinations(s, 2))
     ]
 
 
@@ -196,7 +205,7 @@ def _orbit(mask: int, generators: tuple[tuple[int, ...], ...]) -> set[int]:
         m = todo.pop()
         for gen in generators:
             image = 0
-            for v in _bits(m):
+            for v in _positions[m]:
                 image |= 1 << gen[v]
             if image not in orbit:
                 orbit.add(image)
@@ -210,7 +219,7 @@ def _is_cut(rows: list[int], v: int) -> bool:
     seen = frontier = rest & -rest
     while frontier:
         nxt = 0
-        for u in _bits(frontier):
+        for u in _positions[frontier]:
             nxt |= rows[u]
         frontier = nxt & rest & ~seen
         seen |= frontier
@@ -236,8 +245,8 @@ def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
                 return None
             continue
         if top is None:
-            top = sorted(deg[u] for u in _bits(rows[w]))
-        k = sorted(deg[u] for u in _bits(rows[v]))
+            top = sorted(deg[u] for u in _positions[rows[w]])
+        k = sorted(deg[u] for u in _positions[rows[v]])
         if k >= top and not _is_cut(rows, v):
             if k > top:
                 return None

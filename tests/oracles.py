@@ -7,7 +7,8 @@ that `canonical_form` reports, one global ranking of every free vertex per
 round against the cell-by-cell refinement of `canon._refine`, raw
 edge-subset enumeration against the enumeration engine, the canonical
 deletion pre-check on a `Graph`, with the full key for every rival,
-against the one on rows and degrees, subset brute force
+against the one on rows and degrees, the girth test on the distance
+matrix against the balls on the rows in `_joins`, subset brute force
 against `clique_number`, a subset scan with `is_resolving_set` against
 the resolving-set table behind the dimensions, and the same table as
 numpy arrays, one byte per subset, against the int-bitset table.
@@ -134,6 +135,24 @@ def _is_cut(g: Graph, v: int) -> bool:
         frontier = nxt & rest & ~seen
         seen |= frontier
     return seen != rest
+
+
+def joins_oracle(
+    g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
+) -> list[tuple[int, ...]]:
+    """Every neighbour set S a new vertex may join without breaking a cap,
+    given the degrees of g."""
+    free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
+    largest = len(free) if max_degree is None else min(max_degree, len(free))
+    close = None
+    if min_girth is not None and largest > 1:
+        close = distance_matrix(g) < min_girth - 2
+    return [
+        s
+        for size in range(1, largest + 1)
+        for s in combinations(free, size)
+        if close is None or not any(close[a, b] for a, b in combinations(s, 2))
+    ]
 
 
 def deletion_ties_oracle(child: Graph) -> list[int] | None:

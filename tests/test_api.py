@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, test oracles stay out,
-and every top-level definition in the package has a caller or is exported."""
+every top-level definition in the package has a caller or is exported,
+and every name a module imports is read there or re-exported."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,23 @@ def test_every_top_level_definition_is_used_or_exported():
         and not any(stmt.name in used for _, other, used in statements if other is not stmt)
     ]
     assert dead == []
+
+
+def test_every_import_is_read_or_exported():
+    # a module reads each name it imports; the package re-exports each one
+    unread = []
+    for path in sorted(Path(resnum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        if path.name == "__init__.py":
+            read = set(resnum.__all__)
+        else:
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread += [f"{path.name}:{name}" for name in imported if name not in read]
+    assert unread == []

@@ -3,15 +3,19 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import resnum
-from resnum import canon
-from resnum.catalog import load_default_catalog
+from resnum import canon, enumeration, graphs
+from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import main
+from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.families import path_graph
+from resnum.graphs import from_edge_list
 from resnum.serial import EDGE_LIST_CAP, write_graph6
 
 
@@ -162,6 +166,25 @@ def test_catalog_command(capsys):
     assert rep["girth5_orders"] == [6, 7, 8, 10]
     assert rep["fixture_match"] is True
     assert rep["clique_equals_res"]["derived_size"] == 12
+
+
+def test_the_position_table_holds_only_masks_of_enumerated_orders(tmp_path, capsys, monkeypatch):
+    # canon and enumeration fill the memo table, the tree ladder up to
+    # 2^12; compute and verify on an order-40 graph must add no key
+    graphs._positions.clear()
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    build_res3_catalog()
+    for n in range(1, 13):
+        list(enumerate_graphs(EnumConstraints(n, trees_only=True)))
+    # bipartite, so girth runs its BFS past the triangle pass
+    rng = Random(40)
+    edges = [(v, rng.randrange(1 - v % 2, v, 2)) for v in range(1, 40)]
+    edges += [(rng.randrange(0, 40, 2), rng.randrange(1, 40, 2)) for _ in range(20)]
+    f = tmp_path / "g.g6"
+    f.write_text(write_graph6(from_edge_list(40, edges)) + "\n")
+    for command in ("compute", "verify"):
+        assert run(capsys, command, "--input", str(f))[0] == 0
+    assert max(graphs._positions).bit_length() == 12
 
 
 def test_catalog_against_explicit_fixture(tmp_path, capsys):

@@ -23,6 +23,7 @@ from resnum.serial import write_graph6
 from oracles import (
     deletion_ties_oracle,
     is_connected,
+    joins_oracle,
     naive_enumeration_oracle,
     permutation_min_form,
 )
@@ -92,7 +93,7 @@ def test_matches_naive_oracle_to_order_five():
 
 
 @pytest.mark.parametrize("max_degree", [None, 2, 3, 4])
-@pytest.mark.parametrize("min_girth", [None, 3, 4, 5, 6, math.inf])
+@pytest.mark.parametrize("min_girth", [None, 3, 4, 4.5, 5, 6, math.inf])
 def test_pruning_equals_filtering(connected_by_order, max_degree, min_girth):
     # pruning while growing must keep exactly the graphs that filtering
     # the unconstrained stream by max degree and girth keeps
@@ -159,6 +160,37 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
         rejected += tied is None
     # the other 1,460 children reach canon
     assert (len(children), rejected) == (5548, 4088)
+
+
+def test_joins_match_the_distance_matrix_oracle(monkeypatch):
+    # every parent the graph engine grows on the catalog regions and on
+    # orders <= 7 under each girth floor and degree cap: the same neighbour
+    # sets, in the same order, as the girth test on the distance matrix
+    parents = []
+    real = enumeration._joins
+
+    def record(g, deg, max_degree, min_girth):
+        joins = real(g, deg, max_degree, min_girth)
+        parents.append((g, deg, max_degree, min_girth, joins))
+        return joins
+
+    monkeypatch.setattr(enumeration, "_joins", record)
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    regions = [EnumConstraints(n) for n in range(2, 8)]
+    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
+    regions += [
+        EnumConstraints(n, max_degree, min_girth)
+        for n in range(2, 8)
+        for max_degree in (None, 2, 3, 4)
+        for min_girth in (4, 4.5, 5, 6)
+    ]
+    for c in regions:
+        list(enumerate_graphs(c))
+    for g, deg, max_degree, min_girth, joins in parents:
+        assert joins == joins_oracle(g, deg, max_degree, min_girth)
+    # 363 of the 506 parents grow under a girth floor
+    assert len(parents) == 506
+    assert sum(min_girth is not None for _, _, _, min_girth, _ in parents) == 363
 
 
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
