@@ -7,20 +7,20 @@ vertices that fail to resolve some single pair, which turns the
 exponential definition into one distance-matrix scan; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
-One equidistance kernel feeds everything else: for rows lo..hi-1 of the
-distance array, the boolean slab ``a[lo:hi, None, :] == a[None, lo:, :]``
-marks, for each pair {x, y} with y >= lo, the vertices that fail to
-resolve it.  Pairs with y < lo sit in an earlier block as {y, x}, so the
-slab skips them.  Rows go in blocks that keep a slab under `SLAB_ENTRIES`
-entries, so a graph of order 62 is one slab.  The slab counts over pairs
-x < y give the resolving number.  Weighted by vertex bits, the same
-pairs give the pair masks of a single 2^n resolving-set table per graph,
-read once for the metric dimension (least size of a resolving set), the
-upper dimension (largest size of a minimal one) and res again for the
-chain check.  The table is a few Python ints with one bit per vertex
-subset, so its set algebra is big-int shifts, ands and ors.  Each
-dimension witness is the lowest integer bit mask among the sets of its
-kind.
+One equidistance kernel feeds everything else.  It walks the pairs
+x < y in row-major order, in chunks bounded by `SLAB_ENTRIES` bytes, and
+compares both rows of each pair at once: the boolean slab
+``narrow[xs] == narrow[ys]`` marks the vertices that fail to resolve each
+pair of the chunk.  `narrow` holds the distances in the smallest unsigned
+type that takes n - 1, exact since no distance reaches n: one byte each
+up to order 256.  The slab counts give the resolving number.  Weighted
+by vertex bits, the same slabs give the pair masks of a single 2^n
+resolving-set table per graph, read once for the metric dimension (least
+size of a resolving set), the upper dimension (largest size of a minimal
+one) and res again for the chain check.  The table is a few Python ints
+with one bit per vertex subset, so its set algebra is big-int shifts,
+ands and ors.  Each dimension witness is the lowest integer bit mask
+among the sets of its kind.
 
 Distances come in as the read-only array of `graphs.distance_matrix`.
 The public routines take it as `dm`, optional where they can build their
@@ -42,8 +42,8 @@ from .graphs import Graph, distance_matrix
 ORACLE_CAP = 12
 DIM_CAP = 16
 UPDIM_CAP = 12
-# most entries (bools, so bytes) in one equidistance slab
-SLAB_ENTRIES = 1 << 20
+# most bytes in one array of an equidistance chunk (slab or row gather)
+SLAB_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,33 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _blocks(n: int) -> Iterator[tuple[int, int]]:
-    """Row ranges [lo, hi) whose slabs hold at most SLAB_ENTRIES entries."""
-    step = max(1, SLAB_ENTRIES // (n * n))
-    for lo in range(0, n, step):
-        yield lo, min(lo + step, n)
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs x < y of range(n) in row-major order, as int16 arrays xs, ys.
+
+    An entry takes 2n(n - 1) bytes.  Every graph6 order 1..62 fits in the
+    64 entries in under 0.2 MB; the worst case, 64 entries at the edge-list
+    cap of order 800, is 1.3 MB each and 82 MB in all.
+    """
+    xs, ys = np.triu_indices(n, 1)
+    return xs.astype(np.int16), ys.astype(np.int16)
 
 
-def _equidistant(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """`slab[x - lo, y - lo]` marks the vertices that fail to resolve {x, y}."""
-    return a[lo:hi, None, :] == a[None, lo:, :]
+def _chunks(dm: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`(xs, ys, slab)` for each chunk of pairs in row-major order; each
+    array of a chunk holds at most SLAB_ENTRIES bytes, or one row."""
+    n = len(dm)
+    narrow = dm.astype(np.min_scalar_type(n - 1))
+    all_xs, all_ys = _pairs(n)
+    step = max(1, SLAB_ENTRIES // (n * narrow.itemsize))
+    for lo in range(0, len(all_xs), step):
+        xs, ys = all_xs[lo:lo + step], all_ys[lo:lo + step]
+        yield xs, ys, _equidistant(narrow, xs, ys)
+
+
+def _equidistant(narrow: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`slab[k]` marks the vertices that fail to resolve {xs[k], ys[k]}."""
+    return narrow.take(xs, axis=0) == narrow.take(ys, axis=0)
 
 
 def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
@@ -126,19 +143,16 @@ def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
         return ResolvingReport(1, None, frozenset())
     if dm is None:
         dm = distance_matrix(g)
-    n = g.n
     best = -1
-    for lo, hi in _blocks(n):
-        slab = _equidistant(dm, lo, hi)
+    for xs, ys, slab in _chunks(dm):
         # summing the bools as bytes counts them faster than count_nonzero
-        eq = slab.view(np.uint8).sum(axis=2, dtype=np.int32)
-        # only pairs x < y count; row-major argmax keeps the smallest pair
-        eq[np.arange(lo, n) <= np.arange(lo, hi)[:, None]] = -1
-        i, j = divmod(int(np.argmax(eq)), n - lo)
-        if int(eq[i, j]) > best:
-            best = int(eq[i, j])
-            best_pair = (lo + i, lo + j)
-            witness = slab[i, j].copy()
+        eq = slab.view(np.uint8).sum(axis=1, dtype=np.int32)
+        # the first argmax in row-major pair order is the smallest pair
+        k = int(np.argmax(eq))
+        if int(eq[k]) > best:
+            best = int(eq[k])
+            best_pair = (int(xs[k]), int(ys[k]))
+            witness = slab[k].copy()
     return ResolvingReport(
         best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
     )
@@ -210,10 +224,7 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
         )
     a = distance_matrix(g) if dm is None else dm
     weights = 1 << np.arange(n, dtype=np.int64)
-    above = np.arange(n) > np.arange(n)[:, None]
-    pair_masks = np.concatenate(
-        [(_equidistant(a, lo, hi) @ weights)[above[lo:hi, lo:]] for lo, hi in _blocks(n)]
-    ).tolist()
+    pair_masks = np.concatenate([slab @ weights for _, _, slab in _chunks(a)]).tolist()
     full, without, size = _subset_masks(n)
     # set in a byte buffer: or-ing each 1 << mask into an int copies 2^n bits per pair
     table = bytearray(max(1, (1 << n) >> 3))

@@ -2,8 +2,9 @@
 
 The graph6 codec is written out long-hand for orders up to 62 (one header
 byte): the upper triangle is read column by column, packed six bits per
-byte, each byte offset by 63.  Both directions hold the triangle as one
-int with slot (0,1) most significant, the layout of `CanonicalForm.bits`,
+byte, each byte offset by 63; the reader turns the bytes into bit text
+in one `str.translate`.  Both directions hold the triangle as one int
+with slot (0,1) most significant, the layout of `CanonicalForm.bits`,
 and `triangle_graph` is the one decoder of it.  Round trips are exercised
 heavily in the tests, including against an independent decoder.
 """
@@ -18,8 +19,11 @@ from .graphs import Graph, from_edge_list
 
 GRAPH6_CAP = 62
 # the res scan is cubic in the order: at 800, `resnum compute` takes
-# 1-2 s on a path, a star or a complete graph (2-core x86-64 box)
+# 0.8-1.0 s on a path, 0.4-0.5 s on a star and 1.1-1.2 s on a complete
+# graph (2-core x86-64 box)
 EDGE_LIST_CAP = 800
+# each graph6 byte to its six bits, most significant first
+_SIX = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def triangle_graph(n: int, bits: int) -> Graph:
@@ -49,27 +53,24 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(">>graph6<<"):]
         if not s:
             raise MalformedGraph6("no graph after the >>graph6<< header")
-    vals = [ord(c) - 63 for c in s]
-    if any(v < 0 or v > 63 for v in vals):
+    body = s.translate(_SIX)
+    # a character outside 63..126 stays one character, not six bits
+    if len(body) != 6 * len(s):
         raise MalformedGraph6(f"byte outside graph6 range in {line!r}")
-    n = vals[0]
+    n = ord(s[0]) - 63
     if n == 63:
         raise MalformedGraph6("multi-byte order header (n > 62) not supported")
     if n < 1:
         raise MalformedGraph6("graph6 order must be at least 1")
     nbits = n * (n - 1) // 2
     expect = 1 + (nbits + 5) // 6
-    if len(vals) != expect:
+    if len(s) != expect:
         raise MalformedGraph6(
-            f"expected {expect} bytes for order {n}, got {len(vals)}"
+            f"expected {expect} bytes for order {n}, got {len(s)}"
         )
-    bits = 0
-    for v in vals[1:]:
-        bits = bits << 6 | v
-    pad = 6 * (expect - 1) - nbits
-    if bits & ((1 << pad) - 1):
+    if "1" in body[6 + nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    return triangle_graph(n, bits >> pad)
+    return triangle_graph(n, int(body[6:6 + nbits] or "0", 2))
 
 
 def write_graph6(g: Graph) -> str:

@@ -10,8 +10,10 @@ deletion pre-check on a `Graph`, with the full key for every rival,
 against the one on rows and degrees, the girth test on the distance
 matrix against the balls on the rows in `_joins`, subset brute force
 against `clique_number`, a subset scan with `is_resolving_set` against
-the resolving-set table behind the dimensions, and the same table as
-numpy arrays, one byte per subset, against the int-bitset table.
+the resolving-set table behind the dimensions, the same table as numpy
+arrays, one byte per subset, against the int-bitset table, and the
+row-block equidistance kernel on the int32 matrix against the pair-list
+kernel on narrow distances.
 """
 
 from itertools import combinations, permutations, product
@@ -21,9 +23,11 @@ import numpy as np
 from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
 from resnum.graphs import Graph, _bits, distance_matrix, permute
-from resnum.resolve import DimensionReport, is_resolving_set
+from resnum.resolve import DimensionReport, ResolvingReport, is_resolving_set
 
 NAIVE_CAP = 6
+# most entries in one slab of the row-block equidistance kernel
+BLOCK_ENTRIES = 1 << 20
 
 
 def _reach_mask(g: Graph, start: int) -> int:
@@ -255,9 +259,10 @@ def subset_scan_dimensions(g: Graph) -> tuple:
     )
 
 
-def dimension_table_oracle(g: Graph) -> DimensionReport:
+def dimension_table_oracle(g: Graph, pair_masks=None) -> DimensionReport:
     """dim, updim and the lowest-mask witnesses from a 2^n table of numpy
-    arrays, indexed by subset mask.
+    arrays, indexed by subset mask.  The pair masks are computed one pair
+    at a time unless given.
 
     Each pair's non-resolver mask is marked bad, and the marks are closed
     downward one vertex at a time over `reshape(-1, 2, 1 << v)` views,
@@ -270,9 +275,10 @@ def dimension_table_oracle(g: Graph) -> DimensionReport:
         return DimensionReport(1, 1, (0,), (0,))
     dm = distance_matrix(g)
     weights = 1 << np.arange(n, dtype=np.int64)
-    pair_masks = [
-        int((dm[x] == dm[y]) @ weights) for x in range(n) for y in range(x + 1, n)
-    ]
+    if pair_masks is None:
+        pair_masks = [
+            int((dm[x] == dm[y]) @ weights) for x in range(n) for y in range(x + 1, n)
+        ]
     bad = np.zeros(1 << n, dtype=bool)
     bad[pair_masks] = True
     popcount = np.zeros(1 << n, dtype=np.int8)
@@ -296,3 +302,50 @@ def dimension_table_oracle(g: Graph) -> DimensionReport:
         members(np.flatnonzero(good & (popcount == dim))[0]),
         members(np.flatnonzero(minimal & (popcount == updim))[0]),
     )
+
+
+def _blocks(n: int):
+    """Row ranges [lo, hi) whose slabs hold at most BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _equidistant(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """`slab[x - lo, y - lo]` marks the vertices that fail to resolve {x, y}."""
+    return a[lo:hi, None, :] == a[None, lo:, :]
+
+
+def equidistance_blocks_oracle(dm: np.ndarray) -> tuple[ResolvingReport, list[int] | None]:
+    """The resolving report and, up to order 62, the pair masks in row-major
+    pair order, from row blocks of the int32 distance matrix.
+
+    Rows lo..hi-1 are compared with every row from lo on, so each pair
+    x < y sits in the block of row x; a triangle mask drops the pairs
+    y <= x.  The first argmax of each block is its smallest pair, and a
+    later block wins only with a strictly larger count.
+    """
+    n = len(dm)
+    if n == 1:
+        return ResolvingReport(1, None, frozenset()), []
+    best = -1
+    for lo, hi in _blocks(n):
+        slab = _equidistant(dm, lo, hi)
+        eq = slab.view(np.uint8).sum(axis=2, dtype=np.int32)
+        eq[np.arange(lo, n) <= np.arange(lo, hi)[:, None]] = -1
+        i, j = divmod(int(np.argmax(eq)), n - lo)
+        if int(eq[i, j]) > best:
+            best = int(eq[i, j])
+            best_pair = (lo + i, lo + j)
+            witness = slab[i, j].copy()
+    report = ResolvingReport(
+        best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
+    )
+    if n > 62:
+        return report, None
+    weights = 1 << np.arange(n, dtype=np.int64)
+    above = np.arange(n) > np.arange(n)[:, None]
+    pair_masks = np.concatenate(
+        [(_equidistant(dm, lo, hi) @ weights)[above[lo:hi, lo:]] for lo, hi in _blocks(n)]
+    ).tolist()
+    return report, pair_masks

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import resnum
-from resnum import canon, enumeration, graphs
+from resnum import canon, enumeration, graphs, resolve
 from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
@@ -185,6 +185,23 @@ def test_the_position_table_holds_only_masks_of_enumerated_orders(tmp_path, caps
     for command in ("compute", "verify"):
         assert run(capsys, command, "--input", str(f))[0] == 0
     assert max(graphs._positions).bit_length() == 12
+
+
+def test_the_pair_cache_stays_within_its_bound(tmp_path, capsys):
+    resolve._pairs.cache_clear()
+    rng = Random(62)
+    f = tmp_path / "g.g6"
+    f.write_text("".join(
+        write_graph6(from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)])) + "\n"
+        for n in range(20, 63)
+    ))
+    assert run(capsys, "compute", "--input", str(f))[0] == 0
+    e = tmp_path / "g.txt"
+    e.write_text("n 300\n" + "".join(f"{v - 1} {v}\n" for v in range(1, 300)))
+    assert run(capsys, "compute", "--input", str(e), "--format", "edgelist")[0] == 0
+    info = resolve._pairs.cache_info()
+    assert info.misses == 44 and info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 def test_catalog_against_explicit_fixture(tmp_path, capsys):

@@ -7,6 +7,7 @@ the acceptance suite.
 """
 
 import random
+import weakref
 
 import pytest
 
@@ -30,7 +31,11 @@ from resnum.resolve import (
     upper_dimension,
 )
 
-from oracles import dimension_table_oracle, subset_scan_dimensions
+from oracles import (
+    dimension_table_oracle,
+    equidistance_blocks_oracle,
+    subset_scan_dimensions,
+)
 
 
 @pytest.mark.parametrize(
@@ -211,16 +216,57 @@ def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
     assert results() == whole
 
 
-def test_no_slab_exceeds_the_budget(monkeypatch):
-    sizes = []
+def test_pair_kernel_matches_the_block_oracle(connected_by_order):
+    rng = random.Random(16)
+    graphs = [g for n in range(1, 8) for g in connected_by_order[n]]
+    graphs += [_random_connected(n, rng, p) for n in range(8, 13) for p in (0.0, 0.3)]
+    graphs += [
+        _random_connected(rng.randint(20, 62), rng, p)
+        for p in (0.0, 0.02, 0.05, 0.1, 0.3, 0.6)
+        for _ in range(3)
+    ]
+    # past order 256 distances no longer fit a byte
+    for n in (255, 256, 257, 300):
+        graphs += [path_graph(n), cycle_graph(n), _random_connected(n, rng, 0.01)]
+    for g in graphs:
+        dm = distance_matrix(g)
+        report, pair_masks = equidistance_blocks_oracle(dm)
+        assert resolving_number(g, dm) == report
+        if g.n <= 12:
+            assert _dimensions(g, dm) == dimension_table_oracle(g, pair_masks)
+
+
+def _record_slabs(monkeypatch):
+    """Wrap the kernel; return the bytes of each of its row gathers, as many
+    as its slab's entries times the bytes of a distance, and, for each slab,
+    how many earlier ones were still alive when it was made."""
+    sizes, live, refs = [], [], []
     kernel = resolve._equidistant
 
-    def recorded(a, lo, hi):
-        slab = kernel(a, lo, hi)
-        sizes.append(slab.size)
+    def recorded(narrow, xs, ys):
+        live.append(sum(ref() is not None for ref in refs))
+        slab = kernel(narrow, xs, ys)
+        sizes.append(slab.size * narrow.itemsize)
+        refs.append(weakref.ref(slab))
         return slab
 
     monkeypatch.setattr(resolve, "_equidistant", recorded)
+    return sizes, live
+
+
+def test_no_slab_exceeds_the_budget(monkeypatch):
+    sizes, live = _record_slabs(monkeypatch)
     rep = resolving_number(path_graph(800))
     assert rep.res == 2 and rep.witness_pair == (0, 2)
     assert len(sizes) > 1 and max(sizes) <= resolve.SLAB_ENTRIES
+    # the loop holds the last slab while the next is made; the witness
+    # row, from the first slab, must not keep that slab alive
+    assert max(live) == 1
+
+
+def test_each_pair_is_compared_once(monkeypatch):
+    sizes, _ = _record_slabs(monkeypatch)
+    resolving_number(complete_graph(62))
+    # n one-byte entries for each of the n(n - 1)/2 pairs, where row blocks
+    # compared n^3
+    assert sum(sizes) == 62 * (62 * 61 // 2) == 117_242

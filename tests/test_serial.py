@@ -88,27 +88,48 @@ def test_roundtrip_agrees_with_networkx():
         assert set(back.edges()) == {tuple(e) for e in g.edges()}
 
 
+def test_parse_agrees_with_networkx_at_every_order():
+    rng = random.Random(62)
+    for n in range(1, 63):
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        line = write_graph6(from_edge_list(n, edges))
+        theirs = nx.from_graph6_bytes(line.encode())
+        g = parse_graph6(line)
+        assert g.n == theirs.number_of_nodes() == n
+        assert set(g.edges()) == {(min(e), max(e)) for e in theirs.edges()}
+
+
 def test_write_rejects_large_orders():
     with pytest.raises(TooLarge):
         write_graph6(Graph(63, (0,) * 63))
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "",  # no order byte
-        "C",  # missing adjacency bytes
-        "Chh",  # trailing bytes
-        "C\x1f",  # byte below 63
-        "C\x7f",  # byte above 126
-        "~??",  # multi-byte order header unsupported
-        ">>graph6<<",  # a header with no graph after it
-        " >>graph6<< ",
-    ],
-)
+_OUTSIDE = "byte outside graph6 range in "
+MALFORMED = {
+    "": "empty line",  # no order byte
+    "C": "expected 2 bytes for order 4, got 1",  # missing adjacency bytes
+    "Chh": "expected 2 bytes for order 4, got 3",  # trailing bytes
+    # \x1c..\x1f are whitespace to str.strip(), so they cut to "C" and ""
+    "C\x1f": "expected 2 bytes for order 4, got 1",
+    "\x1f": "empty line",
+    "C>": _OUTSIDE + "'C>'",  # 62, just below the range
+    "C\x7f": _OUTSIDE + "'C\\x7f'",  # byte above 126
+    "Cé": _OUTSIDE + "'Cé'",  # a code point past ASCII
+    "!C": _OUTSIDE + "'!C'",  # an order byte below 63
+    "?": "graph6 order must be at least 1",
+    "@?": "expected 1 bytes for order 1, got 2",
+    "~??": "multi-byte order header (n > 62) not supported",
+    ">>graph6<<": "no graph after the >>graph6<< header",
+    " >>graph6<< ": "no graph after the >>graph6<< header",
+}
+
+
+@pytest.mark.parametrize("line", list(MALFORMED))
 def test_malformed_graph6(line):
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6) as exc:
         parse_graph6(line)
+    assert str(exc.value) == MALFORMED[line]
 
 
 def test_nonzero_padding_rejected():
