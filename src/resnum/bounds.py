@@ -82,10 +82,8 @@ def _order_upper_rhs(res: int, g: int | float, max_degree: int) -> int:
     return 6 * res - 8
 
 
-def verify_bounds(
-    g: Graph, inv: InvariantSummary, res: int, dm: np.ndarray | None = None
-) -> tuple[BoundVerdict, ...]:
-    """All verdict rows for one graph, in fixed order; `dm` feeds the Chain rows."""
+def verify_bounds(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    """All verdict rows for one graph, in fixed order."""
     out: list[BoundVerdict] = []
     tree_not_path = inv.is_tree and not inv.is_path
     general = not inv.is_path and not inv.is_cycle
@@ -139,7 +137,7 @@ def verify_bounds(
         out.append(_na("MaxDegTree", "tree bound; needs a non-path tree"))
 
     if 2 <= g.n <= UPDIM_CAP:
-        dims = upper_dimension(g, dm)
+        dims = upper_dimension(g)
         dim, updim = dims.dim, dims.updim
         out.append(_row("Chain", 1, dim, part="unit_le_dim"))
         out.append(_row("Chain", dim, updim, part="dim_le_updim"))
@@ -182,7 +180,6 @@ def counting_lemma_check(
     pairs,
     partition: Sequence[Iterable[int]],
     k: Sequence[int],
-    dm: np.ndarray | None = None,
 ) -> tuple[bool, bool]:
     """Check a failure-count certificate against the global counting budget.
 
@@ -190,7 +187,6 @@ def counting_lemma_check(
     pairs unresolved.  inequality_ok: sum(|part_i| * k_i) stays within
     |pairs| * (res - 1).  The second is a theorem whenever the first holds,
     so a (True, False) outcome signals a bug upstream, not new mathematics.
-    `dm` is g's distance matrix when the caller already holds it.
     """
     parts = [sorted(set(p)) for p in partition]
     if len(parts) != len(k):
@@ -211,8 +207,7 @@ def counting_lemma_check(
         raise InvalidPartition("parts do not cover every vertex")
 
     norm = _normalize_pairs(g, pairs)
-    if dm is None:
-        dm = distance_matrix(g)
+    dm = distance_matrix(g)
     xs = [x for x, _ in norm]
     ys = [y for _, y in norm]
     # fails[u]: how many of the given pairs vertex u leaves unresolved

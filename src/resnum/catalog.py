@@ -26,7 +26,7 @@ from typing import Iterator
 from . import enumeration
 from .canon import CanonicalForm, canonical_form
 from .errors import CatalogMissing, ResnumError, TheoremViolation
-from .graphs import Graph, distance_matrix
+from .graphs import Graph
 from .invariants import girth, invariant_summary
 from .resolve import resolving_number
 from .serial import nonblank_lines, parse_graph6, write_graph6
@@ -124,8 +124,7 @@ def build_res3_catalog() -> Res3Catalog:
     for g in _candidate_stream():
         if _three_equidistant(g):
             continue
-        dm = distance_matrix(g)
-        if resolving_number(g, dm).res != 3 or _structural(g):
+        if resolving_number(g).res != 3 or _structural(g):
             continue
         member = _member_from_graph(g)
         seen.setdefault(member.form, member)
@@ -139,8 +138,7 @@ def render_fixture(catalog: Res3Catalog) -> str:
 
 def _fixture_member(line: str) -> CatalogMember:
     g = parse_graph6(line)
-    dm = distance_matrix(g)
-    if resolving_number(g, dm).res != 3:
+    if resolving_number(g).res != 3:
         raise CatalogMissing(f"graph {line!r} does not have res = 3")
     if _structural(g):
         raise CatalogMissing(
@@ -195,7 +193,7 @@ def clique_equals_res_report(catalog: Res3Catalog) -> dict:
     excluded = []
     for member in catalog.slice_by_girth(3):
         g = member.form.to_graph()
-        inv = invariant_summary(g, distance_matrix(g))
+        inv = invariant_summary(g)
         if inv.omega == 3:
             derived.append(member.graph6)
         else:

@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .errors import InputError, InvalidFamilyParam, ResnumError, TheoremViolation, TooLarge
 from .families import FamilySpec, classify_res, family_names
-from .graphs import Graph, distance_matrix
+from .graphs import Graph
 from .invariants import invariant_summary
 from .resolve import metric_dimension, resolving_number, upper_dimension
 from .serial import (
@@ -72,9 +72,8 @@ def _jsonable_girth(value) -> int | None:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     def report(g: Graph) -> dict:
-        dm = distance_matrix(g)
-        rep = resolving_number(g, dm)
-        inv = invariant_summary(g, dm)
+        rep = resolving_number(g)
+        inv = invariant_summary(g)
         out = {
             "n": g.n,
             "m": g.m,
@@ -87,7 +86,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "max_degree": inv.max_degree,
         }
         if args.dim or args.updim:
-            dims = (upper_dimension if args.updim else metric_dimension)(g, dm)
+            dims = (upper_dimension if args.updim else metric_dimension)(g)
             if args.dim:
                 out["dim"] = dims.dim
             if args.updim:
@@ -110,10 +109,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     def report(g: Graph) -> list:
-        dm = distance_matrix(g)
-        inv = invariant_summary(g, dm)
-        res = resolving_number(g, dm).res
-        rows = verify_bounds(g, inv, res, dm)
+        inv = invariant_summary(g)
+        res = resolving_number(g).res
+        rows = verify_bounds(g, inv, res)
         if args.prop != "all":
             rows = tuple(r for r in rows if r.prop_id == args.prop)
         return [vars(r) for r in rows]

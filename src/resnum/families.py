@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .canon import canonical_form
 from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
-from .graphs import Graph, distance_matrix, from_edge_list
+from .graphs import Graph, from_edge_list
 from .invariants import invariant_summary
 from .resolve import resolving_number
 
@@ -149,9 +149,8 @@ def _sporadic_raw(i: int) -> Graph:
 def clique4_sporadic(i: int) -> Graph:
     """The i-th sporadic graph with omega = res = 4 (i in 1..4), verified."""
     g = _sporadic_raw(i)
-    dm = distance_matrix(g)
-    omega = invariant_summary(g, dm).omega
-    res = resolving_number(g, dm).res
+    omega = invariant_summary(g).omega
+    res = resolving_number(g).res
     if omega != 4 or res != 4:
         raise TheoremViolation(
             f"sporadic witness {i} failed verification: omega={omega} res={res}"
@@ -235,9 +234,8 @@ def classify_res(g: Graph, catalog=None) -> Category:
     catalog, and any mismatch between shape and res raises
     TheoremViolation because it would falsify a proved statement.
     """
-    dm = distance_matrix(g)
-    res = resolving_number(g, dm).res
-    inv = invariant_summary(g, dm)
+    res = resolving_number(g).res
+    inv = invariant_summary(g)
     if res == 1:
         if inv.is_path and g.n <= 2:
             return Category("TrivialPath", 1)
@@ -280,9 +278,8 @@ def clique_res_category(g: Graph, catalog=None) -> int:
     Requires omega(g) = res(g); verifies the claimed structure and raises
     TheoremViolation if the graph matches none of the statements.
     """
-    dm = distance_matrix(g)
-    res = resolving_number(g, dm).res
-    inv = invariant_summary(g, dm)
+    res = resolving_number(g).res
+    inv = invariant_summary(g)
     if inv.omega != res:
         raise NotApplicable(f"omega={inv.omega} differs from res={res}")
     r = res

@@ -6,14 +6,15 @@ without a second representation.  Everything downstream (distances,
 resolving machinery, enumeration) builds on this type.
 
 Distances have one representation too: `distance_matrix` returns a
-read-only n x n int32 numpy array, which callers build once per graph
-and pass down to every routine that reads distances.  It runs every BFS
-at once, on balls packed as uint64 words, one numpy pass per radius.
+read-only n x n int32 numpy array, built once per graph and kept on it
+for every routine that reads distances.  It runs every BFS at once, on
+balls packed as uint64 words, one numpy pass per radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -82,6 +83,11 @@ class Graph:
             for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield u, v
 
+    # kept in __dict__, written past the frozen __setattr__; no field, so == and hash skip it
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        return _all_pairs_bfs(self)
+
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an iterable of index pairs.
@@ -117,13 +123,18 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """`a[u, v]` = d(u, v) as one read-only n x n int32 array; raises
-    Disconnected when any pair is unreachable.
-
-    All BFS balls grow at once, packed as little-endian uint64 words: the
-    radius r+1 ball of u is the union of the radius r balls over the
-    closed neighbourhood of u, and d(u, v) is the number of radii whose
-    ball misses v.
+    Disconnected when any pair is unreachable.  The first call for g runs
+    the BFS and keeps the array on g for later calls; a disconnected graph
+    keeps nothing and raises on every call.
     """
+    return g._distances
+
+
+def _all_pairs_bfs(g: Graph) -> np.ndarray:
+    """The distance matrix of g from scratch.  All BFS balls grow at once,
+    packed as little-endian uint64 words: the radius r+1 ball of u is the
+    union of the radius r balls over the closed neighbourhood of u, and
+    d(u, v) is the number of radii whose ball misses v."""
     n = g.n
     words = (n + 63) >> 6
     # the radius 1 balls are the closed neighbourhoods

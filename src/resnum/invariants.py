@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, distance_matrix
 
 INFINITE_GIRTH = math.inf
 
@@ -140,9 +140,7 @@ def spider_signature(g: Graph) -> tuple[int, int, int] | None:
     return tuple(sorted(legs))  # type: ignore[return-value]
 
 
-def distance_window(
-    g: Graph, dm: np.ndarray, u: int, a: frozenset[int] | set[int]
-) -> tuple[int, bool]:
+def distance_window(g: Graph, u: int, a: frozenset[int] | set[int]) -> tuple[int, bool]:
     """Distance from u to the set a, and whether every member sits within
     that distance plus the diameter of a."""
     if not a:
@@ -151,6 +149,7 @@ def distance_window(
     for v in members + [u]:
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
+    dm = distance_matrix(g)
     to_a = dm[u, members]
     d = int(to_a.min())
     diam_a = int(dm[np.ix_(members, members)].max())
@@ -158,7 +157,7 @@ def distance_window(
     return d, ok
 
 
-def invariant_summary(g: Graph, dm: np.ndarray) -> InvariantSummary:
+def invariant_summary(g: Graph) -> InvariantSummary:
     """All invariants the bound suite consumes, in one pass."""
     degs = g.degrees()
     n, m = g.n, g.m
@@ -168,7 +167,7 @@ def invariant_summary(g: Graph, dm: np.ndarray) -> InvariantSummary:
     is_cycle = n >= 3 and all(d == 2 for d in degs)
     is_star = n >= 2 and is_tree and max(degs) == n - 1
     return InvariantSummary(
-        diameter=int(dm.max()),
+        diameter=int(distance_matrix(g).max()),
         girth=INFINITE_GIRTH if is_tree else girth(g),
         omega=clique_number(g),
         max_degree=max(degs, default=0),

@@ -22,9 +22,8 @@ with one bit per vertex subset, so its set algebra is big-int shifts,
 ands and ors.  Each dimension witness is the lowest integer bit mask
 among the sets of its kind.
 
-Distances come in as the read-only array of `graphs.distance_matrix`.
-The public routines take it as `dm`, optional where they can build their
-own, so a caller that already holds it never pays for a second BFS.
+Distances come from `graphs.distance_matrix`, which builds each graph's
+array once, so these routines and their callers share one BFS per graph.
 """
 
 from __future__ import annotations
@@ -110,22 +109,21 @@ def _equidistant(narrow: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return narrow.take(xs, axis=0) == narrow.take(ys, axis=0)
 
 
-def non_resolvers(g: Graph, dm: np.ndarray, pair: tuple[int, int]) -> frozenset[int]:
+def non_resolvers(g: Graph, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
+    dm = distance_matrix(g)
     return frozenset(np.flatnonzero(dm[x] == dm[y]).tolist())
 
 
-def is_resolving_set(
-    g: Graph, dm: np.ndarray, s: Iterable[int]
-) -> tuple[bool, tuple[int, int] | None]:
+def is_resolving_set(g: Graph, s: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
     """Definitional check; on failure also return the first unresolved pair."""
     members = sorted(set(s))
     for v in members:
         if not 0 <= v < g.n:
             raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
     # vector[v]: the distances from v to the members, in member order
-    vector = dm[members].T.tolist()
+    vector = distance_matrix(g)[members].T.tolist()
     for x in range(g.n - 1):
         for y in range(x + 1, g.n):
             if vector[x] == vector[y]:
@@ -133,7 +131,7 @@ def is_resolving_set(
     return True, None
 
 
-def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
+def resolving_number(g: Graph) -> ResolvingReport:
     """Exact resolving number from one scan over all vertex pairs.
 
     Among pairs maximizing the count of equidistant vertices the
@@ -141,10 +139,8 @@ def resolving_number(g: Graph, dm: np.ndarray | None = None) -> ResolvingReport:
     """
     if g.n == 1:
         return ResolvingReport(1, None, frozenset())
-    if dm is None:
-        dm = distance_matrix(g)
     best = -1
-    for xs, ys, slab in _chunks(dm):
+    for xs, ys, slab in _chunks(distance_matrix(g)):
         # summing the bools as bytes counts them faster than count_nonzero
         eq = slab.view(np.uint8).sum(axis=1, dtype=np.int32)
         # the first argmax in row-major pair order is the smallest pair
@@ -164,11 +160,8 @@ def resolving_number_oracle(g: Graph) -> int:
         raise TooLarge(f"subset-scan oracle is capped at n <= {ORACLE_CAP}, got {g.n}")
     if g.n == 1:
         return 1
-    dm = distance_matrix(g)
     for k in range(1, g.n):
-        if all(
-            is_resolving_set(g, dm, s)[0] for s in combinations(range(g.n), k)
-        ):
+        if all(is_resolving_set(g, s)[0] for s in combinations(range(g.n), k)):
             return k
     return g.n - 1
 
@@ -205,7 +198,7 @@ def _subset_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return (1 << span) - 1, tuple(without), tuple(size)
 
 
-def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
+def _dimensions(g: Graph) -> DimensionReport:
     """dim, updim and both witnesses from one resolving-set table.
 
     The table is a few ints with one bit per vertex subset (bit S for the
@@ -222,9 +215,9 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
         return DimensionReport(
             dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,)
         )
-    a = distance_matrix(g) if dm is None else dm
     weights = 1 << np.arange(n, dtype=np.int64)
-    pair_masks = np.concatenate([slab @ weights for _, _, slab in _chunks(a)]).tolist()
+    chunks = _chunks(distance_matrix(g))
+    pair_masks = np.concatenate([slab @ weights for _, _, slab in chunks]).tolist()
     full, without, size = _subset_masks(n)
     # set in a byte buffer: or-ing each 1 << mask into an int copies 2^n bits per pair
     table = bytearray(max(1, (1 << n) >> 3))
@@ -255,16 +248,16 @@ def _dimensions(g: Graph, dm: np.ndarray | None) -> DimensionReport:
     )
 
 
-def metric_dimension(g: Graph, dm: np.ndarray | None = None) -> DimensionReport:
+def metric_dimension(g: Graph) -> DimensionReport:
     """Minimum size of a resolving set, with one witness of that size."""
     if g.n > DIM_CAP:
         raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {g.n}")
-    rep = _dimensions(g, dm)
+    rep = _dimensions(g)
     return DimensionReport(dim=rep.dim, witness_min_set=rep.witness_min_set)
 
 
-def upper_dimension(g: Graph, dm: np.ndarray | None = None) -> DimensionReport:
+def upper_dimension(g: Graph) -> DimensionReport:
     """Maximum size of a minimal resolving set, plus dim for the chain check."""
     if g.n > UPDIM_CAP:
         raise TooLarge(f"upper dimension is capped at n <= {UPDIM_CAP}, got {g.n}")
-    return _dimensions(g, dm)
+    return _dimensions(g)

@@ -12,6 +12,8 @@ heavily in the tests, including against an independent decoder.
 from __future__ import annotations
 
 import json
+import re
+import string
 from typing import Iterator
 
 from .errors import MalformedGraph6, MalformedLine, TooLarge
@@ -24,6 +26,11 @@ GRAPH6_CAP = 62
 EDGE_LIST_CAP = 800
 # each graph6 byte to its six bits, most significant first
 _SIX = {63 + v: format(v, "06b") for v in range(64)}
+# only these split lines, fields and numbers: str.splitlines(), str.split()
+# and int() also take \x1c..\x1f, Unicode spaces and digits, signs and "_"
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+_SPACES = re.compile(f"[{re.escape(string.whitespace)}]+")
+_DIGITS = re.compile("[0-9]+")
 
 
 def triangle_graph(n: int, bits: int) -> Graph:
@@ -46,7 +53,7 @@ def triangle_graph(n: int, bits: int) -> Graph:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (order at most 62)."""
-    s = line.strip()
+    s = line.strip(string.whitespace)
     if not s:
         raise MalformedGraph6("empty line")
     if s.startswith(">>graph6<<"):
@@ -91,8 +98,8 @@ def write_graph6(g: Graph) -> str:
 
 def nonblank_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield each nonblank line of text with its line number, counted from 1."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+        if line.strip(string.whitespace):
             yield lineno, line
 
 
@@ -115,13 +122,13 @@ def parse_edge_list(text: str) -> Graph:
     """
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        line = raw.strip(string.whitespace)
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = _SPACES.split(line)
         if n is None:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
+            if len(parts) != 2 or parts[0] != "n" or not _DIGITS.fullmatch(parts[1]):
                 raise MalformedLine(
                     f"line {lineno}: expected header 'n <order>', got {raw!r}"
                 )
@@ -136,7 +143,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            # a part that is no digit string leaves too few values to unpack
+            u, v = (int(p) for p in parts if _DIGITS.fullmatch(p))
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer vertex in {raw!r}")
         edges.append((u, v))

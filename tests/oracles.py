@@ -233,13 +233,12 @@ def subset_scan_dimensions(g: Graph) -> tuple:
     lowest mask of its kind.  A set is minimal when no nonempty proper
     subset resolves; res is the least k whose k-subsets all resolve.
     """
-    dm = distance_matrix(g)
     masks = range(1, 1 << g.n)
 
     def members(mask):
         return tuple(v for v in range(g.n) if mask >> v & 1)
 
-    resolving = {m for m in masks if is_resolving_set(g, dm, members(m))[0]}
+    resolving = {m for m in masks if is_resolving_set(g, members(m))[0]}
     minimal = {
         m for m in resolving
         if not any(s in resolving for s in masks if s != m and s & m == s)

@@ -120,9 +120,8 @@ def test_criterion_03_bound_suite(capsys,
     def sweep(graphs):
         nonlocal checked
         for g in graphs:
-            dm = distance_matrix(g)
-            inv = invariant_summary(g, dm)
-            res = resolving_number(g, dm).res
+            inv = invariant_summary(g)
+            res = resolving_number(g).res
             for row in verify_bounds(g, inv, res):
                 if row.applicable:
                     checked += 1
@@ -193,8 +192,7 @@ def test_criterion_05_res2_equivalence(capsys, connected_by_order):
     for graphs in connected_by_order.values():
         for g in graphs:
             res = resolving_number(g).res
-            dm = distance_matrix(g)
-            inv = invariant_summary(g, dm)
+            inv = invariant_summary(g)
             low = res <= 2
             structural = inv.is_path or (inv.is_cycle and g.n % 2 == 1)
             if low != structural:
@@ -247,11 +245,10 @@ def test_criterion_07_tree_extremals(capsys, trees_by_order):
     eq = {"DiamTree": set(), "OrderTree": set(), "MaxDegTree": set()}
     for n in range(3, 13):
         for g in trees_by_order[n]:
-            dm = distance_matrix(g)
-            inv = invariant_summary(g, dm)
+            inv = invariant_summary(g)
             if inv.is_path:
                 continue
-            res = resolving_number(g, dm).res
+            res = resolving_number(g).res
             for row in verify_bounds(g, inv, res):
                 if row.prop_id in eq and row.equality:
                     eq[row.prop_id].add(canonical_form(g))
@@ -287,29 +284,21 @@ def test_criterion_08_lemma_invariants(capsys, connected_by_order):
     pool = [
         g for graphs in connected_by_order.values() for g in graphs if g.n >= 2
     ]
-    matrices = {}
-
-    def dm_for(g):
-        if g not in matrices:
-            matrices[g] = distance_matrix(g)
-        return matrices[g]
-
     window_failures = 0
     for _ in range(10_000):
         g = rng.choice(pool)
-        dm = dm_for(g)
         u = rng.randrange(g.n)
         a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
         from resnum.invariants import distance_window
 
-        if not distance_window(g, dm, u, a)[1]:
+        if not distance_window(g, u, a)[1]:
             window_failures += 1
 
     budget_breaks = 0
     for i in range(1_000):
         g = rng.choice(pool)
-        dm = dm_for(g)
-        res = resolving_number(g, dm).res
+        dm = distance_matrix(g)
+        res = resolving_number(g).res
         all_pairs = sorted(vertex_pairs(range(g.n)))
         pairs = rng.sample(all_pairs, rng.randint(1, len(all_pairs)))
         order = list(range(g.n))
@@ -334,7 +323,7 @@ def test_criterion_08_lemma_invariants(capsys, connected_by_order):
             )
         if i % 5 == 0 and max(k) > 0:  # exercise the refuted-hypothesis path
             k[k.index(max(k))] += 1
-        hyp, ineq = counting_lemma_check(g, res, pairs, partition, k, dm)
+        hyp, ineq = counting_lemma_check(g, res, pairs, partition, k)
         if hyp and not ineq:
             budget_breaks += 1
 

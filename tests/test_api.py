@@ -3,6 +3,7 @@ every top-level definition in the package has a caller or is exported,
 and every name a module imports is read there or re-exported."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import resnum
@@ -30,6 +31,20 @@ def test_oracles_and_dead_api_are_not_in_the_package():
             assert name not in resnum.__all__
             assert not hasattr(resnum, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_public_routine_takes_a_distance_matrix():
+    # routines read distances from `distance_matrix`, which builds them once per graph
+    routines = [
+        (name, obj)
+        for name in resnum.__all__
+        if callable(obj := getattr(resnum, name))
+        # the error classes take a builtin exception's arguments
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    ]
+    assert len(routines) > 20
+    takes_dm = [name for name, obj in routines if "dm" in inspect.signature(obj).parameters]
+    assert takes_dm == []
 
 
 def _used_names(node: ast.AST) -> set[str]:

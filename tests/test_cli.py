@@ -119,19 +119,23 @@ def test_verify_all_props(tmp_path, capsys):
     }
 
 
-def test_dimensions_read_the_matrix_the_command_built(tmp_path, capsys, monkeypatch):
+def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
+    # the res scan, the invariants, the dimensions and the Chain rows share
+    # the matrix that the first `distance_matrix` call for a graph built
+    catalog = load_default_catalog()
+    lines = ["@", "C~", "Dhc", catalog.members[0].graph6, write_graph6(path_graph(12))]
     f = tmp_path / "g.g6"
-    f.write_text("@\nC~\nDhc\n")
-    commands = [("verify",), ("compute", "--dim"), ("compute", "--dim", "--updim")]
-    before = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
-    assert all(code == 0 for code, _, _ in before)
-
-    def second_matrix(g):
-        raise AssertionError("a second distance matrix was built")
-
-    monkeypatch.setattr("resnum.resolve.distance_matrix", second_matrix)
-    after = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
-    assert after == before
+    f.write_text("\n".join(lines) + "\n")
+    bfs_runs = count_calls(graphs, "_all_pairs_bfs")
+    for cmd, *flags in [("compute", "--dim", "--updim"), ("verify",), ("classify",)]:
+        code, out, _ = run(capsys, cmd, "--input", str(f), *flags)
+        assert (code, len(out.splitlines())) == (0, len(lines))
+        assert bfs_runs() == len(lines), cmd
+    # 417 candidates reach the res scan, 17 fixture lines are re-verified
+    # and 13 girth-3 members get an invariant summary
+    load_default_catalog.cache_clear()
+    assert run(capsys, "catalog", "--res", "3")[0] == 0
+    assert bfs_runs() == 417 + 17 + 13
 
 
 def test_gen_and_enum(capsys):
@@ -235,6 +239,16 @@ def test_graph6_error_names_its_line(tmp_path, capsys):
     # K4 and P4 stream out before the bad third line stops the run
     assert code == 2 and "line 3" in err
     assert [json.loads(line)["m"] for line in out.splitlines()] == [6, 3]
+
+
+def test_only_line_breaks_split_a_graph6_file(tmp_path, capsys):
+    # str.splitlines() would split line 1 at \x1e into C~ and Ch, then
+    # blame line 3 for the file's line 2
+    f = tmp_path / "g.g6"
+    f.write_text("C~\x1eCh\nC\x7f\n")
+    code, out, err = run(capsys, "compute", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err == "input error: line 1: byte outside graph6 range in 'C~\\x1eCh'\n"
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "classify"])

@@ -86,6 +86,27 @@ def test_distance_matrix_requires_connected():
             distance_matrix(from_edge_list(n, edges))
 
 
+def test_distance_matrix_is_built_once_per_graph():
+    g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    dm = distance_matrix(g)
+    assert distance_matrix(g) is dm
+    assert not dm.flags.writeable
+    # the memo is no field: equality and hashing still read n and adj
+    twin = Graph(g.n, g.adj)
+    assert twin == g and hash(twin) == hash(g)
+    assert distance_matrix(twin) is not dm
+    assert (distance_matrix(twin) == dm).all()
+    h = permute(g, [4, 3, 2, 1, 0])
+    assert h == g and distance_matrix(h) is not dm
+    h = permute(g, [2, 0, 1, 3, 4])
+    assert distance_matrix(h) is not dm
+    assert distance_matrix(h)[2, 4] == 4 and dm[0, 4] == 4
+    split = from_edge_list(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(Disconnected):
+            distance_matrix(split)
+
+
 def test_distances_match_networkx_on_random_graphs():
     rng = random.Random(1105)
     checked = 0

@@ -15,7 +15,7 @@ from resnum.families import (
     triangle_tripod,
     wheel_graph,
 )
-from resnum.graphs import distance_matrix, from_edge_list
+from resnum.graphs import from_edge_list
 from resnum.invariants import (
     INFINITE_GIRTH,
     clique_number,
@@ -122,22 +122,22 @@ def test_spider_signatures():
 
 
 def test_invariant_summary_flags():
-    inv = invariant_summary(path_graph(4), distance_matrix(path_graph(4)))
+    inv = invariant_summary(path_graph(4))
     assert inv.is_tree and inv.is_path and not inv.is_cycle and not inv.is_star
     assert inv.diameter == 3
     assert math.isinf(inv.girth)
 
-    inv = invariant_summary(cycle_graph(5), distance_matrix(cycle_graph(5)))
+    inv = invariant_summary(cycle_graph(5))
     assert inv.is_cycle and not inv.is_tree
     assert inv.girth == 5 and inv.diameter == 2
 
-    inv = invariant_summary(star_graph(4), distance_matrix(star_graph(4)))
+    inv = invariant_summary(star_graph(4))
     assert inv.is_star and inv.is_tree and not inv.is_path
     assert inv.max_degree == 4
     assert inv.spider is None
 
     one = path_graph(1)
-    inv = invariant_summary(one, distance_matrix(one))
+    inv = invariant_summary(one)
     assert inv.is_path and inv.is_tree and not inv.is_star
     assert inv.diameter == 0 and inv.omega == 1
 
@@ -148,15 +148,14 @@ def test_invariant_summary_knows_a_tree_is_acyclic(monkeypatch):
 
     monkeypatch.setattr("resnum.invariants.girth", no_search)
     for tree in (path_graph(1), path_graph(7), star_graph(5), spider_graph(1, 2, 3)):
-        assert invariant_summary(tree, distance_matrix(tree)).girth == INFINITE_GIRTH
+        assert invariant_summary(tree).girth == INFINITE_GIRTH
 
 
 def test_distance_window_examples():
     g = path_graph(6)
-    dm = distance_matrix(g)
-    d, ok = distance_window(g, dm, 0, {2, 4})
+    d, ok = distance_window(g, 0, {2, 4})
     assert d == 2 and ok
-    d, ok = distance_window(g, dm, 3, {3})
+    d, ok = distance_window(g, 3, {3})
     assert d == 0 and ok
 
 
@@ -165,20 +164,18 @@ def test_distance_window_holds_on_random_samples(connected_by_order):
     pool = [g for graphs in connected_by_order.values() for g in graphs if g.n >= 2]
     for _ in range(500):
         g = rng.choice(pool)
-        dm = distance_matrix(g)
         u = rng.randrange(g.n)
         size = rng.randint(1, g.n)
         a = frozenset(rng.sample(range(g.n), size))
-        _, ok = distance_window(g, dm, u, a)
+        _, ok = distance_window(g, u, a)
         assert ok
 
 
 def test_distance_window_errors():
     g = path_graph(4)
-    dm = distance_matrix(g)
     with pytest.raises(EmptySet):
-        distance_window(g, dm, 0, set())
+        distance_window(g, 0, set())
     with pytest.raises(IndexOutOfRange):
-        distance_window(g, dm, 0, {5})
+        distance_window(g, 0, {5})
     with pytest.raises(IndexOutOfRange):
-        distance_window(g, dm, 9, {1})
+        distance_window(g, 9, {1})

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from resnum.errors import DegeneratePair, IndexOutOfRange, TooLarge
-from resnum.graphs import distance_matrix, from_edge_list, permute
+from resnum.graphs import Graph, distance_matrix, from_edge_list, permute
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -76,11 +76,10 @@ def test_invariant_under_relabeling():
 def test_witness_pair_is_maximal_and_set_fails():
     g = cycle_graph(6)
     rep = resolving_number(g)
-    dm = distance_matrix(g)
     x, y = rep.witness_pair
-    assert rep.witness_nonresolving_set == non_resolvers(g, dm, (x, y))
+    assert rep.witness_nonresolving_set == non_resolvers(g, (x, y))
     assert len(rep.witness_nonresolving_set) == rep.res - 1
-    ok, unresolved = is_resolving_set(g, dm, rep.witness_nonresolving_set)
+    ok, unresolved = is_resolving_set(g, rep.witness_nonresolving_set)
     assert not ok and unresolved is not None
 
 
@@ -93,30 +92,27 @@ def test_single_vertex_report():
 
 def test_non_resolvers_excludes_the_pair():
     g = cycle_graph(5)
-    dm = distance_matrix(g)
     for x in range(4):
         for y in range(x + 1, 5):
-            r = non_resolvers(g, dm, (x, y))
+            r = non_resolvers(g, (x, y))
             assert x not in r and y not in r
 
 
 def test_non_resolvers_validates_pair():
     g = path_graph(4)
-    dm = distance_matrix(g)
     with pytest.raises(DegeneratePair):
-        non_resolvers(g, dm, (2, 2))
+        non_resolvers(g, (2, 2))
     with pytest.raises(IndexOutOfRange):
-        non_resolvers(g, dm, (0, 9))
+        non_resolvers(g, (0, 9))
 
 
 def test_is_resolving_set_basics():
     g = path_graph(5)
-    dm = distance_matrix(g)
-    assert is_resolving_set(g, dm, {0})[0]
-    assert is_resolving_set(g, dm, {4})[0]
-    ok, pair = is_resolving_set(g, dm, {2})  # middle vertex sees the ends alike
+    assert is_resolving_set(g, {0})[0]
+    assert is_resolving_set(g, {4})[0]
+    ok, pair = is_resolving_set(g, {2})  # middle vertex sees the ends alike
     assert not ok and pair == (0, 4)
-    assert is_resolving_set(g, dm, set()) == (False, (0, 1))
+    assert is_resolving_set(g, set()) == (False, (0, 1))
 
 
 def test_dimension_reports():
@@ -144,9 +140,10 @@ def test_dimensions_match_subset_scan(connected_by_order):
         assert metric_dimension(g) == DimensionReport(dim=dim, witness_min_set=min_set)
         assert upper_dimension(g) == DimensionReport(dim, updim, min_set, max_set)
         assert resolving_number(g).res == res
-        dm = distance_matrix(g)
-        assert metric_dimension(g, dm) == metric_dimension(g)
-        assert upper_dimension(g, dm) == upper_dimension(g)
+        # g holds its matrix by now; a fresh equal graph builds its own
+        fresh = Graph(g.n, g.adj)
+        assert metric_dimension(fresh) == metric_dimension(g)
+        assert upper_dimension(fresh) == upper_dimension(g)
 
 
 def _random_connected(n, rng, p):
@@ -164,7 +161,7 @@ def test_dimensions_match_the_numpy_table_oracle(connected_by_order):
         graphs += [_random_connected(n, rng, p) for p in (0.0, 0.0, 0.15, 0.3, 0.6)]
         graphs += [cycle_graph(n), complete_graph(n), path_graph(n), star_graph(n - 1)]
     for g in graphs:
-        assert _dimensions(g, None) == dimension_table_oracle(g)
+        assert _dimensions(g) == dimension_table_oracle(g)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -201,14 +198,13 @@ def test_caps_raise():
 
 def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
     graphs = [g for n in range(2, 8) for g in connected_by_order[n]]
-    dms = [distance_matrix(g) for g in graphs]
 
     def results():
         out = []
-        for g, dm in zip(graphs, dms):
-            rep = resolving_number(g, dm)
-            pairs = [non_resolvers(g, dm, (x, y)) for x in range(g.n) for y in range(x + 1, g.n)]
-            out.append((rep, pairs, _dimensions(g, dm)))
+        for g in graphs:
+            rep = resolving_number(g)
+            pairs = [non_resolvers(g, (x, y)) for x in range(g.n) for y in range(x + 1, g.n)]
+            out.append((rep, pairs, _dimensions(g)))
         return out
 
     whole = results()
@@ -231,9 +227,9 @@ def test_pair_kernel_matches_the_block_oracle(connected_by_order):
     for g in graphs:
         dm = distance_matrix(g)
         report, pair_masks = equidistance_blocks_oracle(dm)
-        assert resolving_number(g, dm) == report
+        assert resolving_number(g) == report
         if g.n <= 12:
-            assert _dimensions(g, dm) == dimension_table_oracle(g, pair_masks)
+            assert _dimensions(g) == dimension_table_oracle(g, pair_masks)
 
 
 def _record_slabs(monkeypatch):

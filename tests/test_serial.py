@@ -110,9 +110,10 @@ MALFORMED = {
     "": "empty line",  # no order byte
     "C": "expected 2 bytes for order 4, got 1",  # missing adjacency bytes
     "Chh": "expected 2 bytes for order 4, got 3",  # trailing bytes
-    # \x1c..\x1f are whitespace to str.strip(), so they cut to "C" and ""
-    "C\x1f": "expected 2 bytes for order 4, got 1",
-    "\x1f": "empty line",
+    # control bytes are no whitespace, though str.strip() takes \x1c..\x1f
+    "C\x1f": _OUTSIDE + "'C\\x1f'",
+    "\x1f": _OUTSIDE + "'\\x1f'",
+    "\x1cCh": _OUTSIDE + "'\\x1cCh'",
     "C>": _OUTSIDE + "'C>'",  # 62, just below the range
     "C\x7f": _OUTSIDE + "'C\\x7f'",  # byte above 126
     "Cé": _OUTSIDE + "'Cé'",  # a code point past ASCII
@@ -177,6 +178,27 @@ def test_edge_list_comments_and_garbage():
         parse_edge_list("n 3\nx y")
     with pytest.raises(MalformedLine):
         parse_edge_list("n \u00b2\n")  # a digit to isdigit(), not to int()
+    # int(), str.split() or str.splitlines() take each of these; an edge
+    # list takes only ASCII digits and ASCII whitespace, and the error names
+    # its line
+    bad = {
+        "n 11\n0 1_0": 2,
+        "n 3\n+0 1": 2,
+        "n 3\n0 -1": 2,
+        "n 3\n0 \u0661": 2,  # ARABIC-INDIC DIGIT ONE
+        "n \u0663\n0 1": 1,
+        "n 3\n0 1\x1c1 2": 2,  # one line, two to str.splitlines()
+        "n 3\n0\x1f1": 2,
+        "n 3\n0\u00a01": 2,
+        "n 3\n\n0 1\u20281 2": 3,
+        "n 3\n0 " + "1" * 5000: 2,
+    }
+    for text, lineno in bad.items():
+        with pytest.raises(MalformedLine, match=f"^line {lineno}: "):
+            parse_edge_list(text)
+    # \r\n, \r and \n all end a line; \v and \f are ASCII whitespace
+    assert parse_edge_list("n 3\r\n0 1\r1 2\n").m == 2
+    assert parse_edge_list("n 3\n0\v1\f\n1\t2").m == 2
 
 
 def test_edge_list_order_cap():
