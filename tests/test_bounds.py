@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from resnum import graphs
 from resnum.bounds import (
     PROP_IDS,
     counting_lemma_check,
@@ -16,6 +19,7 @@ from resnum.families import (
     star_graph,
     wheel_graph,
 )
+from resnum.graphs import distance_matrix
 from resnum.invariants import invariant_summary
 from resnum.resolve import resolving_number
 
@@ -143,6 +147,28 @@ def test_counting_lemma_false_hypothesis():
         p, 2, vertex_pairs(range(4)), [range(4)], [1]
     )
     assert not hyp
+
+
+def test_counting_lemma_reads_the_callers_matrix(connected_by_order, monkeypatch):
+    # the caller's distance_matrix call keeps the matrix on g, and the check
+    # reads that matrix rather than running a BFS of its own
+    rng = random.Random(8)
+    cases = []
+    for n in (2, 3, 4, 5):
+        for g in connected_by_order[n]:
+            all_pairs = sorted(vertex_pairs(range(n)))
+            pairs = rng.sample(all_pairs, rng.randint(1, len(all_pairs)))
+            args = (g, rng.randint(1, n), pairs, [range(n)], [rng.randint(0, 2)])
+            cases.append((args, distance_matrix(g), counting_lemma_check(*args)))
+
+    def no_rebuild(g):
+        raise AssertionError("counting_lemma_check rebuilt the caller's matrix")
+
+    monkeypatch.setattr(graphs, "_all_pairs_bfs", no_rebuild)
+    for args, dm, verdict in cases:
+        assert counting_lemma_check(*args) == verdict
+        assert distance_matrix(args[0]) is dm
+    assert len({verdict for _, _, verdict in cases}) > 1
 
 
 def test_counting_lemma_partition_validation():

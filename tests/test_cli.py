@@ -119,6 +119,36 @@ def test_verify_all_props(tmp_path, capsys):
     }
 
 
+def test_dimensions_read_the_matrix_the_command_built(tmp_path, capsys, monkeypatch):
+    # the res scan or the invariants build each graph's matrix; the
+    # dimensions (verify's Chain rows among them) then find it on the graph
+    f = tmp_path / "g.g6"
+    f.write_text("@\nC~\nDhc\n")
+    commands = [("verify",), ("compute", "--dim"), ("compute", "--dim", "--updim")]
+    before = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
+    assert all(code == 0 for code, _, _ in before)
+
+    real_bfs, real_dimensions = graphs._all_pairs_bfs, resolve._dimensions
+    built, found = [], []
+
+    def bfs(g):
+        built.append(g)
+        return real_bfs(g)
+
+    def dimensions(g):
+        found.append("_distances" in vars(g))
+        return real_dimensions(g)
+
+    monkeypatch.setattr(graphs, "_all_pairs_bfs", bfs)
+    monkeypatch.setattr(resolve, "_dimensions", dimensions)
+    for (cmd, *flags), expected in zip(commands, before):
+        built.clear()
+        found.clear()
+        assert run(capsys, cmd, "--input", str(f), *flags) == expected
+        assert len({id(g) for g in built}) == len(built) == 3, cmd
+        assert found and all(found), cmd
+
+
 def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
     # the res scan, the invariants, the dimensions and the Chain rows share
     # the matrix that the first `distance_matrix` call for a graph built
