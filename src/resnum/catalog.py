@@ -25,11 +25,11 @@ from typing import Iterator
 
 from . import enumeration
 from .canon import CanonicalForm, canonical_form
-from .errors import CatalogMissing, ResnumError, TheoremViolation
+from .errors import CatalogMissing, TheoremViolation
 from .graphs import Graph
-from .invariants import girth, invariant_summary
+from .invariants import clique_number, girth
 from .resolve import resolving_number
-from .serial import nonblank_lines, parse_graph6, write_graph6
+from .serial import numbered, parse_graph6, write_graph6
 
 FIXTURE_NAME = "res3_catalog.g6"
 
@@ -155,15 +155,9 @@ def load_fixture_text(text: str) -> Res3Catalog:
     the 3-star have res = 3 but are classified structurally, so a line
     holding one is bad input, not a catalog member.
     """
-    members = []
-    for lineno, line in nonblank_lines(text):
-        try:
-            members.append(_fixture_member(line))
-        except ResnumError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+    members = sorted(numbered(text, _fixture_member), key=lambda m: m.graph6)
     if not members:
         raise CatalogMissing("fixture contains no members")
-    members.sort(key=lambda m: m.graph6)
     return Res3Catalog(tuple(members))
 
 
@@ -192,12 +186,11 @@ def clique_equals_res_report(catalog: Res3Catalog) -> dict:
     derived = []
     excluded = []
     for member in catalog.slice_by_girth(3):
-        g = member.form.to_graph()
-        inv = invariant_summary(g)
-        if inv.omega == 3:
+        omega = clique_number(member.form.to_graph())
+        if omega == 3:
             derived.append(member.graph6)
         else:
-            excluded.append({"graph6": member.graph6, "omega": inv.omega})
+            excluded.append({"graph6": member.graph6, "omega": omega})
     return {
         "derived_size": len(derived),
         "derived": derived,

@@ -4,7 +4,8 @@ Every report is newline-delimited JSON with sorted keys, one line per
 graph, so output can be piped and diffed.  Exit codes: 0 success, 2 bad
 input, 3 size cap exceeded, 4 theorem violation (reserved for outcomes
 that would falsify a published result; seeing it means a bug).  An error
-on a graph6 line names that line.
+on an input line, graph6 or edge list, names that line; `serial.numbered`
+writes the prefix.
 """
 
 from __future__ import annotations
@@ -27,19 +28,13 @@ from .families import FamilySpec, classify_res, family_names
 from .graphs import Graph
 from .invariants import invariant_summary
 from .resolve import metric_dimension, resolving_number, upper_dimension
-from .serial import (
-    nonblank_lines,
-    parse_edge_list,
-    parse_graph6,
-    to_json_line,
-    write_graph6,
-)
+from .serial import numbered, parse_edge_list, parse_graph6, to_json_line, write_graph6
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -48,21 +43,17 @@ def _read_text(path: str) -> str:
 
 def _report_each(args: argparse.Namespace, report: Callable[[Graph], object]) -> int:
     """Print `report(g)` as one JSON line per input graph, as each parses,
-    so that the lines before a bad one are reported first.  An error on a
-    graph6 line is re-raised as its own class with the line number in front."""
+    so that the lines before a bad one are reported first."""
     text = _read_text(args.input)
     if args.format == "edgelist":
         print(to_json_line(report(parse_edge_list(text))))
         return 0
-    lines = list(nonblank_lines(text))
-    if not lines:
-        raise InputError(f"no graph6 lines found in {args.input}")
-    for lineno, line in lines:
-        try:
-            out = report(parse_graph6(line))
-        except ResnumError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+    reports = numbered(text, lambda line: report(parse_graph6(line)))
+    count = 0
+    for count, out in enumerate(reports, start=1):
         print(to_json_line(out))
+    if not count:
+        raise InputError(f"no graph6 lines found in {args.input}")
     return 0
 
 

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .canon import canonical_form
+from .catalog import CatalogMember, load_default_catalog
 from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
 from .graphs import Graph, from_edge_list
-from .invariants import invariant_summary
+from .invariants import clique_number, invariant_summary
 from .resolve import resolving_number
-
-if TYPE_CHECKING:
-    from .catalog import CatalogMember
 
 
 def path_graph(n: int) -> Graph:
@@ -149,7 +146,7 @@ def _sporadic_raw(i: int) -> Graph:
 def clique4_sporadic(i: int) -> Graph:
     """The i-th sporadic graph with omega = res = 4 (i in 1..4), verified."""
     g = _sporadic_raw(i)
-    omega = invariant_summary(g).omega
+    omega = clique_number(g)
     res = resolving_number(g).res
     if omega != 4 or res != 4:
         raise TheoremViolation(
@@ -235,6 +232,8 @@ def classify_res(g: Graph, catalog=None) -> Category:
     TheoremViolation because it would falsify a proved statement.
     """
     res = resolving_number(g).res
+    if res >= 4:
+        return Category("ResAtLeast4", res)
     inv = invariant_summary(g)
     if res == 1:
         if inv.is_path and g.n <= 2:
@@ -246,30 +245,24 @@ def classify_res(g: Graph, catalog=None) -> Category:
         if inv.is_cycle and g.n % 2 == 1:
             return Category("OddCycle", 2)
         raise TheoremViolation("res = 2 on a graph that is neither a path nor an odd cycle")
-    if res == 3:
-        if inv.is_cycle:
-            if g.n % 2 == 0:
-                return Category("EvenCycle", 3)
-            raise TheoremViolation("odd cycle with res = 3")
-        if inv.is_star and g.n == 4:
-            return Category("Star3", 3)
-        if catalog is None:
-            from .catalog import load_default_catalog
-
-            catalog = load_default_catalog()
-        form = canonical_form(g)
-        member = catalog.lookup(form)
-        if member is None:
-            raise TheoremViolation(
-                "res = 3 graph outside the derived catalog: "
-                f"order {g.n}, girth {inv.girth}"
-            )
-        if member.girth == 3:
-            return Category("CatalogGirth3", 3, member)
-        if member.girth == 5:
-            return Category("CatalogGirth5", 3, member)
-        raise TheoremViolation(f"catalog member with impossible girth {member.girth}")
-    return Category("ResAtLeast4", res)
+    # res = 3 from here on
+    if inv.is_cycle:
+        if g.n % 2 == 0:
+            return Category("EvenCycle", 3)
+        raise TheoremViolation("odd cycle with res = 3")
+    if inv.is_star and g.n == 4:
+        return Category("Star3", 3)
+    if catalog is None:
+        catalog = load_default_catalog()
+    member = catalog.lookup(canonical_form(g))
+    if member is None:
+        raise TheoremViolation(
+            "res = 3 graph outside the derived catalog: "
+            f"order {g.n}, girth {inv.girth}"
+        )
+    # `catalog._member_from_graph` admits girth 3 and 5 only
+    tag = "CatalogGirth3" if member.girth == 3 else "CatalogGirth5"
+    return Category(tag, 3, member)
 
 
 def clique_res_category(g: Graph, catalog=None) -> int:
@@ -295,8 +288,6 @@ def clique_res_category(g: Graph, catalog=None) -> int:
         raise TheoremViolation("omega = res = 2 outside paths and odd cycles")
     if r == 3:
         if catalog is None:
-            from .catalog import load_default_catalog
-
             catalog = load_default_catalog()
         member = catalog.lookup(canonical_form(g))
         if member is not None and member.girth == 3:

@@ -89,20 +89,32 @@ class Graph:
         return _all_pairs_bfs(self)
 
 
+def check_order(n: int) -> int:
+    """n itself; raises IndexOutOfRange unless n >= 1, the least graph order."""
+    if n < 1:
+        raise IndexOutOfRange(f"graph order must be at least 1, got {n}")
+    return n
+
+
+def check_edge(n: int, u: int, v: int) -> tuple[int, int]:
+    """(u, v) itself; raises InvalidEdge on a self-loop and IndexOutOfRange
+    on an index outside 0..n-1, the vertices of a graph of order n."""
+    if u == v:
+        raise InvalidEdge(f"self-loop at vertex {u}")
+    for w in (u, v):
+        if not 0 <= w < n:
+            raise IndexOutOfRange(f"vertex {w} outside range 0..{n - 1}")
+    return u, v
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an iterable of index pairs.
 
     Duplicate edges collapse; self-loops and out-of-range indices raise.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"graph order must be at least 1, got {n}")
-    rows = [0] * n
+    rows = [0] * check_order(n)
     for u, v in edges:
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise IndexOutOfRange(f"vertex {w} outside range 0..{n - 1}")
+        check_edge(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))

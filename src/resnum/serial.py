@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import re
 import string
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
-from .errors import MalformedGraph6, MalformedLine, TooLarge
-from .graphs import Graph, from_edge_list
+from .errors import MalformedGraph6, MalformedLine, ResnumError, TooLarge
+from .graphs import Graph, check_edge, check_order, from_edge_list
 
 GRAPH6_CAP = 62
 # the res scan is cubic in the order: at 800, `resnum compute` takes
@@ -31,6 +31,7 @@ _SIX = {63 + v: format(v, "06b") for v in range(64)}
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 _SPACES = re.compile(f"[{re.escape(string.whitespace)}]+")
 _DIGITS = re.compile("[0-9]+")
+T = TypeVar("T")
 
 
 def triangle_graph(n: int, bits: int) -> Graph:
@@ -96,21 +97,22 @@ def write_graph6(g: Graph) -> str:
     )
 
 
-def nonblank_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield each nonblank line of text with its line number, counted from 1."""
+def numbered(text: str, read: Callable[[str], T]) -> Iterator[T]:
+    """Yield `read(line)` for each nonblank line of text.  An error that
+    `read` raises comes out as its own class with the line number, counted
+    from 1, in front: the one place an input error names its line."""
     for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
         if line.strip(string.whitespace):
-            yield lineno, line
+            try:
+                item = read(line)
+            except ResnumError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            yield item
 
 
 def parse_graph6_lines(text: str) -> Iterator[Graph]:
     """Decode every nonempty line of a graph6 stream; errors name their line."""
-    for lineno, line in nonblank_lines(text):
-        try:
-            g = parse_graph6(line)
-        except MalformedGraph6 as exc:
-            raise MalformedGraph6(f"line {lineno}: {exc}") from None
-        yield g
+    return numbered(text, parse_graph6)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -119,35 +121,36 @@ def parse_edge_list(text: str) -> Graph:
     The first significant line is ``n <order>``; every following line is
     ``u v``.  Blank lines and lines starting with ``#`` are skipped.
     Orders above `EDGE_LIST_CAP` raise TooLarge before anything is built.
+    Every error on a line, a self-loop or an out-of-range vertex too,
+    names that line.
     """
     n = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+
+    def read(raw: str) -> tuple[int, int] | None:
+        nonlocal n
         line = raw.strip(string.whitespace)
-        if not line or line.startswith("#"):
-            continue
+        if line.startswith("#"):
+            return None
         parts = _SPACES.split(line)
         if n is None:
             if len(parts) != 2 or parts[0] != "n" or not _DIGITS.fullmatch(parts[1]):
-                raise MalformedLine(
-                    f"line {lineno}: expected header 'n <order>', got {raw!r}"
-                )
+                raise MalformedLine(f"expected header 'n <order>', got {raw!r}")
             # digit count first: int() refuses strings of over 4300 digits
             digits = parts[1].lstrip("0") or "0"
             if len(digits) > len(str(EDGE_LIST_CAP)) or int(digits) > EDGE_LIST_CAP:
-                raise TooLarge(
-                    f"line {lineno}: edge-list order is capped at n <= {EDGE_LIST_CAP}"
-                )
-            n = int(digits)
-            continue
+                raise TooLarge(f"edge-list order is capped at n <= {EDGE_LIST_CAP}")
+            n = check_order(int(digits))
+            return None
         if len(parts) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise MalformedLine(f"expected 'u v', got {raw!r}")
         try:
             # a part that is no digit string leaves too few values to unpack
             u, v = (int(p) for p in parts if _DIGITS.fullmatch(p))
         except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer vertex in {raw!r}")
-        edges.append((u, v))
+            raise MalformedLine(f"non-integer vertex in {raw!r}")
+        return check_edge(n, u, v)
+
+    edges = [edge for edge in numbered(text, read) if edge]
     if n is None:
         raise MalformedLine("missing 'n <order>' header line")
     return from_edge_list(n, edges)

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, test oracles stay out,
 every top-level definition in the package has a caller or is exported,
-and every name a module imports is read there or re-exported."""
+every name a module imports is read there or re-exported, and one
+routine writes the line number in front of an input error."""
 
 import ast
 import inspect
@@ -89,3 +90,18 @@ def test_every_import_is_read_or_exported():
             read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unread += [f"{path.name}:{name}" for name in imported if name not in read]
     assert unread == []
+
+
+def test_only_serial_numbered_writes_a_line_prefix():
+    # f-strings that open with "line ", as (module, line of source)
+    sites = [
+        (path.name, node.lineno)
+        for path in sorted(Path(resnum.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.JoinedStr)
+        and isinstance(first := node.values[0], ast.Constant)
+        and first.value.startswith("line ")
+    ]
+    assert [module for module, _ in sites] == ["serial.py"]
+    source, start = inspect.getsourcelines(resnum.serial.numbered)
+    assert start <= sites[0][1] < start + len(source)

@@ -161,11 +161,11 @@ def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
         code, out, _ = run(capsys, cmd, "--input", str(f), *flags)
         assert (code, len(out.splitlines())) == (0, len(lines))
         assert bfs_runs() == len(lines), cmd
-    # 417 candidates reach the res scan, 17 fixture lines are re-verified
-    # and 13 girth-3 members get an invariant summary
+    # 417 candidates reach the res scan and 17 fixture lines are re-verified;
+    # the clique report on the 13 girth-3 members reads no distances
     load_default_catalog.cache_clear()
     assert run(capsys, "catalog", "--res", "3")[0] == 0
-    assert bfs_runs() == 417 + 17 + 13
+    assert bfs_runs() == 417 + 17
 
 
 def test_gen_and_enum(capsys):
@@ -388,6 +388,20 @@ def test_edge_list_order_cap(tmp_path, capsys):
     f.write_text(f"n {EDGE_LIST_CAP + 1}\n")
     code, out, err = run(capsys, "compute", "--input", str(f), "--format", "edgelist")
     assert code == 3 and out == "" and "line 1" in err
+
+
+def test_an_edge_list_vertex_error_names_its_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n 3\n0 1\n# c\n1 7\n"))
+    code, out, err = run(capsys, "compute", "--input", "-", "--format", "edgelist")
+    assert (code, out) == (2, "")
+    assert err == "input error: line 4: vertex 7 outside range 0..2\n"
+
+
+def test_undecodable_stdin_is_an_input_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"C~\nC\xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "compute", "--input", "-")
+    assert (code, out) == (2, "") and err.startswith("input error: cannot read -: ")
 
 
 def test_gen_rejects_bad_params(capsys):

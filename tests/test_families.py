@@ -1,9 +1,11 @@
 import pytest
 
+from resnum import families
 from resnum.canon import canonical_form
 from resnum.catalog import load_default_catalog
 from resnum.errors import InvalidFamilyParam, NotApplicable
 from resnum.families import (
+    Category,
     FamilySpec,
     classify_res,
     clique4_sporadic,
@@ -133,6 +135,13 @@ def test_sporadic_graphs_self_verify():
 def test_classification(g, tag, res):
     cat = classify_res(g)
     assert (cat.tag, cat.res) == (tag, res)
+
+
+def test_a_res_4_graph_is_classified_without_invariants(count_calls):
+    # ResAtLeast4 reads only res, so no clique, girth or spider work is done
+    summaries = count_calls(families, "invariant_summary")
+    assert classify_res(complete_graph(5)) == Category("ResAtLeast4", 4)
+    assert summaries() == 0
 
 
 def test_classification_girth5_members():

@@ -12,6 +12,7 @@ import pytest
 
 from resnum.errors import (
     IndexOutOfRange,
+    InvalidEdge,
     MalformedGraph6,
     MalformedLine,
     TooLarge,
@@ -199,6 +200,17 @@ def test_edge_list_comments_and_garbage():
     # \r\n, \r and \n all end a line; \v and \f are ASCII whitespace
     assert parse_edge_list("n 3\r\n0 1\r1 2\n").m == 2
     assert parse_edge_list("n 3\n0\v1\f\n1\t2").m == 2
+
+
+def test_edge_list_vertex_errors_name_their_line():
+    with pytest.raises(IndexOutOfRange, match="^line 4: vertex 7 outside range 0..2$"):
+        parse_edge_list("n 3\n0 1\n# c\n1 7\n")
+    with pytest.raises(InvalidEdge, match="^line 3: self-loop at vertex 1$"):
+        parse_edge_list("n 3\n0 1\n1 1\n")
+    with pytest.raises(IndexOutOfRange, match="^line 2: graph order must be at least 1, got 0$"):
+        parse_edge_list("# c\nn 0\n0 1\n")
+    # zero-padded vertices are plain integers
+    assert list(parse_edge_list("n 2\n0 00000001\n").edges()) == [(0, 1)]
 
 
 def test_edge_list_order_cap():
