@@ -15,10 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPartition
+from .errors import InvalidPartition, NotApplicable, TooLarge
 from .graphs import Graph, distance_matrix
 from .invariants import InvariantSummary
-from .resolve import UPDIM_CAP, upper_dimension
+from .resolve import upper_dimension
 
 PROP_IDS = (
     "DiamTree",
@@ -136,21 +136,18 @@ def verify_bounds(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdi
     else:
         out.append(_na("MaxDegTree", "tree bound; needs a non-path tree"))
 
-    if 2 <= g.n <= UPDIM_CAP:
+    try:
+        if g.n < 2:
+            raise NotApplicable("single vertex has no vertex pair")
         dims = upper_dimension(g)
-        dim, updim = dims.dim, dims.updim
-        out.append(_row("Chain", 1, dim, part="unit_le_dim"))
-        out.append(_row("Chain", dim, updim, part="dim_le_updim"))
-        out.append(_row("Chain", updim, res, part="updim_le_res"))
-        out.append(_row("Chain", res, g.n - 1, part="res_le_order"))
-    else:
-        reason = (
-            "single vertex has no vertex pair"
-            if g.n < 2
-            else f"minimal-set scan capped at n = {UPDIM_CAP}"
-        )
+    except (NotApplicable, TooLarge) as exc:
         for part in ("unit_le_dim", "dim_le_updim", "updim_le_res", "res_le_order"):
-            out.append(_na("Chain", reason, part=part))
+            out.append(_na("Chain", str(exc), part=part))
+    else:
+        out.append(_row("Chain", 1, dims.dim, part="unit_le_dim"))
+        out.append(_row("Chain", dims.dim, dims.updim, part="dim_le_updim"))
+        out.append(_row("Chain", dims.updim, res, part="updim_le_res"))
+        out.append(_row("Chain", res, g.n - 1, part="res_le_order"))
 
     return tuple(out)
 

@@ -27,7 +27,7 @@ from . import enumeration
 from .canon import CanonicalForm, canonical_form
 from .errors import CatalogMissing, TheoremViolation
 from .graphs import Graph
-from .invariants import clique_number, girth
+from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
 from .serial import numbered, parse_graph6, write_graph6
 
@@ -79,8 +79,8 @@ def _member_from_graph(g: Graph) -> CatalogMember:
 
 def _structural(g: Graph) -> bool:
     """Whether a connected res-3 graph is an even cycle or the 3-leaf star."""
-    degs = g.degrees()
-    return all(d == 2 for d in degs) or sorted(degs) == [1, 1, 1, 3]
+    _, is_cycle, is_star = path_cycle_star(g)
+    return is_cycle or is_star and g.n == 4
 
 
 def _three_equidistant(g: Graph) -> bool:

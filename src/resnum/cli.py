@@ -23,11 +23,12 @@ from .catalog import (
     load_fixture_text,
     render_fixture,
 )
+from .enumeration import EnumConstraints, enumerate_graphs
 from .errors import InputError, InvalidFamilyParam, ResnumError, TheoremViolation, TooLarge
 from .families import FamilySpec, classify_res, family_names
 from .graphs import Graph
 from .invariants import invariant_summary
-from .resolve import metric_dimension, resolving_number, upper_dimension
+from .resolve import resolving_number, upper_dimension
 from .serial import numbered, parse_edge_list, parse_graph6, to_json_line, write_graph6
 
 
@@ -35,7 +36,8 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="ascii") as fh:
+        # as stdin under the POSIX locale: the line readers name a bad byte's line
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
@@ -77,7 +79,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "max_degree": inv.max_degree,
         }
         if args.dim or args.updim:
-            dims = (upper_dimension if args.updim else metric_dimension)(g)
+            dims = upper_dimension(g)
             if args.dim:
                 out["dim"] = dims.dim
             if args.updim:
@@ -121,8 +123,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    from .enumeration import EnumConstraints, enumerate_graphs
-
     constraints = EnumConstraints(
         n=args.n,
         max_degree=args.max_deg,

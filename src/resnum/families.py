@@ -16,7 +16,7 @@ from .canon import canonical_form
 from .catalog import CatalogMember, load_default_catalog
 from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
 from .graphs import Graph, from_edge_list
-from .invariants import clique_number, invariant_summary
+from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
 
 
@@ -234,23 +234,23 @@ def classify_res(g: Graph, catalog=None) -> Category:
     res = resolving_number(g).res
     if res >= 4:
         return Category("ResAtLeast4", res)
-    inv = invariant_summary(g)
+    is_path, is_cycle, is_star = path_cycle_star(g)
     if res == 1:
-        if inv.is_path and g.n <= 2:
+        if is_path and g.n <= 2:
             return Category("TrivialPath", 1)
         raise TheoremViolation(f"res = 1 on a graph of order {g.n} that is not P1/P2")
     if res == 2:
-        if inv.is_path:
+        if is_path:
             return Category("Path", 2)
-        if inv.is_cycle and g.n % 2 == 1:
+        if is_cycle and g.n % 2 == 1:
             return Category("OddCycle", 2)
         raise TheoremViolation("res = 2 on a graph that is neither a path nor an odd cycle")
     # res = 3 from here on
-    if inv.is_cycle:
+    if is_cycle:
         if g.n % 2 == 0:
             return Category("EvenCycle", 3)
         raise TheoremViolation("odd cycle with res = 3")
-    if inv.is_star and g.n == 4:
+    if is_star and g.n == 4:
         return Category("Star3", 3)
     if catalog is None:
         catalog = load_default_catalog()
@@ -258,7 +258,7 @@ def classify_res(g: Graph, catalog=None) -> Category:
     if member is None:
         raise TheoremViolation(
             "res = 3 graph outside the derived catalog: "
-            f"order {g.n}, girth {inv.girth}"
+            f"order {g.n}, girth {girth(g)}"
         )
     # `catalog._member_from_graph` admits girth 3 and 5 only
     tag = "CatalogGirth3" if member.girth == 3 else "CatalogGirth5"
@@ -271,19 +271,17 @@ def clique_res_category(g: Graph, catalog=None) -> int:
     Requires omega(g) = res(g); verifies the claimed structure and raises
     TheoremViolation if the graph matches none of the statements.
     """
-    res = resolving_number(g).res
-    inv = invariant_summary(g)
-    if inv.omega != res:
-        raise NotApplicable(f"omega={inv.omega} differs from res={res}")
-    r = res
+    r = resolving_number(g).res
+    omega = clique_number(g)
+    if omega != r:
+        raise NotApplicable(f"omega={omega} differs from res={r}")
     if r == 1:
         if g.n == 1:
             return 1
         raise TheoremViolation("omega = res = 1 on a graph bigger than K1")
     if r == 2:
-        if inv.is_path and g.n >= 3:
-            return 2
-        if inv.is_cycle and g.n % 2 == 1 and g.n >= 5:
+        is_path, is_cycle, _ = path_cycle_star(g)
+        if is_path and g.n >= 3 or is_cycle and g.n % 2 == 1 and g.n >= 5:
             return 2
         raise TheoremViolation("omega = res = 2 outside paths and odd cycles")
     if r == 3:

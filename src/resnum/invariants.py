@@ -157,20 +157,29 @@ def distance_window(g: Graph, u: int, a: frozenset[int] | set[int]) -> tuple[int
     return d, ok
 
 
+def path_cycle_star(g: Graph) -> tuple[bool, bool, bool]:
+    """Whether a connected graph is a path (K1 included), a cycle, a star
+    (K2 included), read off its degrees and edge count alone."""
+    degs = g.degrees()
+    n, top = g.n, max(degs)
+    is_tree = sum(degs) // 2 == n - 1
+    return (
+        is_tree and top <= 2,
+        n >= 3 and min(degs) == top == 2,
+        n >= 2 and is_tree and top == n - 1,
+    )
+
+
 def invariant_summary(g: Graph) -> InvariantSummary:
     """All invariants the bound suite consumes, in one pass."""
     degs = g.degrees()
-    n, m = g.n, g.m
-    is_tree = m == n - 1
-    sorted_degs = sorted(degs)
-    is_path = n == 1 or (is_tree and sorted_degs[0] == 1 and sorted_degs[-1] <= 2)
-    is_cycle = n >= 3 and all(d == 2 for d in degs)
-    is_star = n >= 2 and is_tree and max(degs) == n - 1
+    is_tree = sum(degs) // 2 == g.n - 1
+    is_path, is_cycle, is_star = path_cycle_star(g)
     return InvariantSummary(
         diameter=int(distance_matrix(g).max()),
         girth=INFINITE_GIRTH if is_tree else girth(g),
         omega=clique_number(g),
-        max_degree=max(degs, default=0),
+        max_degree=max(degs),
         is_tree=is_tree,
         is_path=is_path,
         is_cycle=is_cycle,

@@ -40,7 +40,6 @@ from .graphs import Graph, distance_matrix
 
 ORACLE_CAP = 12
 DIM_CAP = 16
-UPDIM_CAP = 12
 # most bytes in one array of an equidistance chunk (slab or row gather)
 SLAB_ENTRIES = 1 << 18
 
@@ -211,10 +210,10 @@ def _dimensions(g: Graph) -> DimensionReport:
     element smaller.  res is one more than the largest pair-mask size.
     """
     n = g.n
+    if n > DIM_CAP:
+        raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {n}")
     if n == 1:
-        return DimensionReport(
-            dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,)
-        )
+        return DimensionReport(dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,))
     weights = 1 << np.arange(n, dtype=np.int64)
     chunks = _chunks(distance_matrix(g))
     pair_masks = np.concatenate([slab @ weights for _, _, slab in chunks]).tolist()
@@ -250,14 +249,10 @@ def _dimensions(g: Graph) -> DimensionReport:
 
 def metric_dimension(g: Graph) -> DimensionReport:
     """Minimum size of a resolving set, with one witness of that size."""
-    if g.n > DIM_CAP:
-        raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {g.n}")
     rep = _dimensions(g)
     return DimensionReport(dim=rep.dim, witness_min_set=rep.witness_min_set)
 
 
 def upper_dimension(g: Graph) -> DimensionReport:
     """Maximum size of a minimal resolving set, plus dim for the chain check."""
-    if g.n > UPDIM_CAP:
-        raise TooLarge(f"upper dimension is capped at n <= {UPDIM_CAP}, got {g.n}")
     return _dimensions(g)

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, test oracles stay out,
 every top-level definition in the package has a caller or is exported,
-every name a module imports is read there or re-exported, and one
-routine writes the line number in front of an input error."""
+every name a module imports is read there or re-exported, one routine
+writes the line number in front of an input error, and each size cap is
+read only in the module that defines it."""
 
 import ast
 import inspect
@@ -105,3 +106,19 @@ def test_only_serial_numbered_writes_a_line_prefix():
     assert [module for module, _ in sites] == ["serial.py"]
     source, start = inspect.getsourcelines(resnum.serial.numbered)
     assert start <= sites[0][1] < start + len(source)
+
+
+def test_no_module_reads_a_cap_of_another():
+    # a cap decides one routine's limit, so only its own module reads it
+    reads = [
+        f"{path.name}:{name}"
+        for path in sorted(Path(resnum.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else []
+        )
+        if name.endswith("_CAP")
+    ]
+    assert reads == []

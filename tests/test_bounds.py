@@ -119,9 +119,11 @@ def test_chain_rows_and_cap():
     rows = _rows(path_graph(1))
     assert not rows[("Chain", "unit_le_dim")].applicable
 
-    rows = _rows(path_graph(13))  # above the minimal-set scan cap
+    rows = _rows(path_graph(17))
     chain = rows[("Chain", "updim_le_res")]
     assert not chain.applicable and "capped" in chain.reason
+    # the reason is the table's own TooLarge message
+    assert chain.reason == "metric dimension is capped at n <= 16, got 17"
 
 
 def test_vertex_pairs_helper():

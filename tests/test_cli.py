@@ -160,7 +160,8 @@ def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
     for cmd, *flags in [("compute", "--dim", "--updim"), ("verify",), ("classify",)]:
         code, out, _ = run(capsys, cmd, "--input", str(f), *flags)
         assert (code, len(out.splitlines())) == (0, len(lines))
-        assert bfs_runs() == len(lines), cmd
+        # K1's res and shape need no distances, so classify runs no BFS for it
+        assert bfs_runs() == len(lines) - (cmd == "classify"), cmd
     # 417 candidates reach the res scan and 17 fixture lines are re-verified;
     # the clique report on the 13 girth-3 members reads no distances
     load_default_catalog.cache_clear()
@@ -359,7 +360,26 @@ def test_non_ascii_input_file_is_an_input_error(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_bytes(b"B\xc3\xa9\n")
     code, _, err = run(capsys, "compute", "--input", str(f))
-    assert code == 2 and "input error" in err and str(f) in err
+    assert code == 2 and "input error" in err and "line 1:" in err
+
+
+def test_a_file_decodes_as_stdin_does_under_the_posix_locale(tmp_path):
+    # the good line is reported, then the bad byte is named by its line
+    data = b"C~\nC\xff\n"
+    f = tmp_path / "g.g6"
+    f.write_bytes(data)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(resnum.__file__).parent.parent))
+
+    def compute(path, stdin=None):
+        argv = [sys.executable, "-m", "resnum", "compute", "--input", path]
+        done = subprocess.run(argv, input=stdin, capture_output=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = compute(str(f))
+    assert (code, out, err) == compute("-", data)
+    assert (code, len(out.splitlines())) == (2, 1)
+    assert err.startswith(b"input error: line 2: byte outside graph6 range")
 
 
 def test_exit_code_disconnected(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
-from resnum import families
+from resnum import families, invariants
 from resnum.canon import canonical_form
 from resnum.catalog import load_default_catalog
 from resnum.errors import InvalidFamilyParam, NotApplicable
@@ -138,10 +141,74 @@ def test_classification(g, tag, res):
 
 
 def test_a_res_4_graph_is_classified_without_invariants(count_calls):
-    # ResAtLeast4 reads only res, so no clique, girth or spider work is done
-    summaries = count_calls(families, "invariant_summary")
+    # ResAtLeast4 reads only res, so no shape, clique or girth work is done
+    reads = [count_calls(families, name) for name in ("path_cycle_star", "clique_number", "girth")]
     assert classify_res(complete_graph(5)) == Category("ResAtLeast4", 4)
-    assert summaries() == 0
+    assert [read() for read in reads] == [0, 0, 0]
+
+
+def _tagged_91():
+    """The 17 catalog members, C3..C39 and P3..P39, each with its category."""
+    tagged = [(m.form.to_graph(), f"CatalogGirth{m.girth}") for m in load_default_catalog().members]
+    tagged += [(cycle_graph(n), "OddCycle" if n % 2 else "EvenCycle") for n in range(3, 40)]
+    tagged += [(path_graph(n), "Path") for n in range(3, 40)]
+    return tagged
+
+
+def _clique_res_or_none(g):
+    try:
+        return clique_res_category(g)
+    except NotApplicable:
+        return None
+
+
+def test_classification_computes_no_clique_or_spider(monkeypatch):
+    # res <= 3 is decided by res, degrees, edge count and the catalog
+    tagged = _tagged_91()
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "resnum"]
+    for name in ("clique_number", "spider_signature"):
+        real = getattr(invariants, name)
+
+        def counted(g, name=name, real=real):
+            calls[name] += 1
+            return real(g)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert [classify_res(g).tag for g, _ in tagged] == [tag for _, tag in tagged]
+    assert calls == Counter()
+
+
+def test_categories_match_the_named_families(connected_by_order):
+    catalog = load_default_catalog()
+
+    def by_isomorphism(g):
+        if resolving_number(g).res >= 4:
+            return "ResAtLeast4"
+        form = canonical_form(g)
+        if form == canonical_form(path_graph(g.n)):
+            return "TrivialPath" if g.n <= 2 else "Path"
+        if g.n >= 3 and form == canonical_form(cycle_graph(g.n)):
+            return "OddCycle" if g.n % 2 else "EvenCycle"
+        if form == canonical_form(star_graph(3)):
+            return "Star3"
+        return f"CatalogGirth{catalog.lookup(form).girth}"
+
+    small = [g for n in range(1, 8) for g in connected_by_order[n]]
+    tags = [classify_res(g).tag for g in small]
+    assert tags == [by_isomorphism(g) for g in small]
+    assert Counter(tags) == {
+        "TrivialPath": 2, "Path": 5, "OddCycle": 3, "EvenCycle": 2, "Star3": 1,
+        "CatalogGirth3": 13, "CatalogGirth5": 2, "ResAtLeast4": 968,
+    }
+    assert Counter(map(_clique_res_or_none, small)) == {
+        None: 960, 1: 1, 2: 7, 3: 12, 4: 7, 5: 9,
+    }
+    tagged = _tagged_91()
+    assert [classify_res(g).tag for g, _ in tagged] == [tag for _, tag in tagged]
+    assert Counter(_clique_res_or_none(g) for g, _ in tagged) == {None: 24, 2: 55, 3: 12}
 
 
 def test_classification_girth5_members():

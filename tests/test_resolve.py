@@ -164,6 +164,17 @@ def test_dimensions_match_the_numpy_table_oracle(connected_by_order):
         assert _dimensions(g) == dimension_table_oracle(g)
 
 
+def test_both_routines_read_the_table_up_to_the_cap():
+    rng = random.Random(1316)
+    graphs = [f(n) for f in (cycle_graph, path_graph) for n in range(13, 17)]
+    graphs += [_random_connected(n, rng, p) for n in range(13, 17) for p in (0.0, 0.2, 0.5)]
+    for g in graphs:
+        table = dimension_table_oracle(g)
+        assert upper_dimension(g) == table
+        dim = metric_dimension(g)
+        assert (dim.dim, dim.witness_min_set) == (table.dim, table.witness_min_set)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_subset_masks_bit_by_bit(n):
     full, without, size = resolve._subset_masks(n)
@@ -191,7 +202,7 @@ def test_caps_raise():
     with pytest.raises(TooLarge):
         metric_dimension(big)
     with pytest.raises(TooLarge):
-        upper_dimension(path_graph(13))
+        upper_dimension(big)
     with pytest.raises(TooLarge):
         resolving_number_oracle(path_graph(13))
 
