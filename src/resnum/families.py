@@ -14,16 +14,28 @@ from functools import lru_cache
 
 from .canon import canonical_form
 from .catalog import CatalogMember, load_default_catalog
-from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
+from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation, TooLarge
 from .graphs import Graph, from_edge_list
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
+
+# the largest order a constructor builds; K800 has 319,600 edges
+FAMILY_CAP = 800
+
+
+def _cap(n: int) -> None:
+    """Raise TooLarge when a constructor's order n is past `FAMILY_CAP`.
+    Each constructor checks its parameters' domain first, then calls this
+    before it builds anything."""
+    if n > FAMILY_CAP:
+        raise TooLarge(f"family constructors are capped at n <= {FAMILY_CAP}, got {n}")
 
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices; res is 1 for n <= 2 and 2 afterwards."""
     if n < 1:
         raise InvalidFamilyParam(f"path needs n >= 1, got {n}")
+    _cap(n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -31,6 +43,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices; res is 2 when n is odd, 3 when even."""
     if n < 3:
         raise InvalidFamilyParam(f"cycle needs n >= 3, got {n}")
+    _cap(n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -38,6 +51,7 @@ def complete_graph(n: int) -> Graph:
     """Complete graph; res = n - 1 for n >= 2."""
     if n < 1:
         raise InvalidFamilyParam(f"complete graph needs n >= 1, got {n}")
+    _cap(n)
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -45,6 +59,7 @@ def empty_graph(n: int) -> Graph:
     """Edgeless graph, used as a join operand."""
     if n < 1:
         raise InvalidFamilyParam(f"empty graph needs n >= 1, got {n}")
+    _cap(n)
     return Graph(n, (0,) * n)
 
 
@@ -52,6 +67,7 @@ def star_graph(a: int) -> Graph:
     """Center 0 joined to a leaves (order a + 1); res = a."""
     if a < 1:
         raise InvalidFamilyParam(f"star needs a >= 1 leaves, got {a}")
+    _cap(a + 1)
     return from_edge_list(a + 1, [(0, i) for i in range(1, a + 1)])
 
 
@@ -59,6 +75,7 @@ def spider_graph(a: int, b: int, c: int) -> Graph:
     """Three paths with a, b, c edges glued at one center (order a+b+c+1)."""
     if min(a, b, c) < 1:
         raise InvalidFamilyParam(f"spider legs must be >= 1, got {(a, b, c)}")
+    _cap(a + b + c + 1)
     edges = []
     nxt = 1
     for leg in (a, b, c):
@@ -78,6 +95,7 @@ def clique_with_pendant(a: int, b: int) -> Graph:
     """
     if not 1 <= b < a:
         raise InvalidFamilyParam(f"need 1 <= b < a, got a={a} b={b}")
+    _cap(a + 1)
     edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
     edges += [(i, a) for i in range(b)]
     return from_edge_list(a + 1, edges)
@@ -87,6 +105,7 @@ def wheel_graph(rim: int) -> Graph:
     """Hub joined to every vertex of a cycle on rim vertices (order rim + 1)."""
     if rim < 3:
         raise InvalidFamilyParam(f"wheel rim needs >= 3 vertices, got {rim}")
+    _cap(rim + 1)
     edges = [(0, i) for i in range(1, rim + 1)]
     edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
     return from_edge_list(rim + 1, edges)
@@ -96,6 +115,7 @@ def pendant_odd_cycle(a: int) -> Graph:
     """Odd cycle on 2a+1 vertices with a pendant edge; girth 2a+1, res a+1."""
     if a < 3:
         raise InvalidFamilyParam(f"pendant cycle needs a >= 3, got {a}")
+    _cap(2 * a + 2)
     n = 2 * a + 1
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.append((0, n))
@@ -106,6 +126,7 @@ def triangle_tripod(r: int) -> Graph:
     """Triangle with a path of r-2 edges on each corner; order 3(r-1), res r."""
     if r < 3:
         raise InvalidFamilyParam(f"triangle tripod needs r >= 3, got {r}")
+    _cap(3 * (r - 1))
     edges = [(0, 1), (1, 2), (0, 2)]
     nxt = 3
     for corner in range(3):
@@ -119,6 +140,7 @@ def triangle_tripod(r: int) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus every edge between them."""
+    _cap(g1.n + g2.n)
     edges = list(g1.edges())
     off = g1.n
     edges += [(u + off, v + off) for u, v in g2.edges()]

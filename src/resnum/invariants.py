@@ -6,7 +6,11 @@ null.  The clique number comes from a branch and bound over candidate
 bit masks, bounded by greedy colour classes (Tomita and Seki, *An
 efficient branch-and-bound algorithm for finding a maximum clique*,
 DMTCS 2003), cross-checked against subset brute force and networkx in
-the tests.
+the tests.  The colouring reads each vertex's complement row, built once
+per search, so a vertex costs one mask step to leave its class's
+candidates.  `invariant_summary` finds the girth first and searches for
+cliques only when it is 3: a graph with no triangle has clique number
+min(n, 2).
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _colour_classes(cand: int, adj: tuple[int, ...]) -> list[tuple[int, int]]:
+def _colour_classes(cand: int, avoid: list[int]) -> list[tuple[int, int]]:
     """(colour, vertex) for cand in greedy colour classes, colours rising;
-    each class is independent, so a clique meets it at most once."""
+    each class is independent, so a clique meets it at most once.
+    `avoid[v]` is the complement of v's adjacency row."""
     order = []
     colour = 0
     while cand:
@@ -83,10 +88,11 @@ def _colour_classes(cand: int, adj: tuple[int, ...]) -> list[tuple[int, int]]:
         avail = cand
         while avail:
             low = avail & -avail
+            avail ^= low
             v = low.bit_length() - 1
             order.append((colour, v))
             cand ^= low
-            avail &= ~low & ~adj[v]
+            avail &= avoid[v]
     return order
 
 
@@ -100,10 +106,11 @@ def clique_number(g: Graph) -> int:
     can beat the best clique found so far.
     """
     adj = g.adj
+    avoid = [~row for row in adj]
     best = 0
     full = (1 << g.n) - 1
     # [clique size, unexpanded candidates, their colour order]
-    stack = [[0, full, _colour_classes(full, adj)]]
+    stack = [[0, full, _colour_classes(full, avoid)]]
     while stack:
         frame = stack[-1]
         size, cand, order = frame
@@ -114,7 +121,7 @@ def clique_number(g: Graph) -> int:
         frame[1] = cand & ~(1 << v)
         sub = cand & adj[v]
         if sub:
-            stack.append([size + 1, sub, _colour_classes(sub, adj)])
+            stack.append([size + 1, sub, _colour_classes(sub, avoid)])
         else:
             best = max(best, size + 1)
     return best
@@ -175,10 +182,12 @@ def invariant_summary(g: Graph) -> InvariantSummary:
     degs = g.degrees()
     is_tree = sum(degs) // 2 == g.n - 1
     is_path, is_cycle, is_star = path_cycle_star(g)
+    g_girth = INFINITE_GIRTH if is_tree else girth(g)
     return InvariantSummary(
         diameter=int(distance_matrix(g).max()),
-        girth=INFINITE_GIRTH if is_tree else girth(g),
-        omega=clique_number(g),
+        girth=g_girth,
+        # a 3-clique is a triangle, so without one the clique is an edge or K1
+        omega=clique_number(g) if g_girth == 3 else min(g.n, 2),
         max_degree=max(degs),
         is_tree=is_tree,
         is_path=is_path,

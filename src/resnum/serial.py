@@ -2,11 +2,14 @@
 
 The graph6 codec is written out long-hand for orders up to 62 (one header
 byte): the upper triangle is read column by column, packed six bits per
-byte, each byte offset by 63; the reader turns the bytes into bit text
-in one `str.translate`.  Both directions hold the triangle as one int
-with slot (0,1) most significant, the layout of `CanonicalForm.bits`,
-and `triangle_graph` is the one decoder of it.  Round trips are exercised
-heavily in the tests, including against an independent decoder.
+byte, each byte offset by 63.  The reader turns the bytes into bit text
+in one `str.translate`, which also finds a byte outside the range, then
+decodes in one numpy pass: each triangle slot's bit goes to its two cells
+of an n x 64 bit matrix, and each row packs into one 64-bit word, the
+int adjacency row.  Canonical forms, of order 16 at most, keep a loop
+decoder of their own in `CanonicalForm.to_graph`, which is faster there.
+Round trips are exercised heavily in the tests, including against
+networkx and that loop decoder.
 """
 
 from __future__ import annotations
@@ -14,14 +17,18 @@ from __future__ import annotations
 import json
 import re
 import string
+from functools import lru_cache
 from typing import Callable, Iterator, TypeVar
 
+import numpy as np
+
 from .errors import MalformedGraph6, MalformedLine, ResnumError, TooLarge
-from .graphs import Graph, check_edge, check_order, from_edge_list
+from .graphs import Graph, check_edge, check_order
 
 GRAPH6_CAP = 62
-# parsing sets this cap: `resnum compute` takes 1.6-1.9 s on K800, 1.3 s of it
-# reading 319,600 edge lines; a path 0.8-0.9 s, a star 0.3-0.4 s (2-core x86-64)
+# parsing sets this cap: `resnum compute` takes 1.7-2.2 s on K800, 1.3-1.7 s of
+# it reading 319,600 edge lines, each checked once; a path 0.75-0.8 s, a star
+# 0.2 s (2-core x86-64)
 EDGE_LIST_CAP = 800
 # each graph6 byte to its six bits, most significant first
 _SIX = {63 + v: format(v, "06b") for v in range(64)}
@@ -33,22 +40,14 @@ _DIGITS = re.compile("[0-9]+")
 T = TypeVar("T")
 
 
-def triangle_graph(n: int, bits: int) -> Graph:
-    """The graph whose column-wise upper triangle is `bits`, slot (0,1) most
-    significant; the rows are filled column by column from the set bits."""
-    rows = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        shift -= j
-        col = bits >> shift & ((1 << j) - 1)
-        while col:
-            low = col & -col
-            # bit k of column j is row j-1-k
-            i = j - low.bit_length()
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            col ^= low
-    return Graph(n, tuple(rows))
+@lru_cache(maxsize=None)
+def _cells(n: int) -> np.ndarray:
+    """The two flat cells of each triangle slot in an n x 64 matrix, upper
+    (i*64 + j) then lower (j*64 + i), slots in graph6 order; int16 keeps
+    the cache of the 62 orders small (n*64 <= 3968 fits)."""
+    j = np.repeat(np.arange(1, n), np.arange(1, n))
+    i = np.arange(j.size) - j * (j - 1) // 2
+    return np.stack([i * 64 + j, j * 64 + i]).astype(np.int16)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -77,7 +76,14 @@ def parse_graph6(line: str) -> Graph:
         )
     if "1" in body[6 + nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    return triangle_graph(n, int(body[6:6 + nbits] or "0", 2))
+    # "0" and "1" are bytes 48 and 49; numpy scatters faster through intp
+    # indices than through int16 ones it casts itself
+    bits = np.frombuffer(body.encode(), np.uint8, nbits, 6) & 1
+    upper, lower = _cells(n).astype(np.intp)
+    cells = np.zeros(n * 64, np.uint8)
+    cells[upper] = bits
+    cells[lower] = bits
+    return Graph(n, tuple(np.packbits(cells, bitorder="little").view("<u8").tolist()))
 
 
 def write_graph6(g: Graph) -> str:
@@ -123,23 +129,23 @@ def parse_edge_list(text: str) -> Graph:
     Every error on a line, a self-loop or an out-of-range vertex too,
     names that line.
     """
-    n = None
+    # the header sizes the rows, so they stay empty until it is read
+    rows: list[int] = []
 
-    def read(raw: str) -> tuple[int, int] | None:
-        nonlocal n
+    def read(raw: str) -> None:
         line = raw.strip(string.whitespace)
         if line.startswith("#"):
-            return None
+            return
         parts = _SPACES.split(line)
-        if n is None:
+        if not rows:
             if len(parts) != 2 or parts[0] != "n" or not _DIGITS.fullmatch(parts[1]):
                 raise MalformedLine(f"expected header 'n <order>', got {raw!r}")
             # digit count first: int() refuses strings of over 4300 digits
             digits = parts[1].lstrip("0") or "0"
             if len(digits) > len(str(EDGE_LIST_CAP)) or int(digits) > EDGE_LIST_CAP:
                 raise TooLarge(f"edge-list order is capped at n <= {EDGE_LIST_CAP}")
-            n = check_order(int(digits))
-            return None
+            rows.extend([0] * check_order(int(digits)))
+            return
         if len(parts) != 2:
             raise MalformedLine(f"expected 'u v', got {raw!r}")
         try:
@@ -147,12 +153,16 @@ def parse_edge_list(text: str) -> Graph:
             u, v = (int(p) for p in parts if _DIGITS.fullmatch(p))
         except ValueError:
             raise MalformedLine(f"non-integer vertex in {raw!r}")
-        return check_edge(n, u, v)
+        # checked here, once, so that the error names its line
+        check_edge(len(rows), u, v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
 
-    edges = [edge for edge in numbered(text, read) if edge]
-    if n is None:
+    for _ in numbered(text, read):
+        pass
+    if not rows:
         raise MalformedLine("missing 'n <order>' header line")
-    return from_edge_list(n, edges)
+    return Graph(len(rows), tuple(rows))
 
 
 def to_json_line(obj) -> str:

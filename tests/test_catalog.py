@@ -106,11 +106,24 @@ def test_the_row_test_rules_out_only_res_4_and_above():
     assert all(resolving_number(g).res >= 4 for g in ruled_out)
 
 
+def test_the_distance_two_test_rules_out_only_res_4_and_above():
+    # on what the row test leaves, common neighbours and common distance-2
+    # vertices rule out all but 151 of the 1,294 candidates, and keep the
+    # 22 of res 3: the 17 members, four even cycles and the 3-star
+    graphs = [g for g in catalog._candidate_stream() if not catalog._three_equidistant(g)]
+    assert len(graphs) == 1294 - 877
+    ruled_out = [g for g in graphs if catalog._three_within_two(g)]
+    assert len(graphs) - len(ruled_out) == 151
+    assert all(resolving_number(g).res >= 4 for g in ruled_out)
+    res3 = [g for g in graphs if resolving_number(g).res == 3]
+    assert len(res3) == 22 and not any(map(catalog._three_within_two, res3))
+
+
 def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
-    # every one of the 1,294 candidates did before the row test
+    # every one of the 1,294 candidates did before the row tests
     calls = count_calls(catalog, "resolving_number")
     build_res3_catalog()
-    assert calls() == 417
+    assert calls() == 151
 
 
 def test_girth_split():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 from random import Random
@@ -14,7 +15,7 @@ from resnum import canon, enumeration, graphs, resolve
 from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
-from resnum.families import path_graph
+from resnum.families import FAMILY_CAP, path_graph
 from resnum.graphs import from_edge_list
 from resnum.serial import EDGE_LIST_CAP, write_graph6
 
@@ -162,11 +163,11 @@ def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
         assert (code, len(out.splitlines())) == (0, len(lines))
         # K1's res and shape need no distances, so classify runs no BFS for it
         assert bfs_runs() == len(lines) - (cmd == "classify"), cmd
-    # 417 candidates reach the res scan and 17 fixture lines are re-verified;
+    # 151 candidates reach the res scan and 17 fixture lines are re-verified;
     # the clique report on the 13 girth-3 members reads no distances
     load_default_catalog.cache_clear()
     assert run(capsys, "catalog", "--res", "3")[0] == 0
-    assert bfs_runs() == 417 + 17
+    assert bfs_runs() == 151 + 17
 
 
 def test_gen_and_enum(capsys):
@@ -429,6 +430,31 @@ def test_gen_rejects_bad_params(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "--family", "cycle", "--params", "2")
     assert code == 2
+
+
+def test_gen_refuses_an_order_past_the_cap_before_building(capsys):
+    # each order would take minutes and gigabytes to build
+    for family, params, order in [
+        ("path", "99999999", 99999999),
+        ("complete", "100000", 100000),
+        ("spider", "1,1,99999999", 100000002),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--family", family, "--params", params)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"size cap: family constructors are capped at n <= {FAMILY_CAP}, got {order}\n"
+    # past the graph6 cap and up to this one, the graph is built and the writer refuses it
+    code, out, err = run(capsys, "gen", "--family", "path", "--params", str(FAMILY_CAP))
+    assert (code, out) == (3, "")
+    assert err == f"size cap: graph6 writer is capped at n <= 62, got {FAMILY_CAP}\n"
+    # a parameter outside a family's domain stays bad input
+    for family, params, message in [
+        ("sporadic", "99", "sporadic witness index must be 1..4, got 99"),
+        ("clique_pendant", "99999999,99999999", "need 1 <= b < a, got a=99999999 b=99999999"),
+    ]:
+        code, out, err = run(capsys, "gen", "--family", family, "--params", params)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_unknown_family_rejected_by_argparse(capsys):

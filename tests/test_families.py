@@ -6,8 +6,9 @@ import pytest
 from resnum import families, invariants
 from resnum.canon import canonical_form
 from resnum.catalog import load_default_catalog
-from resnum.errors import InvalidFamilyParam, NotApplicable
+from resnum.errors import InvalidFamilyParam, NotApplicable, TooLarge
 from resnum.families import (
+    FAMILY_CAP,
     Category,
     FamilySpec,
     classify_res,
@@ -85,6 +86,36 @@ def test_parameter_validation():
         clique4_sporadic(5)
     with pytest.raises(InvalidFamilyParam):
         path_graph(0)
+
+
+def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
+    # params of order FAMILY_CAP + 1 or + 2; nothing may reach an edge list
+    past = {
+        "path": (801,),
+        "cycle": (801,),
+        "complete": (801,),
+        "empty": (801,),
+        "star": (800,),
+        "spider": (1, 1, 799),
+        "clique_pendant": (801, 1),
+        "wheel": (800,),
+        "pendant_cycle": (400,),
+        "triangle_tripod": (268,),
+    }
+    assert FAMILY_CAP == 800
+    assert sorted(past) == sorted(set(family_names()) - {"join", "sporadic"})
+    full, one = empty_graph(FAMILY_CAP), path_graph(1)
+
+    def refuse(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(families, "from_edge_list", refuse)
+    monkeypatch.setattr(families, "Graph", refuse)
+    for kind, params in past.items():
+        with pytest.raises(TooLarge, match=f"^family constructors are capped at n <= {FAMILY_CAP}, got 80[12]$"):
+            generate(FamilySpec(kind=kind, params=params))
+    with pytest.raises(TooLarge):
+        join(full, one)
 
 
 def test_registry_generate():

@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 
+from resnum import invariants
 from resnum.errors import EmptySet, IndexOutOfRange
 from resnum.families import (
     complete_graph,
@@ -92,9 +93,10 @@ def test_clique_number_past_the_recursion_limit():
     assert clique_number(g) == n
 
 
-def test_clique_number_matches_networkx_on_the_stream_mix():
+def test_clique_number_matches_networkx_on_the_stream_mix(count_calls):
     # orders 20..62 by the six densities of the compute benchmark, each a
     # random spanning tree plus every other pair with probability p
+    colourings = count_calls(invariants, "_colour_classes")
     rng = random.Random(2003)
     for n in (20 + 42 * i // 19 for i in range(20)):
         for p in (0.0, 0.02, 0.05, 0.1, 0.3, 0.6):
@@ -103,6 +105,8 @@ def test_clique_number_matches_networkx_on_the_stream_mix():
             G = nx.Graph(edges)
             expected = max(len(c) for c in nx.find_cliques(G))
             assert clique_number(from_edge_list(n, edges)) == expected
+    # the search and its colour classes are pinned, not only its result
+    assert colourings() == 2223
 
 
 def test_clique_number_spot_values():
@@ -140,6 +144,19 @@ def test_invariant_summary_flags():
     inv = invariant_summary(one)
     assert inv.is_path and inv.is_tree and not inv.is_star
     assert inv.diameter == 0 and inv.omega == 1
+
+
+def test_invariant_summary_omega_is_the_clique_number():
+    # the summary skips the clique search when there is no triangle
+    rng = random.Random(5)
+    graphs = [path_graph(1), path_graph(2), complete_graph(5), wheel_graph(6)]
+    graphs += [path_graph(n) for n in range(3, 9)] + [cycle_graph(n) for n in range(3, 12)]
+    graphs.append(from_edge_list(10, list(nx.petersen_graph().edges())))
+    for _ in range(20):
+        n = rng.randint(2, 30)
+        graphs.append(from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    for g in graphs:
+        assert invariant_summary(g).omega == clique_number(g)
 
 
 def test_invariant_summary_knows_a_tree_is_acyclic(monkeypatch):

@@ -17,6 +17,9 @@ from resnum.errors import (
     MalformedLine,
     TooLarge,
 )
+from resnum import graphs, serial
+from resnum.canon import CanonicalForm
+from resnum.families import complete_graph
 from resnum.graphs import Graph, from_edge_list
 from resnum.serial import (
     EDGE_LIST_CAP,
@@ -99,6 +102,24 @@ def test_parse_agrees_with_networkx_at_every_order():
         g = parse_graph6(line)
         assert g.n == theirs.number_of_nodes() == n
         assert set(g.edges()) == {(min(e), max(e)) for e in theirs.edges()}
+
+
+def test_parse_agrees_with_the_form_decoder_and_networkx_at_every_order():
+    # empty, complete and random graphs; the form decoder reads the
+    # triangle as one int, taken here straight from the graph6 bytes
+    rng = random.Random(6)
+    for n in range(1, 63):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for edges in ([], pairs, [e for e in pairs if rng.random() < rng.random()]):
+            line = write_graph6(from_edge_list(n, edges))
+            acc = 0
+            for ch in line[1:]:
+                acc = acc << 6 | ord(ch) - 63
+            bits = acc >> (-len(pairs) % 6)
+            theirs = nx.from_graph6_bytes(line.encode())
+            g = parse_graph6(line)
+            assert g == CanonicalForm(n, bits).to_graph()
+            assert set(g.edges()) == {(min(e), max(e)) for e in theirs.edges()} == set(edges)
 
 
 def test_write_rejects_large_orders():
@@ -211,6 +232,24 @@ def test_edge_list_vertex_errors_name_their_line():
         parse_edge_list("# c\nn 0\n0 1\n")
     # zero-padded vertices are plain integers
     assert list(parse_edge_list("n 2\n0 00000001\n").edges()) == [(0, 1)]
+
+
+def test_edge_list_checks_each_edge_once(monkeypatch):
+    n = 40
+    text = f"n {n}\n" + "".join(f"{u} {v}\n# c\n" for v in range(n) for u in range(v))
+    kn = complete_graph(n)
+    calls = 0
+    real = graphs.check_edge
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "check_edge", counted)
+    monkeypatch.setattr(serial, "check_edge", counted)
+    assert parse_edge_list(text) == kn
+    assert calls == n * (n - 1) // 2
 
 
 def test_edge_list_order_cap():
