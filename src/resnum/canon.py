@@ -18,7 +18,9 @@ or a class of twins, and since cells only nest and neither ever splits
 is the branch.  `_leader` finds it from the adjacency masks, and
 `_refine` runs only when round one leaves another least cell.  Two graphs
 receive equal forms iff they are isomorphic; the permutation oracle in
-the tests pins that down at small orders.
+the tests pins that down at small orders.  The form's bits are the graph6
+triangle, so `CanonicalForm.to_graph` decodes them with the graph6
+reader's `serial._from_triangle`.
 
 The search also prunes by the automorphisms it finds (the orbit pruning
 of McKay and Piperno, *Practical graph isomorphism II*, 2014), kept as
@@ -51,8 +53,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import TooLarge
 from .graphs import Graph, _positions
+from .serial import _from_triangle
 
 CANONICAL_CAP = 16
 
@@ -77,23 +82,11 @@ class CanonicalForm:
     )
 
     def to_graph(self) -> Graph:
-        """Rebuild the canonically labeled graph, filling the rows column
-        by column from the set bits of `bits`.  At n <= 16 this loop costs
-        less per form than the numpy decoder of `serial.parse_graph6`."""
-        n, bits = self.n, self.bits
-        rows = [0] * n
-        shift = n * (n - 1) // 2
-        for j in range(1, n):
-            shift -= j
-            col = bits >> shift & ((1 << j) - 1)
-            while col:
-                low = col & -col
-                # bit k of column j is row j-1-k
-                i = j - low.bit_length()
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                col ^= low
-        return Graph(n, tuple(rows))
+        """Rebuild the canonically labeled graph: `bits` as a 0/1 array in
+        slot order, decoded by the graph6 reader's `_from_triangle`."""
+        nbits = self.n * (self.n - 1) // 2
+        raw = np.unpackbits(np.frombuffer(self.bits.to_bytes((nbits + 7) // 8, "big"), np.uint8))
+        return _from_triangle(self.n, raw[raw.size - nbits:])
 
 
 def _refine(

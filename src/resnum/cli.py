@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
+import string
 import sys
 from typing import Callable
 
@@ -30,6 +32,15 @@ from .graphs import Graph
 from .invariants import invariant_summary
 from .resolve import resolving_number, upper_dimension
 from .serial import numbered, parse_edge_list, parse_graph6, to_json_line, write_graph6
+
+
+def integer(text: str) -> int:
+    """ASCII -?[0-9]+ between ASCII whitespace, else ValueError: int() also
+    takes "_", "+", non-ASCII digits and Unicode whitespace."""
+    s = text.strip(string.whitespace)
+    if not re.fullmatch("-?[0-9]+", s):
+        raise ValueError(text)
+    return int(s)
 
 
 def _read_text(path: str) -> str:
@@ -114,7 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        params = tuple(int(p) for p in args.params.split(",")) if args.params else ()
+        params = tuple(map(integer, args.params.split(","))) if args.params else ()
     except ValueError:
         raise InvalidFamilyParam(f"params must be comma-separated integers, got {args.params!r}")
     g = FamilySpec(kind=args.family, params=params).build()
@@ -191,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("enum", help="stream connected graphs as graph6")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-deg", type=int, default=None)
-    p.add_argument("--min-girth", type=int, default=None)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--max-deg", type=integer, default=None)
+    p.add_argument("--min-girth", type=integer, default=None)
     p.add_argument("--trees", action="store_true")
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("catalog", help="derive and validate the res = 3 catalog")
-    p.add_argument("--res", type=int, required=True)
+    p.add_argument("--res", type=integer, required=True)
     p.add_argument("--fixture", default=None, help="fixture path to validate against")
     p.set_defaults(func=_cmd_catalog)
 

@@ -4,7 +4,9 @@ Each constructor documents its order and resolving number; the test suite
 recomputes both.  The four sporadic order-6/7 graphs built around a
 4-clique come from an adjacency description rather than a drawing, so
 they are verified to satisfy omega = res = 4 the first time they are
-requested and a failure aborts loudly.
+requested and a failure aborts loudly.  Every constructor checks its
+parameters' domain, then `graphs.check_order`, before it builds anything
+(an argument left of the edge list is evaluated first).
 """
 
 from __future__ import annotations
@@ -14,69 +16,51 @@ from functools import lru_cache
 
 from .canon import canonical_form
 from .catalog import CatalogMember, load_default_catalog
-from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation, TooLarge
-from .graphs import Graph, from_edge_list
+from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
+from .graphs import Graph, check_order, from_edge_list
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
-
-# the largest order a constructor builds, the order an edge list may have:
-# K800, the largest graph, builds its 319,600 edges in 0.3 s (2-core x86-64)
-FAMILY_CAP = 800
-
-
-def _cap(n: int) -> None:
-    """Raise TooLarge when a constructor's order n is past `FAMILY_CAP`.
-    Each constructor checks its parameters' domain first, then calls this
-    before it builds anything."""
-    if n > FAMILY_CAP:
-        raise TooLarge(f"family constructors are capped at n <= {FAMILY_CAP}, got {n}")
-
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices; res is 1 for n <= 2 and 2 afterwards."""
     if n < 1:
         raise InvalidFamilyParam(f"path needs n >= 1, got {n}")
-    _cap(n)
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(check_order(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices; res is 2 when n is odd, 3 when even."""
     if n < 3:
         raise InvalidFamilyParam(f"cycle needs n >= 3, got {n}")
-    _cap(n)
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(check_order(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph; res = n - 1 for n >= 2."""
     if n < 1:
         raise InvalidFamilyParam(f"complete graph needs n >= 1, got {n}")
-    _cap(n)
-    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return from_edge_list(check_order(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def empty_graph(n: int) -> Graph:
     """Edgeless graph, used as a join operand."""
     if n < 1:
         raise InvalidFamilyParam(f"empty graph needs n >= 1, got {n}")
-    _cap(n)
-    return Graph(n, (0,) * n)
+    return Graph(check_order(n), (0,) * n)
 
 
 def star_graph(a: int) -> Graph:
     """Center 0 joined to a leaves (order a + 1); res = a."""
     if a < 1:
         raise InvalidFamilyParam(f"star needs a >= 1 leaves, got {a}")
-    _cap(a + 1)
-    return from_edge_list(a + 1, [(0, i) for i in range(1, a + 1)])
+    return from_edge_list(check_order(a + 1), [(0, i) for i in range(1, a + 1)])
 
 
 def spider_graph(a: int, b: int, c: int) -> Graph:
     """Three paths with a, b, c edges glued at one center (order a+b+c+1)."""
     if min(a, b, c) < 1:
         raise InvalidFamilyParam(f"spider legs must be >= 1, got {(a, b, c)}")
-    _cap(a + b + c + 1)
+    check_order(a + b + c + 1)
     edges = []
     nxt = 1
     for leg in (a, b, c):
@@ -96,7 +80,7 @@ def clique_with_pendant(a: int, b: int) -> Graph:
     """
     if not 1 <= b < a:
         raise InvalidFamilyParam(f"need 1 <= b < a, got a={a} b={b}")
-    _cap(a + 1)
+    check_order(a + 1)
     edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
     edges += [(i, a) for i in range(b)]
     return from_edge_list(a + 1, edges)
@@ -106,7 +90,7 @@ def wheel_graph(rim: int) -> Graph:
     """Hub joined to every vertex of a cycle on rim vertices (order rim + 1)."""
     if rim < 3:
         raise InvalidFamilyParam(f"wheel rim needs >= 3 vertices, got {rim}")
-    _cap(rim + 1)
+    check_order(rim + 1)
     edges = [(0, i) for i in range(1, rim + 1)]
     edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
     return from_edge_list(rim + 1, edges)
@@ -116,7 +100,7 @@ def pendant_odd_cycle(a: int) -> Graph:
     """Odd cycle on 2a+1 vertices with a pendant edge; girth 2a+1, res a+1."""
     if a < 3:
         raise InvalidFamilyParam(f"pendant cycle needs a >= 3, got {a}")
-    _cap(2 * a + 2)
+    check_order(2 * a + 2)
     n = 2 * a + 1
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.append((0, n))
@@ -127,7 +111,7 @@ def triangle_tripod(r: int) -> Graph:
     """Triangle with a path of r-2 edges on each corner; order 3(r-1), res r."""
     if r < 3:
         raise InvalidFamilyParam(f"triangle tripod needs r >= 3, got {r}")
-    _cap(3 * (r - 1))
+    check_order(3 * (r - 1))
     edges = [(0, 1), (1, 2), (0, 2)]
     nxt = 3
     for corner in range(3):
@@ -141,7 +125,7 @@ def triangle_tripod(r: int) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus every edge between them."""
-    _cap(g1.n + g2.n)
+    check_order(g1.n + g2.n)
     edges = list(g1.edges())
     off = g1.n
     edges += [(u + off, v + off) for u, v in g2.edges()]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, IndexOutOfRange
-from .graphs import Graph, _bits, distance_matrix
+from .errors import EmptySet
+from .graphs import Graph, _bits, check_vertex, distance_matrix
 
 INFINITE_GIRTH = math.inf
 
@@ -152,10 +152,8 @@ def distance_window(g: Graph, u: int, a: frozenset[int] | set[int]) -> tuple[int
     that distance plus the diameter of a."""
     if not a:
         raise EmptySet("distance to an empty vertex set is undefined")
-    members = sorted(a)
-    for v in members + [u]:
-        if not 0 <= v < g.n:
-            raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
+    members = [check_vertex(g.n, v) for v in sorted(a)]
+    check_vertex(g.n, u)
     dm = distance_matrix(g)
     to_a = dm[u, members]
     d = int(to_a.min())

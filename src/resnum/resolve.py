@@ -35,8 +35,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DegeneratePair, IndexOutOfRange, TheoremViolation, TooLarge
-from .graphs import Graph, distance_matrix
+from .errors import DegeneratePair, TheoremViolation, TooLarge
+from .graphs import Graph, check_vertex, distance_matrix
 
 ORACLE_CAP = 12
 DIM_CAP = 16
@@ -70,10 +70,7 @@ class DimensionReport:
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
-    x, y = pair
-    for w in (x, y):
-        if not 0 <= w < n:
-            raise IndexOutOfRange(f"vertex {w} outside range 0..{n - 1}")
+    x, y = (check_vertex(n, w) for w in pair)
     if x == y:
         raise DegeneratePair(f"pair must be two distinct vertices, got {pair}")
     return (x, y) if x < y else (y, x)
@@ -84,8 +81,8 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs x < y of range(n) in row-major order, as int16 arrays xs, ys.
 
     An entry takes 2n(n - 1) bytes.  Every graph6 order 1..62 fits in the
-    64 entries in under 0.2 MB; the worst case, 64 entries at the edge-list
-    cap of order 800, is 1.3 MB each and 82 MB in all.
+    64 entries in under 0.2 MB; the worst case, 64 entries at
+    `graphs.ORDER_CAP` = 800, is 1.3 MB each and 82 MB in all.
     """
     xs, ys = np.triu_indices(n, 1)
     return xs.astype(np.int16), ys.astype(np.int16)
@@ -117,10 +114,7 @@ def non_resolvers(g: Graph, pair: tuple[int, int]) -> frozenset[int]:
 
 def is_resolving_set(g: Graph, s: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
     """Definitional check; on failure also return the first unresolved pair."""
-    members = sorted(set(s))
-    for v in members:
-        if not 0 <= v < g.n:
-            raise IndexOutOfRange(f"vertex {v} outside range 0..{g.n - 1}")
+    members = [check_vertex(g.n, v) for v in sorted(set(s))]
     # vector[v]: the distances from v to the members, in member order
     vector = distance_matrix(g)[members].T.tolist()
     for x in range(g.n - 1):

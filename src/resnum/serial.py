@@ -2,14 +2,14 @@
 
 The graph6 codec is written out long-hand for orders up to 62 (one header
 byte): the upper triangle is read column by column, packed six bits per
-byte, each byte offset by 63.  The reader turns the bytes into bit text
-in one `str.translate`, which also finds a byte outside the range, then
-decodes in one numpy pass: each triangle slot's bit goes to its two cells
-of an n x 64 bit matrix, and each row packs into one 64-bit word, the
-int adjacency row.  Canonical forms, of order 16 at most, keep a loop
-decoder of their own in `CanonicalForm.to_graph`, which is faster there.
-Round trips are exercised heavily in the tests, including against
-networkx and that loop decoder.
+byte, each byte offset by 63.  `_cells` is the one statement of that slot
+order, as the two cells of each slot in an n x 64 bit matrix whose rows
+pack into the 64-bit words of the int adjacency rows.  `_from_triangle`
+scatters a triangle's bits into both cells and packs the rows; the reader
+(after one `str.translate` spells out the bits and finds a byte outside
+the range) and `CanonicalForm.to_graph` both decode through it.  The
+writer gathers the upper cells from the unpacked rows.  Round trips are
+exercised heavily in the tests, including against networkx.
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .errors import MalformedGraph6, MalformedLine, ResnumError, TooLarge
-from .graphs import Graph, check_edge, check_order
+from .graphs import Graph, check_edge, order_of
 
 GRAPH6_CAP = 62
-# parsing sets this cap: `resnum compute` takes 1.7-2.2 s on K800, 1.3-1.7 s of
-# it reading 319,600 edge lines, each checked once; a path 0.75-0.8 s, a star
-# 0.2 s (2-core x86-64)
-EDGE_LIST_CAP = 800
 # each graph6 byte to its six bits, most significant first
 _SIX = {63 + v: format(v, "06b") for v in range(64)}
 # only these split lines, fields and numbers: str.splitlines(), str.split()
@@ -43,11 +39,11 @@ T = TypeVar("T")
 @lru_cache(maxsize=None)
 def _cells(n: int) -> np.ndarray:
     """The two flat cells of each triangle slot in an n x 64 matrix, upper
-    (i*64 + j) then lower (j*64 + i), slots in graph6 order; int16 keeps
-    the cache of the 62 orders small (n*64 <= 3968 fits)."""
+    (i*64 + j) then lower (j*64 + i), slots in graph6 order, as intp, which
+    numpy indexes fastest; the 62 orders take 0.6 MB."""
     j = np.repeat(np.arange(1, n), np.arange(1, n))
     i = np.arange(j.size) - j * (j - 1) // 2
-    return np.stack([i * 64 + j, j * 64 + i]).astype(np.int16)
+    return np.stack([i * 64 + j, j * 64 + i]).astype(np.intp)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -76,30 +72,31 @@ def parse_graph6(line: str) -> Graph:
         )
     if "1" in body[6 + nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    # "0" and "1" are bytes 48 and 49; numpy scatters faster through intp
-    # indices than through int16 ones it casts itself
-    bits = np.frombuffer(body.encode(), np.uint8, nbits, 6) & 1
-    upper, lower = _cells(n).astype(np.intp)
+    # "0" and "1" are bytes 48 and 49
+    return _from_triangle(n, np.frombuffer(body.encode(), np.uint8, nbits, 6) & 1)
+
+
+def _from_triangle(n: int, bits: np.ndarray) -> Graph:
+    """The graph of order n whose triangle slots, in graph6 order, hold
+    `bits`, a 0/1 uint8 array of n(n-1)/2 entries."""
     cells = np.zeros(n * 64, np.uint8)
-    cells[upper] = bits
-    cells[lower] = bits
+    # bits broadcasts over both rows of `_cells(n)`, upper and lower cells
+    cells[_cells(n)] = bits
     return Graph(n, tuple(np.packbits(cells, bitorder="little").view("<u8").tolist()))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph of order at most 62 as one graph6 line (no newline)."""
-    if g.n > GRAPH6_CAP:
-        raise TooLarge(f"graph6 writer is capped at n <= {GRAPH6_CAP}, got {g.n}")
-    acc = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-    nbits = g.n * (g.n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    return chr(g.n + 63) + "".join(
-        chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6)
-    )
+    n = g.n
+    if n > GRAPH6_CAP:
+        raise TooLarge(f"graph6 writer is capped at n <= {GRAPH6_CAP}, got {n}")
+    cells = np.unpackbits(np.array(g.adj, "<u8").view(np.uint8), bitorder="little")
+    nbits = n * (n - 1) // 2
+    # the slots then the zero padding, six bits to a byte
+    six = np.zeros(nbits + -nbits % 6, np.uint8)
+    six[:nbits] = cells[_cells(n)[0]]
+    body = (np.packbits(six.reshape(-1, 6), axis=1) >> 2) + 63
+    return chr(n + 63) + body.tobytes().decode("ascii")
 
 
 def numbered(text: str, read: Callable[[str], T]) -> Iterator[T]:
@@ -125,7 +122,7 @@ def parse_edge_list(text: str) -> Graph:
 
     The first significant line is ``n <order>``; every following line is
     ``u v``.  Blank lines and lines starting with ``#`` are skipped.
-    Orders above `EDGE_LIST_CAP` raise TooLarge before anything is built.
+    Orders past `graphs.ORDER_CAP` raise TooLarge before anything is built.
     Every error on a line, a self-loop or an out-of-range vertex too,
     names that line.
     """
@@ -140,11 +137,7 @@ def parse_edge_list(text: str) -> Graph:
         if not rows:
             if len(parts) != 2 or parts[0] != "n" or not _DIGITS.fullmatch(parts[1]):
                 raise MalformedLine(f"expected header 'n <order>', got {raw!r}")
-            # digit count first: int() refuses strings of over 4300 digits
-            digits = parts[1].lstrip("0") or "0"
-            if len(digits) > len(str(EDGE_LIST_CAP)) or int(digits) > EDGE_LIST_CAP:
-                raise TooLarge(f"edge-list order is capped at n <= {EDGE_LIST_CAP}")
-            rows.extend([0] * check_order(int(digits)))
+            rows.extend([0] * order_of(parts[1]))
             return
         if len(parts) != 2:
             raise MalformedLine(f"expected 'u v', got {raw!r}")

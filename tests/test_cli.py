@@ -15,9 +15,9 @@ from resnum import canon, enumeration, graphs, resolve
 from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
-from resnum.families import FAMILY_CAP, path_graph
-from resnum.graphs import from_edge_list
-from resnum.serial import EDGE_LIST_CAP, write_graph6
+from resnum.families import path_graph
+from resnum.graphs import ORDER_CAP, from_edge_list
+from resnum.serial import write_graph6
 
 
 def run(capsys, *argv):
@@ -397,18 +397,33 @@ def test_exit_code_cap(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--n", "0"), ("--n", "1", "--max-deg", "-1"), ("--n", "1", "--max-deg", "-1", "--trees")],
+    [
+        ("--n", "0"),
+        ("--n", "1", "--max-deg", "-1"),
+        ("--n", "1", "--max-deg", "-1", "--trees"),
+        # int() would read these as 10, 3 and 5: only ASCII -?[0-9]+ is an integer
+        ("--n", "1_0", "--max-deg", "3", "--min-girth", "5"),
+        ("--n", "\u0663"),
+        ("--n", "5", "--min-girth", "+5"),
+    ],
 )
 def test_enum_rejects_out_of_domain_constraints(capsys, flags):
-    code, out, err = run(capsys, "enum", *flags)
-    assert code == 2 and out == "" and "input error" in err
+    try:
+        code = main(["enum", *flags])
+    except SystemExit as exc:
+        # argparse refuses a value that is no integer
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "input error" in err or "invalid integer value" in err
 
 
 def test_edge_list_order_cap(tmp_path, capsys):
     f = tmp_path / "g.txt"
-    f.write_text(f"n {EDGE_LIST_CAP + 1}\n")
+    f.write_text(f"n {ORDER_CAP + 1}\n")
     code, out, err = run(capsys, "compute", "--input", str(f), "--format", "edgelist")
-    assert code == 3 and out == "" and "line 1" in err
+    assert (code, out) == (3, "")
+    assert err == f"size cap: line 1: graph order is capped at n <= {ORDER_CAP}, got {ORDER_CAP + 1}\n"
 
 
 def test_an_edge_list_vertex_error_names_its_line(capsys, monkeypatch):
@@ -430,6 +445,14 @@ def test_gen_rejects_bad_params(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "--family", "cycle", "--params", "2")
     assert code == 2
+    # int() would read these as 10, 3 and 4: only ASCII -?[0-9]+ is an integer
+    for params in ("1_0", "\u0663", "\u00a04", "+4", "1,1_0,1"):
+        family = "spider" if "," in params else "path"
+        code, out, err = run(capsys, "gen", "--family", family, "--params", params)
+        assert (code, out) == (2, "")
+        assert err == f"input error: params must be comma-separated integers, got {params!r}\n"
+    # ASCII whitespace around a field is stripped
+    assert run(capsys, "gen", "--family", "spider", "--params", " 1, 1 ,1\t") == (0, "Cs\n", "")
 
 
 def test_gen_refuses_an_order_past_the_cap_before_building(capsys):
@@ -443,11 +466,11 @@ def test_gen_refuses_an_order_past_the_cap_before_building(capsys):
         code, out, err = run(capsys, "gen", "--family", family, "--params", params)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert err == f"size cap: family constructors are capped at n <= {FAMILY_CAP}, got {order}\n"
+        assert err == f"size cap: graph order is capped at n <= {ORDER_CAP}, got {order}\n"
     # past the graph6 cap and up to this one, the graph is built and the writer refuses it
-    code, out, err = run(capsys, "gen", "--family", "path", "--params", str(FAMILY_CAP))
+    code, out, err = run(capsys, "gen", "--family", "path", "--params", str(ORDER_CAP))
     assert (code, out) == (3, "")
-    assert err == f"size cap: graph6 writer is capped at n <= 62, got {FAMILY_CAP}\n"
+    assert err == f"size cap: graph6 writer is capped at n <= 62, got {ORDER_CAP}\n"
     # a parameter outside a family's domain stays bad input
     for family, params, message in [
         ("sporadic", "99", "sporadic witness index must be 1..4, got 99"),

@@ -8,7 +8,6 @@ from resnum.canon import canonical_form
 from resnum.catalog import load_default_catalog
 from resnum.errors import InvalidFamilyParam, NotApplicable, TooLarge
 from resnum.families import (
-    FAMILY_CAP,
     Category,
     FamilySpec,
     classify_res,
@@ -28,6 +27,7 @@ from resnum.families import (
     triangle_tripod,
     wheel_graph,
 )
+from resnum.graphs import ORDER_CAP
 from resnum.invariants import clique_number, girth
 from resnum.resolve import resolving_number
 
@@ -89,7 +89,7 @@ def test_parameter_validation():
 
 
 def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
-    # params of order FAMILY_CAP + 1 or + 2; nothing may reach an edge list
+    # params of order ORDER_CAP + 1 or + 2; nothing may reach an edge list
     past = {
         "path": (801,),
         "cycle": (801,),
@@ -102,9 +102,9 @@ def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
         "pendant_cycle": (400,),
         "triangle_tripod": (268,),
     }
-    assert FAMILY_CAP == 800
+    assert ORDER_CAP == 800
     assert sorted(past) == sorted(set(family_names()) - {"join", "sporadic"})
-    full, one = empty_graph(FAMILY_CAP), path_graph(1)
+    full, one = empty_graph(ORDER_CAP), path_graph(1)
 
     def refuse(*args):
         raise AssertionError("built past the cap")
@@ -112,7 +112,7 @@ def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
     monkeypatch.setattr(families, "from_edge_list", refuse)
     monkeypatch.setattr(families, "Graph", refuse)
     for kind, params in past.items():
-        with pytest.raises(TooLarge, match=f"^family constructors are capped at n <= {FAMILY_CAP}, got 80[12]$"):
+        with pytest.raises(TooLarge, match=f"^graph order is capped at n <= {ORDER_CAP}, got 80[12]$"):
             generate(FamilySpec(kind=kind, params=params))
     with pytest.raises(TooLarge):
         join(full, one)

@@ -20,9 +20,8 @@ from resnum.errors import (
     TooLarge,
 )
 from resnum.families import complete_graph
-from resnum.graphs import Graph, from_edge_list
+from resnum.graphs import ORDER_CAP, Graph, from_edge_list
 from resnum.serial import (
-    EDGE_LIST_CAP,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
@@ -93,14 +92,20 @@ def test_roundtrip_agrees_with_networkx():
 
 
 def test_parse_agrees_with_networkx_at_every_order():
-    # empty, complete and random graphs; the loop decoder of canonical forms
-    # reads the triangle as one int, taken here straight from the graph6 bytes
+    # empty, complete and random graphs; canonical forms hold the triangle as
+    # one int, taken here straight from the graph6 bytes, and decode it through
+    # the reader's `serial._from_triangle`; the writer's line, padding bits
+    # included, is networkx's
     rng = random.Random(62)
     for n in range(1, 63):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         p = rng.random()
         for edges in ([], pairs, [e for e in pairs if rng.random() < p]):
-            line = write_graph6(from_edge_list(n, edges))
+            built = from_edge_list(n, edges)
+            line = write_graph6(built)
+            h = nx.empty_graph(n)
+            h.add_edges_from(edges)
+            assert line.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
             acc = 0
             for ch in line[1:]:
                 acc = acc << 6 | ord(ch) - 63
@@ -109,7 +114,7 @@ def test_parse_agrees_with_networkx_at_every_order():
             g = parse_graph6(line)
             assert g.n == theirs.number_of_nodes() == n
             assert set(g.edges()) == {(min(e), max(e)) for e in theirs.edges()} == set(edges)
-            assert g == CanonicalForm(n, bits).to_graph()
+            assert g == built == CanonicalForm(n, bits).to_graph()
 
 
 def test_write_rejects_large_orders():
@@ -243,10 +248,11 @@ def test_edge_list_checks_each_edge_once(monkeypatch):
 
 
 def test_edge_list_order_cap():
-    assert parse_edge_list(f"n {EDGE_LIST_CAP:05d}\n").n == EDGE_LIST_CAP
-    for order in (str(EDGE_LIST_CAP + 1), "9" * 5000):
-        with pytest.raises(TooLarge):
-            parse_edge_list(f"n {order}\n0 1\n")
+    assert parse_edge_list(f"n {ORDER_CAP:05d}\n").n == ORDER_CAP
+    # past 4300 digits int() refuses the string, so its length is read first
+    for order in (str(ORDER_CAP + 1), "9" * 5000):
+        with pytest.raises(TooLarge, match=f"^line 1: graph order is capped at n <= {ORDER_CAP}, got {order}$"):
+            parse_edge_list(f"n 0{order}\n0 1\n")
 
 
 def test_json_lines_are_deterministic():
