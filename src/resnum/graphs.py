@@ -110,7 +110,7 @@ def order_of(digits: str) -> int:
     length is read first: int() refuses strings of over 4300 digits."""
     digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(ORDER_CAP)):
-        raise TooLarge(f"graph order is capped at n <= {ORDER_CAP}, got {digits}")
+        raise TooLarge(f"graph order is capped at n <= {ORDER_CAP}, got a {len(digits)}-digit order")
     return check_order(int(digits))
 
 
@@ -130,14 +130,12 @@ def check_edge(n: int, u: int, v: int) -> tuple[int, int]:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph on n >= 1 vertices from an iterable of index pairs.
+    """Build a graph on n vertices from an iterable of index pairs; n goes
+    through `check_order`.
 
     Duplicate edges collapse; self-loops and out-of-range indices raise.
-    Orders past `ORDER_CAP` build too.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"graph order must be at least 1, got {n}")
-    rows = [0] * n
+    rows = [0] * check_order(n)
     for u, v in edges:
         check_edge(n, u, v)
         rows[u] |= 1 << v

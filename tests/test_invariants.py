@@ -16,7 +16,7 @@ from resnum.families import (
     triangle_tripod,
     wheel_graph,
 )
-from resnum.graphs import from_edge_list
+from resnum.graphs import Graph, from_edge_list
 from resnum.invariants import (
     INFINITE_GIRTH,
     clique_number,
@@ -88,8 +88,9 @@ def test_clique_number_against_subset_oracle(connected_by_order):
 
 
 def test_clique_number_past_the_recursion_limit():
+    # K1000, past the order cap of `from_edge_list`, built from its rows
     n = 1000
-    g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    g = Graph(n, tuple((1 << n) - 1 ^ 1 << v for v in range(n)))
     assert clique_number(g) == n
 
 

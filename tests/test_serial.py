@@ -250,8 +250,9 @@ def test_edge_list_checks_each_edge_once(monkeypatch):
 def test_edge_list_order_cap():
     assert parse_edge_list(f"n {ORDER_CAP:05d}\n").n == ORDER_CAP
     # past 4300 digits int() refuses the string, so its length is read first
-    for order in (str(ORDER_CAP + 1), "9" * 5000):
-        with pytest.raises(TooLarge, match=f"^line 1: graph order is capped at n <= {ORDER_CAP}, got {order}$"):
+    # an order of more digits than the cap's is named by its digit count
+    for order, got in ((str(ORDER_CAP + 1), str(ORDER_CAP + 1)), ("9" * 5000, "a 5000-digit order")):
+        with pytest.raises(TooLarge, match=f"^line 1: graph order is capped at n <= {ORDER_CAP}, got {got}$"):
             parse_edge_list(f"n 0{order}\n0 1\n")
 
 
