@@ -105,15 +105,17 @@ def _joins(
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
     given the degrees of g: under a girth floor, no member of S lies in
-    another's ball of radius ceil(min_girth) - 3 on the rows of g."""
+    another's ball of radius ceil(min_girth) - 3 on the rows of g.  A ball
+    stops growing within g.n - 1 rounds, so the radius is capped at g.n."""
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
     near = None
     if min_girth is not None and largest > 1:
         near = []
+        radius = min(math.ceil(min_girth) - 3, g.n)
         for v in range(g.n):
             ball = 1 << v
-            for _ in range(math.ceil(min_girth) - 3):
+            for _ in range(radius):
                 for u in _positions[ball]:
                     ball |= g.adj[u]
             near.append(ball ^ 1 << v)

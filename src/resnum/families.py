@@ -230,7 +230,7 @@ class Category:
     member: CatalogMember | None = field(default=None, compare=False)
 
 
-def classify_res(g: Graph, catalog=None) -> Category:
+def classify_res(g: Graph) -> Category:
     """Classify a connected graph by its resolving number regime.
 
     Graphs with res <= 3 have completely known shapes; a res-3 graph that
@@ -259,9 +259,7 @@ def classify_res(g: Graph, catalog=None) -> Category:
         raise TheoremViolation("odd cycle with res = 3")
     if is_star and g.n == 4:
         return Category("Star3", 3)
-    if catalog is None:
-        catalog = load_default_catalog()
-    member = catalog.lookup(canonical_form(g))
+    member = load_default_catalog().lookup(canonical_form(g))
     if member is None:
         raise TheoremViolation(
             "res = 3 graph outside the derived catalog: "
@@ -272,42 +270,26 @@ def classify_res(g: Graph, catalog=None) -> Category:
     return Category(tag, 3, member)
 
 
-def clique_res_category(g: Graph, catalog=None) -> int:
+def clique_res_category(g: Graph) -> int:
     """Which of the five omega = res statements the graph instantiates (1..5).
 
-    Requires omega(g) = res(g); verifies the claimed structure and raises
-    TheoremViolation if the graph matches none of the statements.
+    Requires omega(g) = res(g).  For res <= 3 the statement is res itself
+    and `classify_res` checks the shape: with omega = res only K1, paths
+    of order >= 3, odd cycles of order >= 5 and girth-3 catalog members
+    are left.  Raises TheoremViolation if the graph matches no statement.
     """
     r = resolving_number(g).res
     omega = clique_number(g)
     if omega != r:
         raise NotApplicable(f"omega={omega} differs from res={r}")
-    if r == 1:
-        if g.n == 1:
-            return 1
-        raise TheoremViolation("omega = res = 1 on a graph bigger than K1")
-    if r == 2:
-        is_path, is_cycle, _ = path_cycle_star(g)
-        if is_path and g.n >= 3 or is_cycle and g.n % 2 == 1 and g.n >= 5:
-            return 2
-        raise TheoremViolation("omega = res = 2 outside paths and odd cycles")
-    if r == 3:
-        if catalog is None:
-            catalog = load_default_catalog()
-        member = catalog.lookup(canonical_form(g))
-        if member is not None and member.girth == 3:
-            return 3
-        raise TheoremViolation("omega = res = 3 outside the girth-3 catalog slice")
-    # with omega = r, order r + 1 is K_r plus one vertex joined to 1..r-1 of it
-    clique_plus_vertex = g.n == r + 1
-    if r == 4:
-        if clique_plus_vertex:
+    if r <= 3:
+        return classify_res(g).res
+    # with omega = r, order r + 1 is K_r plus one vertex joined to 1..r-1 of
+    # it: statement 4 at r = 4, statement 5 for every larger r
+    if g.n == r + 1:
+        return min(r, 5)
+    if r == 4 and g.n in (6, 7):
+        form = canonical_form(g)
+        if any(canonical_form(clique4_sporadic(i)) == form for i in range(1, 5)):
             return 4
-        if g.n in (6, 7):
-            form = canonical_form(g)
-            if any(canonical_form(clique4_sporadic(i)) == form for i in range(1, 5)):
-                return 4
-        raise TheoremViolation("omega = res = 4 outside the characterized set")
-    if clique_plus_vertex:
-        return 5
-    raise TheoremViolation(f"omega = res = {r} not isomorphic to any clique-plus-vertex graph")
+    raise TheoremViolation(f"omega = res = {r} outside the characterized set")

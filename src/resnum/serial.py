@@ -6,10 +6,11 @@ byte, each byte offset by 63.  `_cells` is the one statement of that slot
 order, as the two cells of each slot in an n x 64 bit matrix whose rows
 pack into the 64-bit words of the int adjacency rows.  `_from_triangle`
 scatters a triangle's bits into both cells and packs the rows; the reader
-(after one `str.translate` spells out the bits and finds a byte outside
-the range) and `CanonicalForm.to_graph` both decode through it.  The
-writer gathers the upper cells from the unpacked rows.  Round trips are
-exercised heavily in the tests, including against networkx.
+(one `bytes.translate` checks the line and moves each byte's six bits to
+its top, and numpy unpacks them) and `CanonicalForm.to_graph` both decode
+through it.  The writer gathers the upper cells from the unpacked rows.
+Round trips are exercised heavily in the tests, including against
+networkx.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .errors import MalformedGraph6, MalformedLine, ResnumError, TooLarge
 from .graphs import Graph, check_edge, order_of
 
 GRAPH6_CAP = 62
-# each graph6 byte to its six bits, most significant first
-_SIX = {63 + v: format(v, "06b") for v in range(64)}
+# each graph6 byte (63..126) to its six bits, shifted to the top of the
+# byte; every other byte to 1, which no graph6 byte maps to
+_TOP_SIX = bytes((c - 63) << 2 if 63 <= c <= 126 else 1 for c in range(256))
 # only these split lines, fields and numbers: str.splitlines(), str.split()
 # and int() also take \x1c..\x1f, Unicode spaces and digits, signs and "_"
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -55,9 +57,10 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(">>graph6<<"):]
         if not s:
             raise MalformedGraph6("no graph after the >>graph6<< header")
-    body = s.translate(_SIX)
-    # a character outside 63..126 stays one character, not six bits
-    if len(body) != 6 * len(s):
+    # UTF-8 spells every non-ASCII character, a lone surrogate too, in
+    # bytes of 128 or more
+    top = s.encode(errors="surrogatepass").translate(_TOP_SIX)
+    if 1 in top:
         raise MalformedGraph6(f"byte outside graph6 range in {line!r}")
     n = ord(s[0]) - 63
     if n == 63:
@@ -70,10 +73,12 @@ def parse_graph6(line: str) -> Graph:
         raise MalformedGraph6(
             f"expected {expect} bytes for order {n}, got {len(s)}"
         )
-    if "1" in body[6 + nbits:]:
+    # the padding is the low -nbits % 6 bits of the last byte
+    if ord(s[-1]) - 63 & (1 << -nbits % 6) - 1:
         raise MalformedGraph6("nonzero padding bits")
-    # "0" and "1" are bytes 48 and 49
-    return _from_triangle(n, np.frombuffer(body.encode(), np.uint8, nbits, 6) & 1)
+    body = np.frombuffer(top, np.uint8, offset=1)
+    bits = np.unpackbits(body[:, None], axis=1, count=6).ravel()
+    return _from_triangle(n, bits[:nbits])
 
 
 def _from_triangle(n: int, bits: np.ndarray) -> Graph:

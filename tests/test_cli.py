@@ -187,6 +187,20 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
 
 
+def test_enum_with_a_huge_girth_floor_returns_the_trees():
+    env = {**os.environ, "PYTHONPATH": str(Path(resnum.__file__).parent.parent)}
+
+    def enum(floor):
+        argv = [sys.executable, "-m", "resnum", "enum", "--n", "6", "--min-girth", floor]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = enum("1000000000")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+    assert (code, out, err) == enum("7")
+
+
 def test_enum_trees(capsys):
     code, out, _ = run(capsys, "enum", "--n", "7", "--trees")
     assert code == 0

@@ -71,6 +71,13 @@ def test_infinite_min_girth_means_trees(trees_by_order):
     assert got == trees_by_order[9]
 
 
+def test_a_girth_floor_past_the_order_gives_the_trees(trees_by_order):
+    # each ball stops growing within the parent's order, so a floor of
+    # 10**9 costs no more than one of 9
+    got = tuple(enumerate_graphs(EnumConstraints(8, max_degree=3, min_girth=10**9)))
+    assert got == tuple(g for g in trees_by_order[8] if max(g.degrees()) <= 3)
+
+
 def test_stream_is_canonically_sorted(connected_by_order):
     for graphs in connected_by_order.values():
         forms = [canonical_form(g) for g in graphs]

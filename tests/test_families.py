@@ -242,6 +242,24 @@ def test_categories_match_the_named_families(connected_by_order):
     assert Counter(_clique_res_or_none(g) for g, _ in tagged) == {None: 24, 2: 55, 3: 12}
 
 
+def test_clique_res_category_defers_to_classify_res(connected_by_order):
+    small = [g for n in range(1, 8) for g in connected_by_order[n]]
+    seen = Counter()
+    for g in small + [g for g, _ in _tagged_91()]:
+        res = resolving_number(g).res
+        if clique_number(g) != res:
+            seen["not applicable"] += 1
+            with pytest.raises(NotApplicable):
+                clique_res_category(g)
+        elif res <= 3:
+            seen["res <= 3"] += 1
+            assert clique_res_category(g) == classify_res(g).res
+        else:
+            seen["res >= 4"] += 1
+            assert clique_res_category(g) == min(res, 5)
+    assert seen == {"not applicable": 984, "res <= 3": 87, "res >= 4": 16}
+
+
 def test_classification_girth5_members():
     catalog = load_default_catalog()
     for member in catalog.slice_by_girth(5):
