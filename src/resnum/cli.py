@@ -11,6 +11,7 @@ writes the prefix.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import string
@@ -167,7 +168,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0 if match else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and kept: `parse_args` never writes to it."""
     parser = argparse.ArgumentParser(
         prog="resnum",
         description="Resolving-number computations, classifications, and bound checks.",

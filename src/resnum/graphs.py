@@ -64,7 +64,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(self._degrees) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -73,7 +73,7 @@ class Graph:
         return self.adj[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+        return self._degrees
 
     def neighbors(self, u: int) -> Iterator[int]:
         return _bits(self.adj[u])
@@ -84,7 +84,11 @@ class Graph:
             for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield u, v
 
-    # kept in __dict__, written past the frozen __setattr__; no field, so == and hash skip it
+    # kept in __dict__, written past the frozen __setattr__; no field, so == and hash skip them
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(row.bit_count() for row in self.adj)
+
     @cached_property
     def _distances(self) -> np.ndarray:
         return _all_pairs_bfs(self)
@@ -178,9 +182,11 @@ def _all_pairs_bfs(g: Graph) -> np.ndarray:
         dtype="<u8",
     ).reshape(n, words)
     closed = np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
-    # members[starts[u]:starts[u + 1]] is the closed neighbourhood of u
-    rows, members = np.nonzero(closed)
-    starts = np.searchsorted(rows, np.arange(n))
+    # members[starts[u]:starts[u + 1]] is the closed neighbourhood of u; one
+    # flat nonzero on a bool view costs less than a 2-D one on uint8
+    flat = closed.view(bool).ravel().nonzero()[0]
+    starts = flat.searchsorted(np.arange(0, n * n, n))
+    members = flat % n
     # radius 0 misses every v != u, radius 1 every v outside the ball
     a = 2 - np.eye(n, dtype=np.int32) - closed
     left = n * n - members.size

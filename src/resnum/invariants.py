@@ -167,7 +167,7 @@ def path_cycle_star(g: Graph) -> tuple[bool, bool, bool]:
     (K2 included), read off its degrees and edge count alone."""
     degs = g.degrees()
     n, top = g.n, max(degs)
-    is_tree = sum(degs) // 2 == n - 1
+    is_tree = g.m == n - 1
     return (
         is_tree and top <= 2,
         n >= 3 and min(degs) == top == 2,
@@ -177,8 +177,7 @@ def path_cycle_star(g: Graph) -> tuple[bool, bool, bool]:
 
 def invariant_summary(g: Graph) -> InvariantSummary:
     """All invariants the bound suite consumes, in one pass."""
-    degs = g.degrees()
-    is_tree = sum(degs) // 2 == g.n - 1
+    is_tree = g.m == g.n - 1
     is_path, is_cycle, is_star = path_cycle_star(g)
     g_girth = INFINITE_GIRTH if is_tree else girth(g)
     return InvariantSummary(
@@ -186,7 +185,7 @@ def invariant_summary(g: Graph) -> InvariantSummary:
         girth=g_girth,
         # a 3-clique is a triangle, so without one the clique is an edge or K1
         omega=clique_number(g) if g_girth == 3 else min(g.n, 2),
-        max_degree=max(degs),
+        max_degree=max(g.degrees()),
         is_tree=is_tree,
         is_path=is_path,
         is_cycle=is_cycle,

@@ -164,6 +164,10 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(len(rows), tuple(rows))
 
 
+# json.dumps builds an encoder per call unless every option is the default
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def to_json_line(obj) -> str:
     """Render a report deterministically: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(obj)

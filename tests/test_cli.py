@@ -11,13 +11,13 @@ from random import Random
 import pytest
 
 import resnum
-from resnum import canon, enumeration, graphs, resolve
+from resnum import canon, cli, enumeration, graphs, resolve
 from resnum.catalog import build_res3_catalog, load_default_catalog
-from resnum.cli import main
+from resnum.cli import build_parser, main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.families import path_graph
 from resnum.graphs import ORDER_CAP, from_edge_list
-from resnum.serial import write_graph6
+from resnum.serial import to_json_line, write_graph6
 
 
 def run(capsys, *argv):
@@ -185,6 +185,67 @@ def test_python_dash_m_runs_the_cli(capsys):
         [sys.executable, "-m", "resnum", *argv], capture_output=True, text=True, env=env
     )
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_the_parser_is_built_on_first_use_and_kept():
+    env = {**os.environ, "PYTHONPATH": str(Path(resnum.__file__).parent.parent)}
+    code = "import resnum.cli; print(resnum.cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "0\n")
+    parser = build_parser()
+    assert main(["gen", "--family", "path", "--params", "3"]) == 0
+    assert main(["enum", "--n", "3"]) == 0
+    assert build_parser() is parser
+
+
+def test_a_kept_parser_parses_each_call_as_a_fresh_one(tmp_path, capsys):
+    f = tmp_path / "g.g6"
+    f.write_text("C~\nDhc\nEhEG\n")
+    calls = [
+        ["compute", "--input", str(f), "--dim", "--updim"],
+        ["compute", "--input", str(f)],
+        ["verify", "--input", str(f), "--prop", "Girth"],
+        ["verify", "--input", str(f)],
+        ["classify", "--input", str(f)],
+        ["gen", "--family", "wheel", "--params", "5"],
+        ["enum", "--n", "4"],
+        ["compute", "--format", "edgelist"],
+        ["--help"],
+        ["verify", "--help"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(call(argv))
+    assert [code for code, _, _ in alone] == [0] * 7 + [2, 0, 0]
+    build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == alone
+
+
+def test_reports_render_as_json_dumps_does(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "g.g6"
+    f.write_text("@\nC~\nDhc\n" + write_graph6(path_graph(12)) + "\n")
+    reports = []
+
+    def keep(obj):
+        reports.append(obj)
+        return to_json_line(obj)
+
+    monkeypatch.setattr(cli, "to_json_line", keep)
+    for argv in (["compute", "--dim", "--updim"], ["verify"], ["classify"]):
+        assert run(capsys, *argv, "--input", str(f))[0] == 0
+    assert run(capsys, "catalog", "--res", "3")[0] == 0
+    assert len(reports) == 3 * 4 + 1
+    for obj in reports:
+        assert to_json_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def test_enum_with_a_huge_girth_floor_returns_the_trees():

@@ -107,6 +107,16 @@ def test_distance_matrix_is_built_once_per_graph():
             distance_matrix(split)
 
 
+def test_degrees_are_counted_once_per_graph():
+    g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+    assert g.degrees() is g.degrees() == (3, 1, 1, 1)
+    assert g.m == 3
+    # the memo is no field either
+    twin = Graph(g.n, g.adj)
+    assert twin == g and hash(twin) == hash(g)
+    assert "_degrees" in vars(g) and "_degrees" not in vars(twin)
+
+
 def test_distances_match_networkx_on_random_graphs():
     rng = random.Random(1105)
     checked = 0
