@@ -10,12 +10,10 @@ graph6 lines; rebuilding must reproduce it byte for byte.
 Most candidates are ruled out before any distance is computed.  The res
 of a graph is one more than the most vertices equidistant from a single
 pair, so three such vertices make it at least 4, and the adjacency rows
-show three exact cases of that: a pair with three common neighbours;
-from order 5 on, a pair of twins, whose other n - 2 vertices are each as
-far from one twin as from the other; and a pair whose common neighbours
-and common distance-2 vertices number three, read from the rows.  Only
-what passes these tests gets a distance matrix and a `resolving_number`
-scan: 151 of the 1,294 candidates.
+show them when a pair's common neighbours and common distance-2
+vertices number three, or when the pair are twins at order 5 or more.
+Only what passes this test gets a distance matrix and a
+`resolving_number` scan: 151 of the 1,294 candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from importlib import resources
 from typing import Iterator
 
 from . import enumeration
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, _twins, canonical_form
 from .errors import CatalogMissing, TheoremViolation
 from .graphs import Graph, _bits
 from .invariants import clique_number, girth, path_cycle_star
@@ -85,34 +83,17 @@ def _structural(g: Graph) -> bool:
     return is_cycle or is_star and g.n == 4
 
 
-def _three_equidistant(g: Graph) -> bool:
+def _rows_force_res4(g: Graph) -> bool:
     """Whether the rows alone show a pair with three vertices equidistant
     from it, so that res(g) >= 4.
 
-    The common neighbours of a pair are at distance 1 from both ends, and
-    every vertex outside a pair of twins u, v (N(u) - v = N(v) - u) is as
-    far from u as from v, which makes n - 2 >= 3 from order 5 on.
+    From order 5 on, the n - 2 >= 3 vertices outside a pair of twins are
+    each as far from one twin as from the other.  Any other pair needs
+    three vertices at distance 1 from both ends or at distance 2 from
+    both; the distance-2 sphere of u is the union of its neighbours' rows
+    less u and its neighbours.
     """
-    n = g.n
-    if n < 5:
-        return False
-    adj = g.adj
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (adj[u] & adj[v]).bit_count() >= 3 or not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
-                return True
-    return False
-
-
-def _three_within_two(g: Graph) -> bool:
-    """Whether some pair has three vertices each at distance 1 from both
-    ends or at distance 2 from both, so that res(g) >= 4.
-
-    The distance-2 sphere of u is the union of its neighbours' rows less
-    u and its neighbours.  The scan asks this only of what
-    `_three_equidistant` leaves.
-    """
-    adj = g.adj
+    n, adj = g.n, g.adj
     two = []
     for u, row in enumerate(adj):
         reach = 0
@@ -120,9 +101,10 @@ def _three_within_two(g: Graph) -> bool:
             reach |= adj[w]
         two.append(reach & ~row & ~(1 << u))
     return any(
-        (adj[u] & adj[v]).bit_count() + (two[u] & two[v]).bit_count() >= 3
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
+        n >= 5 and _twins(adj, u, v)
+        or (adj[u] & adj[v]).bit_count() + (two[u] & two[v]).bit_count() >= 3
+        for u in range(n)
+        for v in range(u + 1, n)
     )
 
 
@@ -146,7 +128,7 @@ def build_res3_catalog() -> Res3Catalog:
     """
     seen: dict[CanonicalForm, CatalogMember] = {}
     for g in _candidate_stream():
-        if _three_equidistant(g) or _three_within_two(g):
+        if _rows_force_res4(g):
             continue
         if resolving_number(g).res != 3 or _structural(g):
             continue

@@ -95,8 +95,8 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
     ):
         return c.max_degree, min_girth
     raise TooLarge(
-        f"order {c.n} needs max_degree <= 3 and min_girth >= 5 "
-        f"(unconstrained enumeration stops at n <= {EXHAUSTIVE_CAP})"
+        f"enumeration is capped at n <= {EXHAUSTIVE_CAP}, or n <= {CONSTRAINED_CAP} "
+        f"with max_degree <= 3 and min_girth >= 5, got order {c.n}"
     )
 
 

@@ -69,9 +69,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
@@ -116,6 +113,15 @@ def order_of(digits: str) -> int:
     if len(digits) > len(str(ORDER_CAP)):
         raise TooLarge(f"graph order is capped at n <= {ORDER_CAP}, got a {len(digits)}-digit order")
     return check_order(int(digits))
+
+
+def vertex_of(n: int, digits: str) -> int:
+    """The vertex an ASCII digit string names, through `check_vertex`,
+    read as `order_of` reads an order: its length first."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(n - 1)):
+        raise IndexOutOfRange(f"a {len(digits)}-digit vertex outside range 0..{n - 1}")
+    return check_vertex(n, int(digits))
 
 
 def check_vertex(n: int, v: int) -> int:

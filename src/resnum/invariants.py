@@ -128,23 +128,17 @@ def clique_number(g: Graph) -> int:
 
 
 def spider_signature(g: Graph) -> tuple[int, int, int] | None:
-    """Sorted leg lengths when g is a tree of three paths glued at one vertex."""
+    """Sorted leg lengths when g is a tree of three paths glued at one vertex.
+
+    Each leg runs from the centre to a leaf, so its length is the leaf's
+    distance from the centre.  A disconnected g that passes the edge and
+    degree counts raises Disconnected, as every distance routine does.
+    """
     degs = g.degrees()
-    if g.m != g.n - 1:
+    if g.m != g.n - 1 or max(degs, default=0) != 3 or degs.count(3) != 1:
         return None
-    if max(degs, default=0) != 3 or degs.count(3) != 1:
-        return None
-    center = degs.index(3)
-    legs = []
-    for first in g.neighbors(center):
-        length = 1
-        prev, cur = center, first
-        while g.degree(cur) == 2:
-            nxt = next(w for w in g.neighbors(cur) if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    return tuple(sorted(legs))  # type: ignore[return-value]
+    to_centre = distance_matrix(g)[degs.index(3)]
+    return tuple(sorted(int(to_centre[v]) for v, d in enumerate(degs) if d == 1))  # type: ignore[return-value]
 
 
 def distance_window(g: Graph, u: int, a: frozenset[int] | set[int]) -> tuple[int, bool]:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .errors import MalformedGraph6, MalformedLine, ResnumError, TooLarge
-from .graphs import Graph, check_edge, order_of
+from .graphs import Graph, check_edge, order_of, vertex_of
 
 GRAPH6_CAP = 62
 # each graph6 byte (63..126) to its six bits, shifted to the top of the
@@ -147,13 +147,11 @@ def parse_edge_list(text: str) -> Graph:
             return
         if len(parts) != 2:
             raise MalformedLine(f"expected 'u v', got {raw!r}")
-        try:
-            # a part that is no digit string leaves too few values to unpack
-            u, v = (int(p) for p in parts if _DIGITS.fullmatch(p))
-        except ValueError:
+        if not all(map(_DIGITS.fullmatch, parts)):
             raise MalformedLine(f"non-integer vertex in {raw!r}")
         # checked here, once, so that the error names its line
-        check_edge(len(rows), u, v)
+        n = len(rows)
+        u, v = check_edge(n, vertex_of(n, parts[0]), vertex_of(n, parts[1]))
         rows[u] |= 1 << v
         rows[v] |= 1 << u
 

@@ -11,12 +11,13 @@ clique-plus-vertex graph on 4 vertices, both being K4 minus an edge).
 """
 
 import math
+import random
 
 import pytest
 
 from resnum import catalog, enumeration
 from resnum.bounds import _order_upper_rhs
-from resnum.canon import canonical_form
+from resnum.canon import _twins, canonical_form
 from resnum.catalog import (
     Res3Catalog,
     build_res3_catalog,
@@ -26,7 +27,8 @@ from resnum.catalog import (
     render_fixture,
 )
 from resnum.errors import CatalogMissing, MalformedGraph6
-from resnum.families import complete_graph, cycle_graph, wheel_graph
+from resnum.families import complete_graph, cycle_graph, star_graph, wheel_graph
+from resnum.graphs import from_edge_list
 from resnum.invariants import invariant_summary
 from resnum.resolve import resolving_number
 from resnum.serial import parse_graph6
@@ -97,26 +99,67 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
 
 def test_the_row_test_rules_out_only_res_4_and_above():
     # the catalog candidates, then the 87 classes of the (8, 3, 4) region
-    # the scan skips (the test above); the rows rule out 877 and 34 of them
+    # the scan skips (the test above); the rows rule out 1,143 and 74 of
+    # them and keep 151 candidates, 22 of them of res 3: the 17 members,
+    # C4, C6, C8, C10 and the 3-star
     graphs = list(catalog._candidate_stream())
     assert len(graphs) == 1294
-    graphs += [form.to_graph() for form in enumeration._level(8, 3, 4)]
-    ruled_out = [g for g in graphs if catalog._three_equidistant(g)]
-    assert len(ruled_out) == 877 + 34
-    assert all(resolving_number(g).res >= 4 for g in ruled_out)
+    gap = [form.to_graph() for form in enumeration._level(8, 3, 4)]
+    assert len(gap) == 87
+    fired = [catalog._rows_force_res4(g) for g in graphs + gap]
+    assert (sum(fired[:1294]), sum(fired[1294:])) == (1143, 74)
+    assert all(resolving_number(g).res >= 4 for g, f in zip(graphs + gap, fired) if f)
+    kept = [g for g, f in zip(graphs, fired) if not f]
+    assert len(kept) == 151
+    assert sum(resolving_number(g).res == 3 for g in kept) == 22
 
 
 def test_the_distance_two_test_rules_out_only_res_4_and_above():
-    # on what the row test leaves, common neighbours and common distance-2
-    # vertices rule out all but 151 of the 1,294 candidates, and keep the
+    # the distance-2 clause alone: on the 1,294 - 877 candidates with no
+    # twin pair and no pair of three common neighbours, common neighbours
+    # plus common distance-2 vertices rule out all but 151, and keep the
     # 22 of res 3: the 17 members, four even cycles and the 3-star
-    graphs = [g for g in catalog._candidate_stream() if not catalog._three_equidistant(g)]
+    def near(g):
+        return g.n >= 5 and any(
+            _twins(g.adj, u, v) or (g.adj[u] & g.adj[v]).bit_count() >= 3
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+        )
+
+    graphs = [g for g in catalog._candidate_stream() if not near(g)]
     assert len(graphs) == 1294 - 877
-    ruled_out = [g for g in graphs if catalog._three_within_two(g)]
+    ruled_out = [g for g in graphs if catalog._rows_force_res4(g)]
     assert len(graphs) - len(ruled_out) == 151
     assert all(resolving_number(g).res >= 4 for g in ruled_out)
     res3 = [g for g in graphs if resolving_number(g).res == 3]
-    assert len(res3) == 22 and not any(map(catalog._three_within_two, res3))
+    assert len(res3) == 22 and not any(map(catalog._rows_force_res4, res3))
+
+
+def test_the_row_test_holds_beyond_the_scanned_orders():
+    # res >= 4 wherever the rows fire, on seeded connected graphs of order
+    # 11..16: cycles with up to two chords, where res is often 2 or 3, and
+    # random trees with extra edges, from trees to dense
+    rng = random.Random(20241)
+    low = 0
+    for _ in range(300):
+        n = rng.randint(11, 16)
+        if rng.random() < 0.5:
+            order = rng.sample(range(n), n)
+            edges = {(order[i - 1], order[i]) for i in range(n)}
+            edges |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))}
+        else:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            p = rng.choice((0.0, 0.05, 0.15, 0.4))
+            edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+        g = from_edge_list(n, edges)
+        res = resolving_number(g).res
+        assert res >= 4 or not catalog._rows_force_res4(g)
+        low += res <= 3
+    assert low >= 50
+    # nor do they fire on the members, any cycle to C40 or the 3-star
+    small = [m.form.to_graph() for m in load_default_catalog().members]
+    small += [cycle_graph(n) for n in range(4, 41)] + [star_graph(3)]
+    assert not any(map(catalog._rows_force_res4, small))
 
 
 def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):

@@ -209,12 +209,17 @@ def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
 
 
 def test_caps():
-    with pytest.raises(TooLarge):
-        list(enumerate_graphs(EnumConstraints(8)))
-    with pytest.raises(TooLarge):
-        list(enumerate_graphs(EnumConstraints(8, max_degree=3)))
-    with pytest.raises(TooLarge):
-        list(enumerate_graphs(EnumConstraints(11, max_degree=3, min_girth=5)))
+    # one message states both caps, whichever of them a request breaks
+    caps = "enumeration is capped at n <= 7, or n <= 10 with max_degree <= 3 and min_girth >= 5"
+    for c in (
+        EnumConstraints(8),
+        EnumConstraints(8, max_degree=3),
+        EnumConstraints(11, max_degree=3, min_girth=5),
+        EnumConstraints(11, max_degree=2, min_girth=11),
+    ):
+        with pytest.raises(TooLarge) as exc:
+            list(enumerate_graphs(c))
+        assert str(exc.value) == f"{caps}, got order {c.n}"
     with pytest.raises(TooLarge):
         list(enumerate_graphs(EnumConstraints(13, trees_only=True)))
     for trees_only in (False, True):

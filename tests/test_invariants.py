@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from resnum import invariants
-from resnum.errors import EmptySet, IndexOutOfRange
+from resnum.errors import Disconnected, EmptySet, IndexOutOfRange
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -124,6 +124,11 @@ def test_spider_signatures():
     assert spider_signature(path_graph(5)) is None
     assert spider_signature(star_graph(4)) is None  # four legs
     assert spider_signature(cycle_graph(6)) is None
+    # K1,3 plus a disjoint triangle has n - 1 edges and one degree-3 vertex
+    # but is no tree: its legs have no distances to read
+    star_and_triangle = from_edge_list(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4)])
+    with pytest.raises(Disconnected):
+        spider_signature(star_and_triangle)
 
 
 def test_invariant_summary_flags():
