@@ -124,18 +124,15 @@ def build_res3_catalog() -> Res3Catalog:
 
     A candidate whose rows already force res >= 4 is dropped before its
     distance matrix is built.  Even cycles and the 3-leaf star are
-    classified structurally, so they stay out of the member list.
+    classified structurally, so they stay out of the member list.  The
+    stream yields each class once, so no member repeats.
     """
-    seen: dict[CanonicalForm, CatalogMember] = {}
-    for g in _candidate_stream():
-        if _rows_force_res4(g):
-            continue
-        if resolving_number(g).res != 3 or _structural(g):
-            continue
-        member = _member_from_graph(g)
-        seen.setdefault(member.form, member)
-    members = tuple(sorted(seen.values(), key=lambda m: m.graph6))
-    return Res3Catalog(members)
+    members = (
+        _member_from_graph(g)
+        for g in _candidate_stream()
+        if not _rows_force_res4(g) and resolving_number(g).res == 3 and not _structural(g)
+    )
+    return Res3Catalog(tuple(sorted(members, key=lambda m: m.graph6)))
 
 
 def render_fixture(catalog: Res3Catalog) -> str:

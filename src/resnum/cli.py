@@ -27,8 +27,8 @@ from .catalog import (
     render_fixture,
 )
 from .enumeration import EnumConstraints, enumerate_graphs
-from .errors import InputError, InvalidFamilyParam, ResnumError, TheoremViolation, TooLarge
-from .families import FamilySpec, classify_res, family_names
+from .errors import InputError, InvalidFamilyParam, TheoremViolation, TooLarge
+from .families import FamilySpec, classify_res, family_names, generate
 from .graphs import Graph
 from .invariants import invariant_summary
 from .resolve import resolving_number, upper_dimension
@@ -129,8 +129,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         params = tuple(map(integer, args.params.split(","))) if args.params else ()
     except ValueError:
         raise InvalidFamilyParam(f"params must be comma-separated integers, got {args.params!r}")
-    g = FamilySpec(kind=args.family, params=params).build()
-    print(write_graph6(g))
+    print(write_graph6(generate(FamilySpec(kind=args.family, params=params))))
     return 0
 
 
@@ -197,10 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a named family member as graph6")
-    # join takes two subspecs, which a command line of integers cannot pass
-    p.add_argument(
-        "--family", required=True, choices=[k for k in family_names() if k != "join"]
-    )
+    p.add_argument("--family", required=True, choices=family_names())
     p.add_argument("--params", default="", help="comma-separated integers")
     p.set_defaults(func=_cmd_gen)
 
@@ -232,7 +228,4 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ResnumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,12 +40,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from random import Random
 from typing import Iterator
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _positions, permute
+from .graphs import Graph, _positions
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -278,44 +277,30 @@ def _canonical_child(rows: list[int], deg: list[int]) -> CanonicalForm | None:
 
 
 def _grow(
-    n: int,
-    max_degree: int | None,
-    min_girth: int | float | None,
-    rng: Random | None = None,
+    n: int, max_degree: int | None, min_girth: int | float | None
 ) -> tuple[CanonicalForm, ...]:
     """Sorted canonical forms of the connected graphs of order n within the caps.
 
-    With an `rng`, parents and neighbour sets are shuffled at every level
-    and no level comes from the cache; trees are shuffled and each is
-    relabelled at random.
+    The sort makes the level independent of the order in which trees,
+    parents and neighbour sets are visited, so a caller that shuffles
+    `_free_trees`, `_level` or `_joins` gets the same tuple.
     """
     if n == 1:
         return (canonical_form(Graph(1, (0,))),)
     if min_girth == math.inf:
-        trees = [
+        trees = (
             t
             for t in _free_trees(n)
             if max_degree is None or max(t.degrees()) <= max_degree
-        ]
-        if rng is not None:
-            rng.shuffle(trees)
-            trees = [permute(t, rng.sample(range(n), n)) for t in trees]
+        )
         return tuple(sorted(map(canonical_form, trees)))
-    if rng is None:
-        parents = list(_level(n - 1, max_degree, min_girth))
-    else:
-        parents = list(_grow(n - 1, max_degree, min_girth, rng))
-        rng.shuffle(parents)
     new = 1 << (n - 1)
     children: list[CanonicalForm] = []
-    for form in parents:
+    for form in _level(n - 1, max_degree, min_girth):
         g = form.to_graph()
         deg = g.degrees()
-        joins = _joins(g, deg, max_degree, min_girth)
-        if rng is not None:
-            rng.shuffle(joins)
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
-        for s in joins:
+        for s in _joins(g, deg, max_degree, min_girth):
             mask = sum(1 << v for v in s)
             if mask in tried:
                 continue
@@ -333,22 +318,15 @@ def _grow(
     return tuple(sorted(children))
 
 
-# the unshuffled levels, each built once per process
+# each level built once per process
 _level = lru_cache(maxsize=None)(_grow)
 
 
-def enumerate_graphs(
-    c: EnumConstraints, _shuffle_seed: int | None = None
-) -> Iterator[Graph]:
+def enumerate_graphs(c: EnumConstraints) -> Iterator[Graph]:
     """Yield one canonically labeled representative per isomorphism class.
 
     The stream is sorted by canonical form, so it is independent of any
     internal exploration order.
     """
-    max_degree, min_girth = _region(c)
-    if _shuffle_seed is None:
-        forms = _level(c.n, max_degree, min_girth)
-    else:
-        forms = _grow(c.n, max_degree, min_girth, Random(_shuffle_seed))
-    for form in forms:
+    for form in _level(c.n, *_region(c)):
         yield form.to_graph()

@@ -164,20 +164,16 @@ def clique4_sporadic(i: int) -> Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family plus parameters; `build` produces the graph.
+    """A named family plus parameters; `generate` builds the graph.
 
     Kinds and domains: path/cycle/complete/empty n, star a, spider
     (a,b,c), clique_pendant (a,b) with 1 <= b < a, wheel rim, pendant_cycle
-    a >= 3, triangle_tripod r >= 3, sporadic i in 1..4, join with two
-    subspecs in `parts`.
+    a >= 3, triangle_tripod r >= 3, sporadic i in 1..4.  Joins are built
+    by `join` from two graphs.
     """
 
     kind: str
     params: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = field(default=())
-
-    def build(self) -> Graph:
-        return generate(self)
 
 
 _BUILDERS = {
@@ -196,15 +192,11 @@ _BUILDERS = {
 
 
 def family_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS)) + ("join",)
+    return tuple(sorted(_BUILDERS))
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes."""
-    if spec.kind == "join":
-        if len(spec.parts) != 2:
-            raise InvalidFamilyParam("join needs exactly two subspecs")
-        return join(generate(spec.parts[0]), generate(spec.parts[1]))
     try:
         builder, arity = _BUILDERS[spec.kind]
     except KeyError:

@@ -35,7 +35,17 @@ _TOP_SIX = bytes((c - 63) << 2 if 63 <= c <= 126 else 1 for c in range(256))
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 _SPACES = re.compile(f"[{re.escape(string.whitespace)}]+")
 _DIGITS = re.compile("[0-9]+")
+# how much of a bad line an error message quotes
+_ECHO_CHARS = 32
 T = TypeVar("T")
+
+
+def _echo(line: str) -> str:
+    """The line quoted, or its first `_ECHO_CHARS` characters quoted and the
+    count of the rest, so that a message stays short on any input."""
+    if len(line) <= _ECHO_CHARS:
+        return repr(line)
+    return f"{line[:_ECHO_CHARS]!r} and {len(line) - _ECHO_CHARS} more characters"
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +71,7 @@ def parse_graph6(line: str) -> Graph:
     # bytes of 128 or more
     top = s.encode(errors="surrogatepass").translate(_TOP_SIX)
     if 1 in top:
-        raise MalformedGraph6(f"byte outside graph6 range in {line!r}")
+        raise MalformedGraph6(f"byte outside graph6 range in {_echo(line)}")
     n = ord(s[0]) - 63
     if n == 63:
         raise MalformedGraph6("multi-byte order header (n > 62) not supported")
@@ -142,13 +152,13 @@ def parse_edge_list(text: str) -> Graph:
         parts = _SPACES.split(line)
         if not rows:
             if len(parts) != 2 or parts[0] != "n" or not _DIGITS.fullmatch(parts[1]):
-                raise MalformedLine(f"expected header 'n <order>', got {raw!r}")
+                raise MalformedLine(f"expected header 'n <order>', got {_echo(raw)}")
             rows.extend([0] * order_of(parts[1]))
             return
         if len(parts) != 2:
-            raise MalformedLine(f"expected 'u v', got {raw!r}")
+            raise MalformedLine(f"expected 'u v', got {_echo(raw)}")
         if not all(map(_DIGITS.fullmatch, parts)):
-            raise MalformedLine(f"non-integer vertex in {raw!r}")
+            raise MalformedLine(f"non-integer vertex in {_echo(raw)}")
         # checked here, once, so that the error names its line
         n = len(rows)
         u, v = check_edge(n, vertex_of(n, parts[0]), vertex_of(n, parts[1]))

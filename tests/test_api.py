@@ -1,4 +1,6 @@
 """The public surface: every exported name resolves, test oracles stay out,
+no public routine takes a parameter only tests would set, every error
+class maps to one exit code,
 every top-level definition in the package has a caller or is exported,
 every name a module imports is read there or re-exported, one routine
 writes the line number in front of an input error, and each size cap is
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import resnum
 import resnum.enumeration
+import resnum.errors
+import resnum.families
 import resnum.graphs
 import resnum.invariants
 import resnum.serial
@@ -19,6 +23,8 @@ TEST_ONLY = {
     resnum.graphs: ("DistanceMatrix", "is_connected", "_reach_mask"),
     resnum.invariants: ("clique_number_oracle",),
     resnum.serial: ("GraphDocument", "graphs_to_lines"),
+    # a family spec is a kind and its integers; joins are built by `join`
+    resnum.families.FamilySpec: ("parts", "build"),
 }
 
 
@@ -36,7 +42,8 @@ def test_oracles_and_dead_api_are_not_in_the_package():
 
 
 def test_no_public_routine_takes_a_distance_matrix():
-    # routines read distances from `distance_matrix`, which builds them once per graph
+    # routines read distances from `distance_matrix`, which builds them once
+    # per graph; a parameter only tests would set has no place in the API
     routines = [
         (name, obj)
         for name in resnum.__all__
@@ -45,8 +52,30 @@ def test_no_public_routine_takes_a_distance_matrix():
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     ]
     assert len(routines) > 20
-    takes_dm = [name for name, obj in routines if "dm" in inspect.signature(obj).parameters]
-    assert takes_dm == []
+    refused = [
+        f"{name}.{param}"
+        for name, obj in routines
+        for param in inspect.signature(obj).parameters
+        if param == "dm" or param.startswith("_")
+    ]
+    assert refused == []
+
+
+def test_every_error_maps_to_one_exit_code():
+    # the CLI catches the three branches, for exits 2, 3 and 4, and nothing else
+    branches = (resnum.errors.InputError, resnum.errors.TooLarge, resnum.errors.TheoremViolation)
+    classes = [
+        obj
+        for obj in vars(resnum.errors).values()
+        if isinstance(obj, type) and issubclass(obj, resnum.errors.ResnumError)
+    ]
+    assert len(classes) > 10
+    stray = [
+        cls.__name__
+        for cls in classes
+        if cls is not resnum.errors.ResnumError and not issubclass(cls, branches)
+    ]
+    assert stray == []
 
 
 def _used_names(node: ast.AST) -> set[str]:

@@ -48,6 +48,9 @@ def test_default_catalog_matches_frozen_members():
 def test_rebuild_reproduces_the_fixture():
     derived = build_res3_catalog()
     assert render_fixture(derived) == render_fixture(load_default_catalog())
+    # the scan keeps no set of forms: the stream yields each class once
+    forms = [m.form for m in derived.members]
+    assert len(set(forms)) == len(forms)
 
 
 def test_scan_covers_every_region_the_bounds_admit(monkeypatch):

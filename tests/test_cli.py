@@ -510,6 +510,23 @@ def test_an_edge_list_vertex_error_names_its_line(capsys, monkeypatch):
     assert err == "input error: line 4: vertex 7 outside range 0..2\n"
 
 
+@pytest.mark.parametrize(
+    "text, fmt, left_out",
+    [
+        ("n 3\n0 " + "x" * 5000 + "\n", "edgelist", 4970),  # non-integer vertex
+        ("n 3\n" + "0 1 " * 1250 + "\n", "edgelist", 4968),  # not 'u v'
+        ("n " + "x" * 5000 + "\n", "edgelist", 4970),  # not a header
+        ("C~" + "!" * 5000 + "\n", "graph6", 4970),  # bytes outside graph6
+    ],
+)
+def test_an_error_quotes_a_bounded_prefix_of_a_long_line(capsys, monkeypatch, text, fmt, left_out):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "compute", "--input", "-", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.endswith(f"' and {left_out} more characters\n")
+
+
 def test_undecodable_stdin_is_an_input_error(capsys, monkeypatch):
     stdin = io.TextIOWrapper(io.BytesIO(b"C~\nC\xff\n"), encoding="utf-8", errors="strict")
     monkeypatch.setattr("sys.stdin", stdin)

@@ -9,6 +9,7 @@ import hashlib
 import math
 import sys
 from functools import lru_cache
+from random import Random
 
 import pytest
 
@@ -16,7 +17,7 @@ from resnum import canon, enumeration
 from resnum.canon import canonical_form
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.errors import InputError, TooLarge
-from resnum.graphs import Graph
+from resnum.graphs import Graph, permute
 from resnum.invariants import girth
 from resnum.serial import write_graph6
 
@@ -118,27 +119,53 @@ def test_pruning_equals_filtering(connected_by_order, max_degree, min_girth):
         assert len(set(level)) == len(level)
 
 
+def _shuffle_the_search(monkeypatch, seed):
+    """Make `_grow` visit trees, parents and neighbour sets in a seeded
+    random order, with every tree relabelled at random and no level cached."""
+    rng = Random(seed)
+    grow, joins, free_trees = enumeration._grow, enumeration._joins, enumeration._free_trees
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    monkeypatch.setattr(enumeration, "_level", lambda *region: shuffled(grow(*region)))
+    monkeypatch.setattr(enumeration, "_joins", lambda *args: shuffled(joins(*args)))
+    monkeypatch.setattr(
+        enumeration,
+        "_free_trees",
+        lambda n: (permute(t, rng.sample(range(n), n)) for t in shuffled(free_trees(n))),
+    )
+
+
+def _grown(c):
+    """The level `_grow` builds for c, as graphs."""
+    return tuple(form.to_graph() for form in enumeration._grow(c.n, *enumeration._region(c)))
+
+
 def test_order_insensitive_to_generation_sequence(
-    connected_by_order, constrained_by_order, trees_by_order
+    monkeypatch, connected_by_order, constrained_by_order, trees_by_order
 ):
     for n, seed in ((5, 1234), (7, 4321)):
-        shuffled = tuple(enumerate_graphs(EnumConstraints(n), _shuffle_seed=seed))
-        assert shuffled == connected_by_order[n]
-    sparse = EnumConstraints(8, max_degree=3, min_girth=5)
-    assert tuple(enumerate_graphs(sparse, _shuffle_seed=99)) == constrained_by_order[8]
-    trees = EnumConstraints(8, trees_only=True)
-    assert tuple(enumerate_graphs(trees, _shuffle_seed=7)) == trees_by_order[8]
+        _shuffle_the_search(monkeypatch, seed)
+        assert _grown(EnumConstraints(n)) == connected_by_order[n]
+    _shuffle_the_search(monkeypatch, 99)
+    assert _grown(EnumConstraints(8, max_degree=3, min_girth=5)) == constrained_by_order[8]
+    _shuffle_the_search(monkeypatch, 7)
+    assert _grown(EnumConstraints(8, trees_only=True)) == trees_by_order[8]
 
 
 def test_a_shuffled_tree_level_canonicalises_relabelled_trees(monkeypatch, trees_by_order):
+    generated = set(enumeration._free_trees(8))
     seen = []
     real = enumeration.canonical_form
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: seen.append(g) or real(g))
-    trees = EnumConstraints(8, trees_only=True)
-    assert tuple(enumerate_graphs(trees, _shuffle_seed=7)) == trees_by_order[8]
+    _shuffle_the_search(monkeypatch, 7)
+    assert _grown(EnumConstraints(8, trees_only=True)) == trees_by_order[8]
     # canon never sees a tree as the generator labelled it
     assert len(seen) == TREE_COUNTS[8]
-    assert not set(seen) & set(enumeration._free_trees(8))
+    assert not set(seen) & generated
 
 
 def test_row_precheck_matches_the_graph_oracle(monkeypatch):

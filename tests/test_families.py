@@ -103,7 +103,7 @@ def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
         "triangle_tripod": (268,),
     }
     assert ORDER_CAP == 800
-    assert sorted(past) == sorted(set(family_names()) - {"join", "sporadic"})
+    assert sorted(past) == sorted(set(family_names()) - {"sporadic"})
     full, one = empty_graph(ORDER_CAP), path_graph(1)
 
     def refuse(*args):
@@ -122,18 +122,12 @@ def test_registry_generate():
     assert "path" in family_names()
     g = generate(FamilySpec(kind="clique_pendant", params=(4, 2)))
     assert g == clique_with_pendant(4, 2)
-    j = generate(
-        FamilySpec(
-            kind="join",
-            parts=(
-                FamilySpec(kind="complete", params=(1,)),
-                FamilySpec(kind="path", params=(4,)),
-            ),
-        )
-    )
-    assert j == join(complete_graph(1), path_graph(4))
     with pytest.raises(InvalidFamilyParam):
         generate(FamilySpec(kind="nonesuch", params=()))
+    # a join is built by `join` from two graphs, not named by a spec
+    assert "join" not in family_names()
+    with pytest.raises(InvalidFamilyParam, match="^unknown family 'join'"):
+        generate(FamilySpec(kind="join"))
     with pytest.raises(InvalidFamilyParam):
         generate(FamilySpec(kind="path", params=(1, 2)))
 
