@@ -6,7 +6,9 @@ recomputes both.  The four sporadic order-6/7 graphs built around a
 they are verified to satisfy omega = res = 4 the first time they are
 requested and a failure aborts loudly.  Every constructor checks its
 parameters' domain, then `graphs.check_order`, before it builds anything
-(an argument left of the edge list is evaluated first).
+(an argument left of the edge list is evaluated first).  The dense ones,
+complete graphs, a clique plus a pendant vertex and joins, build their
+rows as masks rather than through Θ(n²) checked edges.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
 from .graphs import Graph, check_order, from_edge_list
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
+
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices; res is 1 for n <= 2 and 2 afterwards."""
@@ -39,7 +42,8 @@ def complete_graph(n: int) -> Graph:
     """Complete graph; res = n - 1 for n >= 2."""
     if n < 1:
         raise InvalidFamilyParam(f"complete graph needs n >= 1, got {n}")
-    return from_edge_list(check_order(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << check_order(n)) - 1
+    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -81,9 +85,9 @@ def clique_with_pendant(a: int, b: int) -> Graph:
     if not 1 <= b < a:
         raise InvalidFamilyParam(f"need 1 <= b < a, got a={a} b={b}")
     check_order(a + 1)
-    edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
-    edges += [(i, a) for i in range(b)]
-    return from_edge_list(a + 1, edges)
+    clique = (1 << a) - 1
+    rows = [clique ^ 1 << v | (1 << a if v < b else 0) for v in range(a)]
+    return Graph(a + 1, (*rows, (1 << b) - 1))
 
 
 def wheel_graph(rim: int) -> Graph:
@@ -125,12 +129,12 @@ def triangle_tripod(r: int) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus every edge between them."""
-    check_order(g1.n + g2.n)
-    edges = list(g1.edges())
     off = g1.n
-    edges += [(u + off, v + off) for u, v in g2.edges()]
-    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
-    return from_edge_list(g1.n + g2.n, edges)
+    n = check_order(off + g2.n)
+    first = (1 << off) - 1
+    second = ((1 << g2.n) - 1) << off
+    rows = [row | second for row in g1.adj] + [row << off | first for row in g2.adj]
+    return Graph(n, tuple(rows))
 
 
 def _sporadic_raw(i: int) -> Graph:

@@ -91,8 +91,8 @@ class Graph:
         return _all_pairs_bfs(self)
 
 
-# the largest order a family builds or an edge list has: K800 builds in 0.3 s,
-# and `resnum compute` reads its 319,600 edge lines in 1.3-1.7 s (2-core x86-64)
+# the largest order a family builds or an edge list has: `resnum compute`
+# reads K800's 319,600 edge lines in 1.3-1.7 s (2-core x86-64)
 ORDER_CAP = 800
 
 

@@ -6,11 +6,13 @@ null.  The clique number comes from a branch and bound over candidate
 bit masks, bounded by greedy colour classes (Tomita and Seki, *An
 efficient branch-and-bound algorithm for finding a maximum clique*,
 DMTCS 2003), cross-checked against subset brute force and networkx in
-the tests.  The colouring reads each vertex's complement row, built once
-per search, so a vertex costs one mask step to leave its class's
-candidates.  `invariant_summary` finds the girth first and searches for
-cliques only when it is 3: a graph with no triangle has clique number
-min(n, 2).
+the tests.  Each colour class is one bit mask, as in San Segundo et al.'s
+BBMC (*An exact bit-parallel algorithm for the maximum clique problem*,
+Computers & OR 38 (2011)), so the bound is the number of classes left.
+A vertex joins its class with one mask step by the complement of its
+closed neighbourhood, built once per search.  `invariant_summary` finds
+the girth first and searches for cliques only when it is 3: a graph with
+no triangle has clique number min(n, 2).
 """
 
 from __future__ import annotations
@@ -77,23 +79,23 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _colour_classes(cand: int, avoid: list[int]) -> list[tuple[int, int]]:
-    """(colour, vertex) for cand in greedy colour classes, colours rising;
-    each class is independent, so a clique meets it at most once.
-    `avoid[v]` is the complement of v's adjacency row."""
-    order = []
-    colour = 0
+def _colour_classes(cand: int, avoid: list[int]) -> list[int]:
+    """cand split into greedy colour classes, one bit mask each, colours
+    rising; each class is independent, so a clique meets it at most once.
+    A class takes the candidates left in bit order, each one that no
+    vertex already in it sees.  `avoid[v]` is the complement of v's closed
+    neighbourhood, so one mask step drops v and its neighbours."""
+    classes = []
     while cand:
-        colour += 1
+        cls = 0
         avail = cand
         while avail:
             low = avail & -avail
-            avail ^= low
-            v = low.bit_length() - 1
-            order.append((colour, v))
-            cand ^= low
-            avail &= avoid[v]
-    return order
+            cls |= low
+            avail &= avoid[low.bit_length() - 1]
+        classes.append(cls)
+        cand ^= cls
+    return classes
 
 
 def clique_number(g: Graph) -> int:
@@ -101,24 +103,30 @@ def clique_number(g: Graph) -> int:
 
     Depth first over an explicit stack, so the clique size is not bounded
     by the interpreter's recursion limit.  Each frame holds a clique, its
-    candidates still unexpanded and their colour classes; a candidate of
-    colour c adds at most c vertices, so it is expanded only while that
-    can beat the best clique found so far.
+    candidates still unexpanded and their colour classes as masks.  A
+    clique takes at most one vertex per class, so a frame is expanded
+    only while its size plus its class count can beat the best clique
+    found so far; it expands the highest vertex of its top class and pops
+    the class once it is empty.
     """
     adj = g.adj
-    avoid = [~row for row in adj]
+    avoid = [~(row | 1 << v) for v, row in enumerate(adj)]
     best = 0
     full = (1 << g.n) - 1
-    # [clique size, unexpanded candidates, their colour order]
+    # [clique size, unexpanded candidates, their colour classes]
     stack = [[0, full, _colour_classes(full, avoid)]]
     while stack:
         frame = stack[-1]
-        size, cand, order = frame
-        if not order or size + order[-1][0] <= best:
+        size, cand, classes = frame
+        if size + len(classes) <= best:
             stack.pop()
             continue
-        _, v = order.pop()
-        frame[1] = cand & ~(1 << v)
+        v = classes[-1].bit_length() - 1
+        bit = 1 << v
+        classes[-1] ^= bit
+        if not classes[-1]:
+            classes.pop()
+        frame[1] = cand ^ bit
         sub = cand & adj[v]
         if sub:
             stack.append([size + 1, sub, _colour_classes(sub, avoid)])

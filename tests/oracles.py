@@ -9,11 +9,12 @@ edge-subset enumeration against the enumeration engine, the canonical
 deletion pre-check on a `Graph`, with the full key for every rival,
 against the one on rows and degrees, the girth test on the distance
 matrix against the balls on the rows in `_joins`, subset brute force
-against `clique_number`, a subset scan with `is_resolving_set` against
-the resolving-set table behind the dimensions, the same table as numpy
-arrays, one byte per subset, against the int-bitset table, and the
-row-block equidistance kernel on the int32 matrix against the pair-list
-kernel on narrow distances.
+against `clique_number`, first-fit colouring vertex by vertex against the
+class-by-class greedy colouring of `invariants._colour_classes`, a subset
+scan with `is_resolving_set` against the resolving-set table behind the
+dimensions, the same table as numpy arrays, one byte per subset, against
+the int-bitset table, and the row-block equidistance kernel on the int32
+matrix against the pair-list kernel on narrow distances.
 """
 
 from itertools import combinations, permutations, product
@@ -224,6 +225,21 @@ def clique_number_oracle(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(s, 2)):
                 return k
     return 1
+
+
+def first_fit_classes(g: Graph, cand: int) -> list[int]:
+    """The candidates coloured one vertex at a time in increasing order,
+    each with the least colour no earlier neighbour holds, as one bit mask
+    per colour, colours rising."""
+    colour = {}
+    for v in range(g.n):
+        if cand >> v & 1:
+            taken = {colour[u] for u in colour if g.has_edge(u, v)}
+            colour[v] = next(c for c in range(len(taken) + 1) if c not in taken)
+    classes = [0] * len(set(colour.values()))
+    for v, c in colour.items():
+        classes[c] |= 1 << v
+    return classes
 
 
 def subset_scan_dimensions(g: Graph) -> tuple:

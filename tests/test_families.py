@@ -27,7 +27,7 @@ from resnum.families import (
     triangle_tripod,
     wheel_graph,
 )
-from resnum.graphs import ORDER_CAP
+from resnum.graphs import ORDER_CAP, from_edge_list
 from resnum.invariants import clique_number, girth
 from resnum.resolve import resolving_number
 
@@ -54,6 +54,35 @@ def test_join_shapes():
     assert (g.n, g.m) == (5, 7)
     h = join(complete_graph(2), empty_graph(2))
     assert (h.n, h.m) == (4, 5)
+
+
+def test_dense_families_build_their_rows_without_an_edge_list(monkeypatch):
+    # the rows equal the checked edge-list build at small parameters
+    for n in range(1, 12):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert complete_graph(n) == from_edge_list(n, pairs)
+    for a in range(2, 10):
+        for b in range(1, a):
+            edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+            edges += [(i, a) for i in range(b)]
+            assert clique_with_pendant(a, b) == from_edge_list(a + 1, edges)
+    small = [complete_graph(1), empty_graph(2), path_graph(4), cycle_graph(5), star_graph(3)]
+    for g1 in small:
+        for g2 in small:
+            off = g1.n
+            edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
+            edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
+            assert join(g1, g2) == from_edge_list(off + g2.n, edges)
+
+    def refuse(*args):
+        raise AssertionError("built through an edge list")
+
+    # so K800 costs no 319,600 checked edges before the graph6 writer's cap
+    monkeypatch.setattr(families, "from_edge_list", refuse)
+    assert complete_graph(ORDER_CAP).m == ORDER_CAP * (ORDER_CAP - 1) // 2
+    assert clique_with_pendant(ORDER_CAP - 1, 1).degrees()[-1] == 1
+    half = ORDER_CAP // 2
+    assert join(empty_graph(half), empty_graph(half)).m == half * half
 
 
 def test_join_proof_graphs_are_catalog_members():

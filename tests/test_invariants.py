@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -26,7 +27,7 @@ from resnum.invariants import (
     spider_signature,
 )
 
-from oracles import clique_number_oracle, is_connected
+from oracles import clique_number_oracle, first_fit_classes, is_connected
 
 
 def test_girth_values():
@@ -108,6 +109,42 @@ def test_clique_number_matches_networkx_on_the_stream_mix(count_calls):
             assert clique_number(from_edge_list(n, edges)) == expected
     # the search and its colour classes are pinned, not only its result
     assert colourings() == 2223
+
+
+def test_colour_classes_are_the_first_fit_colouring():
+    # orders past 64 put the rows and candidate masks across machine words
+    rng = random.Random(2011)
+    for n in range(1, 131):
+        p = rng.random()
+        g = from_edge_list(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        # as `clique_number` builds it: the complement of each closed neighbourhood
+        avoid = [~(row | 1 << v) for v, row in enumerate(g.adj)]
+        for _ in range(3):
+            cand = rng.getrandbits(n)
+            classes = invariants._colour_classes(cand, avoid)
+            union = 0
+            for cls in classes:
+                members = [v for v in range(n) if cls >> v & 1]
+                assert members and not cls & union
+                assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
+                union |= cls
+            assert union == cand
+            # each vertex sits in the first class, in bit order, that it fits
+            assert classes == first_fit_classes(g, cand)
+
+
+def test_clique_number_matches_networkx_past_one_word():
+    # rows of 63..96 bits, around and past one 64-bit word, at the two
+    # densities whose searches branch most on the stream mix; at order 120
+    # and p = 0.6 `find_cliques` alone takes over a second
+    rng = random.Random(2011)
+    for n in (63, 64, 65, 96):
+        for p in (0.3, 0.6):
+            edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            G = nx.Graph(edges)
+            G.add_nodes_from(range(n))
+            expected = max(len(c) for c in nx.find_cliques(G))
+            assert clique_number(from_edge_list(n, edges)) == expected
 
 
 def test_clique_number_spot_values():
