@@ -11,9 +11,11 @@ Most candidates are ruled out before any distance is computed.  The res
 of a graph is one more than the most vertices equidistant from a single
 pair, so three such vertices make it at least 4, and the adjacency rows
 show them when a pair's common neighbours and common distance-2
-vertices number three, or when the pair are twins at order 5 or more.
-Only what passes this test gets a distance matrix and a
-`resolving_number` scan: 151 of the 1,294 candidates.
+vertices number three (m2 exceeds 2), or when the pair are twins at
+order 5 or more.  The scan of orders 8..10 grows only graphs with
+m2 <= 2, and the rows test every candidate.  Only what passes gets a
+distance matrix and a `resolving_number` scan: 151 of the 1,158
+candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Iterator
 from . import enumeration
 from .canon import CanonicalForm, _twins, canonical_form
 from .errors import CatalogMissing, TheoremViolation
-from .graphs import Graph, _bits
+from .enumeration import _m2_exceeds
+from .graphs import Graph
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
 from .serial import numbered, parse_graph6, write_graph6
@@ -87,24 +90,14 @@ def _rows_force_res4(g: Graph) -> bool:
     """Whether the rows alone show a pair with three vertices equidistant
     from it, so that res(g) >= 4.
 
-    From order 5 on, the n - 2 >= 3 vertices outside a pair of twins are
-    each as far from one twin as from the other.  Any other pair needs
-    three vertices at distance 1 from both ends or at distance 2 from
-    both; the distance-2 sphere of u is the union of its neighbours' rows
-    less u and its neighbours.
+    Three vertices at distance 1 from both ends or at distance 2 from
+    both make m2 exceed 2.  From order 5 on, the n - 2 >= 3 vertices
+    outside a pair of twins are each as far from one twin as from the
+    other, at whatever distance.
     """
     n, adj = g.n, g.adj
-    two = []
-    for u, row in enumerate(adj):
-        reach = 0
-        for w in _bits(row):
-            reach |= adj[w]
-        two.append(reach & ~row & ~(1 << u))
-    return any(
-        n >= 5 and _twins(adj, u, v)
-        or (adj[u] & adj[v]).bit_count() + (two[u] & two[v]).bit_count() >= 3
-        for u in range(n)
-        for v in range(u + 1, n)
+    return _m2_exceeds(adj, 2) or n >= 5 and any(
+        _twins(adj, u, v) for u in range(n) for v in range(u + 1, n)
     )
 
 
@@ -113,19 +106,21 @@ def _candidate_stream() -> Iterator[Graph]:
     # wrapper installed there (a tracer, a timer) sees every candidate
     for n in range(2, 8):
         yield from enumeration.enumerate_graphs(enumeration.EnumConstraints(n))
+    # a res-3 graph has m2 <= 2, so the sparse orders are pruned by it
     for n in (8, 9, 10):
         yield from enumeration.enumerate_graphs(
-            enumeration.EnumConstraints(n, max_degree=3, min_girth=5)
+            enumeration.EnumConstraints(n, max_degree=3, min_girth=5, max_m2=2)
         )
 
 
 def build_res3_catalog() -> Res3Catalog:
     """Scan the bounded space and keep every res-3 class that needs cataloging.
 
-    A candidate whose rows already force res >= 4 is dropped before its
-    distance matrix is built.  Even cycles and the 3-leaf star are
-    classified structurally, so they stay out of the member list.  The
-    stream yields each class once, so no member repeats.
+    The sparse orders are grown under m2 <= 2, and a candidate whose rows
+    still force res >= 4 is dropped before its distance matrix is built:
+    151 of the 1,158 candidates reach the res scan.  Even cycles and the
+    3-leaf star are classified structurally, so they stay out of the
+    member list.  The stream yields each class once, so no member repeats.
     """
     members = (
         _member_from_graph(g)

@@ -20,7 +20,12 @@ maximise (degree, sorted neighbour degrees), the one at the smallest
 canonical position.  That vertex picks one parent class and one orbit of
 S per child class, so the children need no set to drop duplicates, and
 the invariant, read off the child's rows and degrees, turns most other
-children away before a `Graph` is built and canon runs.
+children away before a `Graph` is built and canon runs.  A cap on m2,
+the most vertices at distance 1 from both ends of a pair or at distance
+2 from both, passes to the parent as well: deleting a non-cut vertex
+only lengthens the distances among the rest, so no pair gains such a
+vertex.  It is tested on the child's rows after the invariant and before
+canon, so pruning keeps exactly what filtering would.
 
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
@@ -40,11 +45,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _positions
+from .graphs import Graph, _bits, _positions
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -53,36 +58,43 @@ TREES_CAP = 12
 
 @dataclass(frozen=True)
 class EnumConstraints:
-    """What to enumerate: order, optional degree / girth caps, tree mode.
+    """What to enumerate: order, optional degree / girth / m2 caps, tree mode.
 
     A `min_girth` of infinity means acyclic and is treated as tree mode,
     which generates the trees of order n directly, up to n = 12, and
-    drops those above `max_degree`.  Other graphs are grown level by
-    level: orders 8..10 are reachable only with max_degree <= 3 and
-    min_girth >= 5; the unconstrained space is capped at 7.
+    drops those above `max_degree` or `max_m2`.  Other graphs are grown
+    level by level: orders 8..10 are reachable only with max_degree <= 3
+    and min_girth >= 5; the unconstrained space is capped at 7.  A
+    `max_m2` of k keeps the graphs where no pair has more than k vertices
+    at distance 1 from both ends or at distance 2 from both, so each graph
+    it drops has res >= k + 2; it moves no order cap.
     """
 
     n: int
     max_degree: int | None = None
     min_girth: int | float | None = None
     trees_only: bool = False
+    max_m2: int | None = None
 
 
-def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
-    """Check domain and caps; return (max_degree, min_girth) as the level cache key.
+def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | None]:
+    """Check domain and caps; return (max_degree, min_girth, max_m2), the
+    level cache key.
 
     Trees become girth infinity; a girth floor of 3 or less, which every
-    simple graph meets, becomes None.
+    simple graph meets, becomes None.  The m2 cap moves no order cap.
     """
     if c.n < 1:
         raise InputError(f"order must be at least 1, got {c.n}")
     if c.max_degree is not None and c.max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {c.max_degree}")
+    if c.max_m2 is not None and c.max_m2 < 0:
+        raise InputError(f"max_m2 must be nonnegative, got {c.max_m2}")
     min_girth = c.min_girth
     if c.trees_only or (min_girth is not None and math.isinf(min_girth)):
         if c.n > TREES_CAP:
             raise TooLarge(f"tree enumeration is capped at n <= {TREES_CAP}, got {c.n}")
-        return c.max_degree, math.inf
+        return c.max_degree, math.inf, c.max_m2
     if min_girth is not None and min_girth <= 3:
         min_girth = None
     if c.n <= EXHAUSTIVE_CAP or (
@@ -92,7 +104,7 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None]:
         and min_girth is not None
         and min_girth >= 5
     ):
-        return c.max_degree, min_girth
+        return c.max_degree, min_girth, c.max_m2
     raise TooLarge(
         f"enumeration is capped at n <= {EXHAUSTIVE_CAP}, or n <= {CONSTRAINED_CAP} "
         f"with max_degree <= 3 and min_girth >= 5, got order {c.n}"
@@ -255,8 +267,32 @@ def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
     return tied
 
 
-def _canonical_child(rows: list[int], deg: list[int]) -> CanonicalForm | None:
-    """The child's form if its last vertex is its canonical deletion, else None.
+def _m2_exceeds(rows: Sequence[int], k: int) -> bool:
+    """Whether some pair has more than k vertices at distance 1 from both
+    ends or at distance 2 from both, read off the adjacency rows.
+
+    Each such vertex is equidistant from the pair, so res >= k + 2 when
+    this holds.  The distance-2 sphere of u is the union of its
+    neighbours' rows less u and its neighbours.
+    """
+    two = []
+    for u, row in enumerate(rows):
+        reach = 0
+        for w in _bits(row):
+            reach |= rows[w]
+        two.append(reach & ~row & ~(1 << u))
+    for u, (row, sphere) in enumerate(zip(rows, two)):
+        for v in range(u + 1, len(rows)):
+            if (row & rows[v]).bit_count() + (sphere & two[v]).bit_count() > k:
+                return True
+    return False
+
+
+def _canonical_child(
+    rows: list[int], deg: list[int], max_m2: int | None
+) -> CanonicalForm | None:
+    """The child's form if its last vertex is its canonical deletion and
+    it keeps the m2 cap, else None.
 
     The child comes as its adjacency rows and degrees, and becomes a
     `Graph` only if it reaches canon.  The deletable vertices are the
@@ -264,10 +300,10 @@ def _canonical_child(rows: list[int], deg: list[int]) -> CanonicalForm | None:
     canonical one sits at the smallest canonical position among them.
     The new vertex passes when it lies in that vertex's orbit.  A new
     vertex that another deletable vertex beats on the invariant is turned
-    away before canon runs.
+    away before canon runs, and so is a child past the m2 cap.
     """
     tied = _deletion_ties(rows, deg)
-    if tied is None:
+    if tied is None or max_m2 is not None and _m2_exceeds(rows, max_m2):
         return None
     w = len(rows) - 1
     form = canonical_form(Graph(w + 1, tuple(rows)))
@@ -277,7 +313,7 @@ def _canonical_child(rows: list[int], deg: list[int]) -> CanonicalForm | None:
 
 
 def _grow(
-    n: int, max_degree: int | None, min_girth: int | float | None
+    n: int, max_degree: int | None, min_girth: int | float | None, max_m2: int | None
 ) -> tuple[CanonicalForm, ...]:
     """Sorted canonical forms of the connected graphs of order n within the caps.
 
@@ -291,12 +327,13 @@ def _grow(
         trees = (
             t
             for t in _free_trees(n)
-            if max_degree is None or max(t.degrees()) <= max_degree
+            if (max_degree is None or max(t.degrees()) <= max_degree)
+            and (max_m2 is None or not _m2_exceeds(t.adj, max_m2))
         )
         return tuple(sorted(map(canonical_form, trees)))
     new = 1 << (n - 1)
     children: list[CanonicalForm] = []
-    for form in _level(n - 1, max_degree, min_girth):
+    for form in _level(n - 1, max_degree, min_girth, max_m2):
         g = form.to_graph()
         deg = g.degrees()
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
@@ -312,7 +349,7 @@ def _grow(
                 degs[v] += 1
             rows.append(mask)
             degs.append(len(s))
-            kept = _canonical_child(rows, degs)
+            kept = _canonical_child(rows, degs, max_m2)
             if kept is not None:
                 children.append(kept)
     return tuple(sorted(children))

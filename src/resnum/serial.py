@@ -30,9 +30,9 @@ GRAPH6_CAP = 62
 # each graph6 byte (63..126) to its six bits, shifted to the top of the
 # byte; every other byte to 1, which no graph6 byte maps to
 _TOP_SIX = bytes((c - 63) << 2 if 63 <= c <= 126 else 1 for c in range(256))
-# only these split lines, fields and numbers: str.splitlines(), str.split()
-# and int() also take \x1c..\x1f, Unicode spaces and digits, signs and "_"
-_LINE_BREAK = re.compile(r"\r\n?|\n")
+# only \r\n, \r and \n split lines and only these split fields and numbers:
+# str.splitlines(), str.split() and int() also take \x1c..\x1f, Unicode
+# spaces and digits, signs and "_"
 _SPACES = re.compile(f"[{re.escape(string.whitespace)}]+")
 _DIGITS = re.compile("[0-9]+")
 # how much of a bad line an error message quotes
@@ -119,7 +119,8 @@ def numbered(text: str, read: Callable[[str], T]) -> Iterator[T]:
     """Yield `read(line)` for each nonblank line of text.  An error that
     `read` raises comes out as its own class with the line number, counted
     from 1, in front: the one place an input error names its line."""
-    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if line.strip(string.whitespace):
             try:
                 item = read(line)

@@ -9,12 +9,14 @@ edge-subset enumeration against the enumeration engine, the canonical
 deletion pre-check on a `Graph`, with the full key for every rival,
 against the one on rows and degrees, the girth test on the distance
 matrix against the balls on the rows in `_joins`, subset brute force
-against `clique_number`, first-fit colouring vertex by vertex against the
-class-by-class greedy colouring of `invariants._colour_classes`, a subset
-scan with `is_resolving_set` against the resolving-set table behind the
-dimensions, the same table as numpy arrays, one byte per subset, against
-the int-bitset table, and the row-block equidistance kernel on the int32
-matrix against the pair-list kernel on narrow distances.
+against `clique_number`, the m2 count on the distance matrix against the
+one on adjacency rows in `enumeration._m2_exceeds`, first-fit colouring
+vertex by vertex against the class-by-class greedy colouring of
+`invariants._colour_classes`, a subset scan with `is_resolving_set`
+against the resolving-set table behind the dimensions, the same table as
+numpy arrays, one byte per subset, against the int-bitset table, and the
+row-block equidistance kernel on the int32 matrix against the pair-list
+kernel on narrow distances.
 """
 
 from itertools import combinations, permutations, product
@@ -184,6 +186,18 @@ def deletion_ties_oracle(child: Graph) -> list[int] | None:
                 return None
             tied.append(v)
     return tied
+
+
+def m2_oracle(g: Graph) -> int:
+    """The most vertices at distance 1 from both ends of one pair or at
+    distance 2 from both, over all pairs; 0 below order 3."""
+    dm = distance_matrix(g)
+    near = (dm == 1) | (dm == 2)
+    best = 0
+    for x in range(g.n):
+        same = (dm[x + 1:] == dm[x]) & near[x]
+        best = max(best, int(same.sum(axis=1).max(initial=0)))
+    return best
 
 
 def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:

@@ -59,7 +59,9 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
     (MaxDeg), and order from res+1 up to `_order_upper_rhs` (OrderBounds);
     a non-path tree has order at most 3res-5 (OrderTree) and degree at
     most res (MaxDegTree).  Every such region the catalog scan skips is
-    enumerated here and holds no res-3 non-cycle outside the fixture."""
+    enumerated here and holds no res-3 non-cycle outside the fixture.  A
+    region scanned under an m2 cap of k holds every graph of res <= k + 1
+    there, since each vertex m2 counts is equidistant from its pair."""
     res = 3
     scanned = []
     monkeypatch.setattr(
@@ -81,6 +83,7 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
             c.n == n
             and (c.max_degree is None or max_degree <= c.max_degree)
             and (c.min_girth is None or girth >= c.min_girth)
+            and (c.max_m2 is None or res <= c.max_m2 + 1)
             for c in scanned
         )
 
@@ -89,7 +92,7 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
     fixture = load_default_catalog()
     found = []
     for n, max_degree, girth in skipped:
-        forms = enumeration._level(n, max_degree, girth)
+        forms = enumeration._level(n, max_degree, girth, None)
         assert len(forms) == 87
         for form in forms:
             g = form.to_graph()
@@ -102,15 +105,15 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
 
 def test_the_row_test_rules_out_only_res_4_and_above():
     # the catalog candidates, then the 87 classes of the (8, 3, 4) region
-    # the scan skips (the test above); the rows rule out 1,143 and 74 of
+    # the scan skips (the test above); the rows rule out 1,007 and 74 of
     # them and keep 151 candidates, 22 of them of res 3: the 17 members,
     # C4, C6, C8, C10 and the 3-star
     graphs = list(catalog._candidate_stream())
-    assert len(graphs) == 1294
-    gap = [form.to_graph() for form in enumeration._level(8, 3, 4)]
+    assert len(graphs) == 1158
+    gap = [form.to_graph() for form in enumeration._level(8, 3, 4, None)]
     assert len(gap) == 87
     fired = [catalog._rows_force_res4(g) for g in graphs + gap]
-    assert (sum(fired[:1294]), sum(fired[1294:])) == (1143, 74)
+    assert (sum(fired[:1158]), sum(fired[1158:])) == (1007, 74)
     assert all(resolving_number(g).res >= 4 for g, f in zip(graphs + gap, fired) if f)
     kept = [g for g, f in zip(graphs, fired) if not f]
     assert len(kept) == 151
@@ -118,7 +121,7 @@ def test_the_row_test_rules_out_only_res_4_and_above():
 
 
 def test_the_distance_two_test_rules_out_only_res_4_and_above():
-    # the distance-2 clause alone: on the 1,294 - 877 candidates with no
+    # the distance-2 clause alone: on the 1,158 - 870 candidates with no
     # twin pair and no pair of three common neighbours, common neighbours
     # plus common distance-2 vertices rule out all but 151, and keep the
     # 22 of res 3: the 17 members, four even cycles and the 3-star
@@ -130,7 +133,7 @@ def test_the_distance_two_test_rules_out_only_res_4_and_above():
         )
 
     graphs = [g for g in catalog._candidate_stream() if not near(g)]
-    assert len(graphs) == 1294 - 877
+    assert len(graphs) == 1158 - 870
     ruled_out = [g for g in graphs if catalog._rows_force_res4(g)]
     assert len(graphs) - len(ruled_out) == 151
     assert all(resolving_number(g).res >= 4 for g in ruled_out)
@@ -170,6 +173,14 @@ def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
     calls = count_calls(catalog, "resolving_number")
     build_res3_catalog()
     assert calls() == 151
+
+
+def test_canonical_form_calls_per_catalog_build(count_calls):
+    # the m2 cap on orders 8..10 turns children away before canon: the
+    # same regions without it take 1,462 calls (test_enumeration)
+    calls = count_calls(enumeration, "canonical_form")
+    build_res3_catalog()
+    assert calls() == 1296
 
 
 def test_girth_split():

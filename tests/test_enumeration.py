@@ -19,12 +19,14 @@ from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.errors import InputError, TooLarge
 from resnum.graphs import Graph, permute
 from resnum.invariants import girth
+from resnum.resolve import resolving_number
 from resnum.serial import write_graph6
 
 from oracles import (
     deletion_ties_oracle,
     is_connected,
     joins_oracle,
+    m2_oracle,
     naive_enumeration_oracle,
     permutation_min_form,
 )
@@ -35,6 +37,10 @@ CONSTRAINED_COUNTS = {8: 29, 9: 69, 10: 201}
 # sha256 of the graph6 lines, unseparated, of every stream below in order:
 # connected n=1..7, trees n=1..12, then n=8..10 with max degree 3 and girth 5
 STREAMS_SHA256 = "1bf0d07ec3d34b099e65720619ef44be9c0407df2dc7f820300f11c1e23d6aff"
+# classes of order 2..7 with m2 <= k, by k
+M2_COUNTS = {1: [1, 2, 1, 2, 1, 2], 2: [1, 2, 6, 7, 17, 23], 3: [1, 2, 6, 21, 44, 132]}
+# each graph's m2 from the distance matrix, computed once per session
+m2_of = lru_cache(maxsize=None)(m2_oracle)
 
 
 def test_connected_class_counts(connected_by_order):
@@ -104,19 +110,47 @@ def test_matches_naive_oracle_to_order_five():
 @pytest.mark.parametrize("min_girth", [None, 3, 4, 4.5, 5, 6, math.inf])
 def test_pruning_equals_filtering(connected_by_order, max_degree, min_girth):
     # pruning while growing must keep exactly the graphs that filtering
-    # the unconstrained stream by max degree and girth keeps
-    for n, graphs in connected_by_order.items():
-        expected = tuple(
-            g
-            for g in graphs
-            if (max_degree is None or max(g.degrees()) <= max_degree)
-            and (min_girth is None or girth(g) >= min_girth)
-        )
-        c = EnumConstraints(n, max_degree, min_girth)
+    # the unconstrained stream by max degree, girth and m2 keeps
+    for max_m2 in (None, 1, 2, 3):
+        for n, graphs in connected_by_order.items():
+            expected = tuple(
+                g
+                for g in graphs
+                if (max_degree is None or max(g.degrees()) <= max_degree)
+                and (min_girth is None or girth(g) >= min_girth)
+                and (max_m2 is None or m2_of(g) <= max_m2)
+            )
+            c = EnumConstraints(n, max_degree, min_girth, max_m2=max_m2)
+            assert tuple(enumerate_graphs(c)) == expected
+            # each class is produced once: the level _grow built holds no duplicate
+            level = enumeration._level(n, *enumeration._region(c))
+            assert len(set(level)) == len(level)
+
+
+def test_m2_class_counts(constrained_by_order, trees_by_order):
+    for k, counts in M2_COUNTS.items():
+        assert [len(enumeration._level(n, None, None, k)) for n in range(2, 8)] == counts
+    # the sparse region the catalog scans at orders 8..10, pruned, and its
+    # top levels equal to the unpruned ones filtered
+    sparse = [EnumConstraints(n, 3, 5, max_m2=2) for n in range(1, 11)]
+    assert [len(list(enumerate_graphs(c))) for c in sparse] == [1, 1, 1, 2, 3, 6, 10, 20, 41, 102]
+    for c in sparse[7:]:
+        expected = tuple(g for g in constrained_by_order[c.n] if m2_of(g) <= 2)
         assert tuple(enumerate_graphs(c)) == expected
-        # each class is produced once: the level _grow built holds no duplicate
-        level = enumeration._level(n, *enumeration._region(c))
-        assert len(set(level)) == len(level)
+    # trees past order 7 are filtered, not grown
+    for n in range(8, 13):
+        expected = tuple(g for g in trees_by_order[n] if m2_of(g) <= 2)
+        assert tuple(enumerate_graphs(EnumConstraints(n, trees_only=True, max_m2=2))) == expected
+
+
+def test_m2_from_the_rows_and_the_res_bound(connected_by_order, constrained_by_order):
+    # every class to order 7 and on the unpruned sparse levels 8..10: the
+    # rows give the oracle's m2, and res >= 1 + m2
+    for by_order in (connected_by_order, constrained_by_order):
+        for g in (g for graphs in by_order.values() for g in graphs):
+            m2 = m2_of(g)
+            assert [enumeration._m2_exceeds(g.adj, k) for k in range(4)] == [m2 > k for k in range(4)]
+            assert resolving_number(g).res >= 1 + m2
 
 
 def _shuffle_the_search(monkeypatch, seed):
@@ -169,9 +203,9 @@ def test_a_shuffled_tree_level_canonicalises_relabelled_trees(monkeypatch, trees
 
 
 def test_row_precheck_matches_the_graph_oracle(monkeypatch):
-    # every child the graph engine builds on the catalog regions, each
-    # checked for its degree list and its verdict: rejected before canon
-    # (None) or the same tied vertices in the same order
+    # every child the graph engine builds on the catalog regions without
+    # their m2 cap, each checked for its degree list and its verdict:
+    # rejected before canon (None) or the same tied vertices in the same order
     children = []
     real = enumeration._deletion_ties
 
@@ -197,9 +231,10 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
 
 
 def test_joins_match_the_distance_matrix_oracle(monkeypatch):
-    # every parent the graph engine grows on the catalog regions and on
-    # orders <= 7 under each girth floor and degree cap: the same neighbour
-    # sets, in the same order, as the girth test on the distance matrix
+    # every parent the graph engine grows on the catalog regions without
+    # their m2 cap and on orders <= 7 under each girth floor and degree cap:
+    # the same neighbour sets, in the same order, as the girth test on the
+    # distance matrix
     parents = []
     real = enumeration._joins
 
@@ -254,6 +289,8 @@ def test_caps():
             list(enumerate_graphs(EnumConstraints(0, trees_only=trees_only)))
         with pytest.raises(InputError):
             list(enumerate_graphs(EnumConstraints(1, -1, trees_only=trees_only)))
+        with pytest.raises(InputError, match="^max_m2 must be nonnegative, got -1$"):
+            list(enumerate_graphs(EnumConstraints(1, trees_only=trees_only, max_m2=-1)))
     with pytest.raises(TooLarge):
         naive_enumeration_oracle(7)
     big_tree = next(iter(enumerate_graphs(EnumConstraints(9, trees_only=True))))
@@ -334,7 +371,7 @@ def test_canonical_form_calls_unconstrained(count_calls):
 
 
 def test_canonical_form_calls_catalog_regions(count_calls):
-    # the regions the res-3 catalog scans: 1,294 classes
+    # the regions the res-3 catalog scans, without its m2 cap: 1,294 classes
     regions = [EnumConstraints(n) for n in range(2, 8)]
     regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
     assert sum(_calls_per_order(count_calls, regions)) == 1462

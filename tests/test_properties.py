@@ -4,21 +4,25 @@ escapes as anything but a documented error or exit code."""
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from resnum.canon import canonical_form
 from resnum.cli import main
-from resnum.errors import ResnumError
+from resnum.errors import MalformedLine, ResnumError
 from resnum.graphs import distance_matrix, from_edge_list, permute
 from resnum.invariants import clique_number
 from resnum.resolve import metric_dimension, resolving_number, upper_dimension
-from resnum.serial import parse_edge_list, parse_graph6, write_graph6
+from resnum.serial import numbered, parse_edge_list, parse_graph6, write_graph6
 
 GRAPH6_CHARS = "".join(chr(c) for c in range(63, 127))
+# the line breaks of every stream: \r\n, a lone \r and \n
+LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 @st.composite
@@ -61,6 +65,23 @@ def test_parsers_raise_only_resnum_errors(text):
             parse(text)
         except ResnumError:
             pass
+
+
+@given(st.lists(st.sampled_from(["a", "b", " ", "\r", "\n", "\r\n"]), max_size=40).map("".join))
+def test_numbered_splits_lines_like_the_line_break_regex(text):
+    # the nonblank pieces, each with its line number counted from 1
+    pieces = [(i, p) for i, p in enumerate(LINE_BREAK.split(text), 1) if p.strip()]
+    assert list(numbered(text, str)) == [p for _, p in pieces]
+    for j, (lineno, _) in enumerate(pieces):
+        countdown = iter(range(j, -1, -1))
+
+        def read(line):
+            # fails on the (j + 1)-th nonblank piece
+            if next(countdown) == 0:
+                raise MalformedLine("bad")
+
+        with pytest.raises(MalformedLine, match=f"^line {lineno}: bad$"):
+            list(numbered(text, read))
 
 
 @given(
