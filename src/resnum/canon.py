@@ -19,8 +19,9 @@ is the branch.  `_leader` finds it from the adjacency masks, and
 `_refine` runs only when round one leaves another least cell.  Two graphs
 receive equal forms iff they are isomorphic; the permutation oracle in
 the tests pins that down at small orders.  The form's bits are the graph6
-triangle, so `CanonicalForm.to_graph` decodes them with the graph6
-reader's `serial._from_triangle`.
+triangle, and the form carries the canonical adjacency rows too, written
+from the labelling in one pass over the neighbour lists, so
+`CanonicalForm.to_graph` decodes nothing.
 
 The search also prunes by the automorphisms it finds (the orbit pruning
 of McKay and Piperno, *Practical graph isomorphism II*, 2014), kept as
@@ -53,11 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import TooLarge
 from .graphs import Graph, _positions
-from .serial import _from_triangle
 
 CANONICAL_CAP = 16
 
@@ -80,13 +78,12 @@ class CanonicalForm:
     generators: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False, repr=False
     )
+    # adjacency rows of the canonically labeled graph, whose triangle is `bits`
+    rows: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def to_graph(self) -> Graph:
-        """Rebuild the canonically labeled graph: `bits` as a 0/1 array in
-        slot order, decoded by the graph6 reader's `_from_triangle`."""
-        nbits = self.n * (self.n - 1) // 2
-        raw = np.unpackbits(np.frombuffer(self.bits.to_bytes((nbits + 7) // 8, "big"), np.uint8))
-        return _from_triangle(self.n, raw[raw.size - nbits:])
+        """The canonically labeled graph, built on the rows the search wrote."""
+        return Graph(self.n, self.rows)
 
 
 def _refine(
@@ -185,7 +182,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n > CANONICAL_CAP:
         raise TooLarge(f"canonical form is capped at n <= {CANONICAL_CAP}, got {n}")
     if n == 1:
-        return CanonicalForm(1, 0, (0,))
+        return CanonicalForm(1, 0, (0,), (), (0,))
     adj = g.adj
     nbrs = [_positions[row] for row in adj]
     # the string of p placed vertices is their p(p-1)/2 triangle bits as one
@@ -301,4 +298,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     for i, v in enumerate(first):
         labelling[v] = i
     generators = tuple(tuple(labelling[a[v]] for v in first) for a, _ in autos)
-    return CanonicalForm(n, best, tuple(labelling), generators)
+    rows = [0] * n
+    for v, vs in enumerate(nbrs):
+        row = 0
+        for u in vs:
+            row |= 1 << labelling[u]
+        rows[labelling[v]] = row
+    return CanonicalForm(n, best, tuple(labelling), generators, tuple(rows))

@@ -7,15 +7,13 @@ vertex at a time by `enumeration`, re-derives the catalog instead of
 transcribing drawings.  The result is frozen as a fixture of sorted
 graph6 lines; rebuilding must reproduce it byte for byte.
 
-Most candidates are ruled out before any distance is computed.  The res
-of a graph is one more than the most vertices equidistant from a single
-pair, so three such vertices make it at least 4, and the adjacency rows
-show them when a pair's common neighbours and common distance-2
-vertices number three (m2 exceeds 2), or when the pair are twins at
-order 5 or more.  The scan of orders 8..10 grows only graphs with
-m2 <= 2, and the rows test every candidate.  Only what passes gets a
-distance matrix and a `resolving_number` scan: 151 of the 1,158
-candidates.
+No candidate gets a distance matrix.  The res of a graph is one more
+than the most vertices equidistant from a single pair, and
+`enumeration._most_equidistant` counts them on spheres grown from the
+adjacency rows, radius by radius, stopping at the first pair with three:
+res is 3 iff the count is exactly 2.  The scan of orders 8..10 grows
+only graphs with m2 <= 2, the same count capped at radius 2.  The
+fixture load re-verifies each member through `resolving_number`.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from importlib import resources
 from typing import Iterator
 
 from . import enumeration
-from .canon import CanonicalForm, _twins, canonical_form
+from .canon import CanonicalForm, canonical_form
 from .errors import CatalogMissing, TheoremViolation
-from .enumeration import _m2_exceeds
+from .enumeration import _most_equidistant
 from .graphs import Graph
 from .invariants import clique_number, girth, path_cycle_star
 from .resolve import resolving_number
@@ -86,21 +84,6 @@ def _structural(g: Graph) -> bool:
     return is_cycle or is_star and g.n == 4
 
 
-def _rows_force_res4(g: Graph) -> bool:
-    """Whether the rows alone show a pair with three vertices equidistant
-    from it, so that res(g) >= 4.
-
-    Three vertices at distance 1 from both ends or at distance 2 from
-    both make m2 exceed 2.  From order 5 on, the n - 2 >= 3 vertices
-    outside a pair of twins are each as far from one twin as from the
-    other, at whatever distance.
-    """
-    n, adj = g.n, g.adj
-    return _m2_exceeds(adj, 2) or n >= 5 and any(
-        _twins(adj, u, v) for u in range(n) for v in range(u + 1, n)
-    )
-
-
 def _candidate_stream() -> Iterator[Graph]:
     # enumerate_graphs is looked up on its module at call time, so a
     # wrapper installed there (a tracer, a timer) sees every candidate
@@ -116,16 +99,18 @@ def _candidate_stream() -> Iterator[Graph]:
 def build_res3_catalog() -> Res3Catalog:
     """Scan the bounded space and keep every res-3 class that needs cataloging.
 
-    The sparse orders are grown under m2 <= 2, and a candidate whose rows
-    still force res >= 4 is dropped before its distance matrix is built:
-    151 of the 1,158 candidates reach the res scan.  Even cycles and the
-    3-leaf star are classified structurally, so they stay out of the
-    member list.  The stream yields each class once, so no member repeats.
+    The sparse orders are grown under m2 <= 2, and every candidate is
+    decided on its adjacency rows: res = 3 iff the most vertices
+    equidistant from one pair number exactly 2, a count the sphere kernel
+    stops as soon as it passes 2, so no distance matrix is built.  Even
+    cycles and the 3-leaf star are classified structurally, so they stay
+    out of the member list.  The stream yields each class once, so no
+    member repeats.
     """
     members = (
         _member_from_graph(g)
         for g in _candidate_stream()
-        if not _rows_force_res4(g) and resolving_number(g).res == 3 and not _structural(g)
+        if _most_equidistant(g.adj, 2) == 2 and not _structural(g)
     )
     return Res3Catalog(tuple(sorted(members, key=lambda m: m.graph6)))
 

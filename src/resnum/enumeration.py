@@ -20,12 +20,17 @@ maximise (degree, sorted neighbour degrees), the one at the smallest
 canonical position.  That vertex picks one parent class and one orbit of
 S per child class, so the children need no set to drop duplicates, and
 the invariant, read off the child's rows and degrees, turns most other
-children away before a `Graph` is built and canon runs.  A cap on m2,
-the most vertices at distance 1 from both ends of a pair or at distance
-2 from both, passes to the parent as well: deleting a non-cut vertex
-only lengthens the distances among the rest, so no pair gains such a
-vertex.  It is tested on the child's rows after the invariant and before
-canon, so pruning keeps exactly what filtering would.
+children away before a `Graph` is built and canon runs.  Its degree part
+is settled on the parent already: a non-cut vertex of the parent stays
+non-cut in a child whose S has two or more vertices, so the degree
+floor in `_joins` never builds a child where such a vertex outgrows the
+new one, whose degree is |S|.  A cap on m2, the most vertices at
+distance 1 from both ends of a pair or at distance 2 from both, passes
+to the parent as well: deleting a non-cut vertex only lengthens the
+distances among the rest, so no pair gains such a vertex.  It is tested
+on the child's rows after the invariant and before canon, by the sphere
+kernel `_most_equidistant` capped at radius 2, so pruning keeps exactly
+what filtering would.
 
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
@@ -49,7 +54,7 @@ from typing import Iterator, Sequence
 
 from .canon import CanonicalForm, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _bits, _positions
+from .graphs import Graph, _positions
 
 EXHAUSTIVE_CAP = 7
 CONSTRAINED_CAP = 10
@@ -115,11 +120,31 @@ def _joins(
     g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
-    given the degrees of g: under a girth floor, no member of S lies in
-    another's ball of radius ceil(min_girth) - 3 on the rows of g.  A ball
-    stops growing within g.n - 1 rounds, so the radius is capped at g.n."""
+    given the degrees of g, less the sets of two or more that the degree
+    floor shows cannot be the canonical deletion.
+
+    Caps: under a girth floor, no member of S lies in another's ball of
+    radius ceil(min_girth) - 3 on the rows of g; a ball stops growing
+    within g.n - 1 rounds, so the radius is capped at g.n.
+
+    Floor: when |S| >= 2, a non-cut vertex v of g stays non-cut in the
+    child, where its degree is deg[v], plus one if v is in S, and the new
+    vertex's is |S|.  Let `top` be the largest degree of a non-cut vertex
+    and `peak` the non-cut vertices of that degree: one of them beats the
+    new vertex on degree when |S| < top, or when |S| = top and S meets
+    `peak`.  Other rivals, a cut vertex of g among them, are left to
+    `_deletion_ties`.  Automorphisms keep degrees and cut vertices, so the
+    floor drops whole orbits.
+    """
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
+    top, peak = 0, 0
+    for v in sorted(range(g.n), key=deg.__getitem__, reverse=True):
+        if deg[v] < top:
+            break
+        if not _is_cut(g.adj, v):
+            top = deg[v]
+            peak |= 1 << v
     near = None
     if min_girth is not None and largest > 1:
         near = []
@@ -130,10 +155,12 @@ def _joins(
                 for u in _positions[ball]:
                     ball |= g.adj[u]
             near.append(ball ^ 1 << v)
+    # at size top, the sets that miss `peak`
+    off_peak = [v for v in free if not peak >> v & 1]
     return [
         s
-        for size in range(1, largest + 1)
-        for s in combinations(free, size)
+        for size in (1, *range(max(2, top), largest + 1))
+        for s in combinations(off_peak if size == top > 1 else free, size)
         if near is None or not any(near[a] >> b & 1 for a, b in combinations(s, 2))
     ]
 
@@ -226,7 +253,7 @@ def _orbit(mask: int, generators: tuple[tuple[int, ...], ...]) -> set[int]:
     return orbit
 
 
-def _is_cut(rows: list[int], v: int) -> bool:
+def _is_cut(rows: Sequence[int], v: int) -> bool:
     """True iff deleting v disconnects the graph with these adjacency rows."""
     rest = (1 << len(rows)) - 1 & ~(1 << v)
     seen = frontier = rest & -rest
@@ -267,25 +294,49 @@ def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
     return tied
 
 
-def _m2_exceeds(rows: Sequence[int], k: int) -> bool:
-    """Whether some pair has more than k vertices at distance 1 from both
-    ends or at distance 2 from both, read off the adjacency rows.
+def _most_equidistant(rows: Sequence[int], k: int, radius: int | None = None) -> int:
+    """The most vertices equidistant from one pair, each within `radius`
+    of it (at any distance by default), or the first count past k.
 
-    Each such vertex is equidistant from the pair, so res >= k + 2 when
-    this holds.  The distance-2 sphere of u is the union of its
-    neighbours' rows less u and its neighbours.
+    The sphere S_r(v) is the union of the S_{r-1} of v's neighbours less
+    the ball B_{r-1}(v), and each pair adds |S_r(x) & S_r(y)| radius by
+    radius, so the scan stops at the first pair past k.  A count of at
+    most k is exact: res - 1 at any distance (the paper's equidistance
+    theorem), and m2 within radius 2, the most vertices at distance 1
+    from both ends of a pair or at distance 2 from both.
     """
-    two = []
-    for u, row in enumerate(rows):
-        reach = 0
-        for w in _bits(row):
-            reach |= rows[w]
-        two.append(reach & ~row & ~(1 << u))
-    for u, (row, sphere) in enumerate(zip(rows, two)):
-        for v in range(u + 1, len(rows)):
-            if (row & rows[v]).bit_count() + (sphere & two[v]).bit_count() > k:
-                return True
-    return False
+    n = len(rows)
+    nbrs = [_positions[row] for row in rows]
+    sphere = list(rows)
+    ball = [row | 1 << v for v, row in enumerate(rows)]
+    counts = [0] * (n * n)  # counts[x * n + y] for the pair x < y
+    best = 0
+    # no sphere reaches past radius n - 1
+    for r in range(n if radius is None else radius):
+        if r:
+            grown = []
+            for v in range(n):
+                reach = 0
+                for u in nbrs[v]:
+                    reach |= sphere[u]
+                reach &= ~ball[v]
+                ball[v] |= reach
+                grown.append(reach)
+            if not any(grown):
+                break
+            sphere = grown
+        for x in range(n - 1):
+            here = sphere[x]
+            if here:
+                at = x * n
+                for y in range(x + 1, n):
+                    c = counts[at + y] + (here & sphere[y]).bit_count()
+                    counts[at + y] = c
+                    if c > best:
+                        if c > k:
+                            return c
+                        best = c
+    return best
 
 
 def _canonical_child(
@@ -303,7 +354,7 @@ def _canonical_child(
     away before canon runs, and so is a child past the m2 cap.
     """
     tied = _deletion_ties(rows, deg)
-    if tied is None or max_m2 is not None and _m2_exceeds(rows, max_m2):
+    if tied is None or max_m2 is not None and _most_equidistant(rows, max_m2, 2) > max_m2:
         return None
     w = len(rows) - 1
     form = canonical_form(Graph(w + 1, tuple(rows)))
@@ -328,7 +379,7 @@ def _grow(
             t
             for t in _free_trees(n)
             if (max_degree is None or max(t.degrees()) <= max_degree)
-            and (max_m2 is None or not _m2_exceeds(t.adj, max_m2))
+            and (max_m2 is None or _most_equidistant(t.adj, max_m2, 2) <= max_m2)
         )
         return tuple(sorted(map(canonical_form, trees)))
     new = 1 << (n - 1)

@@ -40,10 +40,13 @@ class _Positions(dict):
     """mask -> the tuple of its set bit positions in increasing order,
     each computed on first lookup; a subscript costs less than a call.
 
-    Only canon and enumeration read it, with masks below 2^n for
-    n <= `canon.CANONICAL_CAP` = 16, so it never holds more than 65,536
-    keys: the res-3 catalog fills keys below 2^10 and the tree ladder
-    keys below 2^12.  Masks of larger graphs go through `_bits`.
+    Only canon and enumeration read it.  Canon and the enumeration engine
+    pass masks below 2^n for n <= `canon.CANONICAL_CAP` = 16, at most
+    65,536 keys: the res-3 catalog fills keys below 2^10 and the tree
+    ladder keys below 2^12.  The sphere kernel
+    `enumeration._most_equidistant` looks up the rows of the graph it is
+    given, at most n keys per graph.  Masks of other graphs go through
+    `_bits`.
     """
 
     def __missing__(self, mask: int) -> tuple[int, ...]:

@@ -7,8 +7,10 @@ order, as the two cells of each slot in an n x 64 bit matrix whose rows
 pack into the 64-bit words of the int adjacency rows.  `_from_triangle`
 scatters a triangle's bits into both cells and packs the rows; the reader
 (one `bytes.translate` checks the line and moves each byte's six bits to
-its top, and numpy unpacks them) and `CanonicalForm.to_graph` both decode
-through it.  The writer gathers the upper cells from the unpacked rows.
+its top, and numpy unpacks them) decodes through it.
+`CanonicalForm.to_graph` needs no decoding, since a form carries its
+rows; the tests' forms built from their bits alone decode through it.
+The writer gathers the upper cells from the unpacked rows.
 Round trips are exercised heavily in the tests, including against
 networkx.
 """

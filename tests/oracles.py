@@ -8,11 +8,14 @@ round against the cell-by-cell refinement of `canon._refine`, raw
 edge-subset enumeration against the enumeration engine, the canonical
 deletion pre-check on a `Graph`, with the full key for every rival,
 against the one on rows and degrees, the girth test on the distance
-matrix against the balls on the rows in `_joins`, subset brute force
-against `clique_number`, the m2 count on the distance matrix against the
-one on adjacency rows in `enumeration._m2_exceeds`, first-fit colouring
-vertex by vertex against the class-by-class greedy colouring of
-`invariants._colour_classes`, a subset scan with `is_resolving_set`
+matrix and a degree comparison with every non-cut vertex against the
+balls on the rows and the degree floor in `_joins`, subset brute force
+against `clique_number`, the m2 count on the distance matrix against
+the sphere kernel on adjacency rows, `enumeration._most_equidistant`,
+capped at radius 2, first-fit colouring vertex by vertex against the
+class-by-class greedy colouring of `invariants._colour_classes`, the
+graph6 reader's triangle decoder for forms built from their bits alone,
+a subset scan with `is_resolving_set`
 against the resolving-set table behind the dimensions, the same table as
 numpy arrays, one byte per subset, against the int-bitset table, and the
 row-block equidistance kernel on the int32 matrix against the pair-list
@@ -27,6 +30,7 @@ from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
 from resnum.graphs import Graph, _bits, distance_matrix, permute
 from resnum.resolve import DimensionReport, ResolvingReport, is_resolving_set
+from resnum.serial import _from_triangle
 
 NAIVE_CAP = 6
 # most entries in one slab of the row-block equidistance kernel
@@ -59,6 +63,16 @@ def _slot_index(n: int) -> dict[tuple[int, int], int]:
             idx[(i, j)] = s
             s += 1
     return idx
+
+
+def triangle_graph(n: int, bits: int) -> Graph:
+    """The graph of order n whose graph6 triangle is the int `bits`, slot
+    (0,1) most significant, decoded by the graph6 reader's
+    `serial._from_triangle`: the graph of a form built from its bits alone,
+    which carries no rows."""
+    nbits = n * (n - 1) // 2
+    raw = np.unpackbits(np.frombuffer(bits.to_bytes((nbits + 7) // 8, "big"), np.uint8))
+    return _from_triangle(n, raw[raw.size - nbits:])
 
 
 def permutation_min_form(g: Graph) -> CanonicalForm:
@@ -145,20 +159,28 @@ def _is_cut(g: Graph, v: int) -> bool:
 
 
 def joins_oracle(
-    g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
+    g: Graph,
+    deg: tuple[int, ...],
+    max_degree: int | None,
+    min_girth: int | float | None,
+    floor: bool = True,
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
-    given the degrees of g."""
+    given the degrees of g; with `floor`, less each S of two or more
+    vertices that some non-cut vertex of g beats on its degree in the
+    child."""
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
     close = None
     if min_girth is not None and largest > 1:
         close = distance_matrix(g) < min_girth - 2
+    deletable = [v for v in range(g.n) if not _is_cut(g, v)]
     return [
         s
         for size in range(1, largest + 1)
         for s in combinations(free, size)
         if close is None or not any(close[a, b] for a, b in combinations(s, 2))
+        if not floor or size == 1 or all(deg[v] + (v in s) <= size for v in deletable)
     ]
 
 

@@ -8,12 +8,14 @@ from resnum.canon import CANONICAL_CAP, CanonicalForm, _refine, canonical_form
 from resnum.errors import TooLarge
 from resnum.families import complete_graph, cycle_graph
 from resnum.graphs import Graph, _bits, from_edge_list, permute
+from resnum.serial import write_graph6
 
 from oracles import (
     automorphisms_oracle,
     is_connected,
     permutation_min_form,
     refine_by_global_rank,
+    triangle_graph,
 )
 
 
@@ -180,7 +182,7 @@ def test_search_data_stay_out_of_equality(connected_by_order):
         rng.shuffle(perm)
         oracle = permutation_min_form(permute(g, perm))
         assert oracle == permutation_min_form(g)
-        assert canonical_form(oracle.to_graph()) == form
+        assert canonical_form(triangle_graph(oracle.n, oracle.bits)) == form
 
 
 def _search_nodes():
@@ -224,7 +226,7 @@ LABELLING_SHA256 = "41d490e5f35956eacf6dc4dd46d1a9d5ac3c1d44ec0398a9d0006a649416
 
 
 def _forms(graphs):
-    return [(f.bits, f.labelling, f.generators) for f in map(canonical_form, graphs)]
+    return [(f.bits, f.labelling, f.generators, f.to_graph()) for f in map(canonical_form, graphs)]
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +281,17 @@ def test_forms_hold_without_the_leader_shortcut(shuffled_forms, monkeypatch):
 
 def test_labelling_matches_golden_digest(shuffled_forms):
     h = hashlib.sha256()
-    for bits, labelling, _ in shuffled_forms[1]:
+    for bits, labelling, _, _ in shuffled_forms[1]:
         h.update(repr((bits, labelling)).encode())
     assert h.hexdigest() == LABELLING_SHA256
+
+
+def test_the_rows_a_form_carries_spell_its_bits(shuffled_forms):
+    # the graph6 line of the rows, its six-bit groups read back as one int
+    # less the padding, is the form's triangle
+    for bits, _, _, g in shuffled_forms[1]:
+        line = write_graph6(g)
+        acc = 0
+        for ch in line[1:]:
+            acc = acc << 6 | ord(ch) - 63
+        assert (ord(line[0]) - 63, acc >> (-(g.n * (g.n - 1) // 2) % 6)) == (g.n, bits)

@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-from resnum import catalog, enumeration
+from resnum import catalog, enumeration, graphs
 from resnum.bounds import _order_upper_rhs
-from resnum.canon import _twins, canonical_form
+from resnum.canon import canonical_form
 from resnum.catalog import (
     Res3Catalog,
     build_res3_catalog,
@@ -103,48 +103,47 @@ def test_scan_covers_every_region_the_bounds_admit(monkeypatch):
     assert len(found) == 2 and canonical_form(cycle_graph(8)) in found
 
 
+def _kernel_agrees(g, k=2):
+    """1 + the unbounded kernel count is res(g), and the count capped at k
+    is the same count up to k and some count past k above it; returns the
+    unbounded count."""
+    count = enumeration._most_equidistant(g.adj, g.n)
+    capped = enumeration._most_equidistant(g.adj, k)
+    assert resolving_number(g).res == 1 + count
+    assert capped == count if count <= k else capped > k
+    return count
+
+
 def test_the_row_test_rules_out_only_res_4_and_above():
     # the catalog candidates, then the 87 classes of the (8, 3, 4) region
-    # the scan skips (the test above); the rows rule out 1,007 and 74 of
-    # them and keep 151 candidates, 22 of them of res 3: the 17 members,
-    # C4, C6, C8, C10 and the 3-star
-    graphs = list(catalog._candidate_stream())
-    assert len(graphs) == 1158
+    # the scan skips (the test above): the sphere kernel on the rows gives
+    # res - 1 on each, rules out 1,123 and 84 of them and keeps 35
+    # candidates, the 22 of res 3 (the 17 members, C4, C6, C8, C10 and the
+    # 3-star) besides 12 of res 2 and K1
+    candidates = list(catalog._candidate_stream())
+    assert len(candidates) == 1158
     gap = [form.to_graph() for form in enumeration._level(8, 3, 4, None)]
     assert len(gap) == 87
-    fired = [catalog._rows_force_res4(g) for g in graphs + gap]
-    assert (sum(fired[:1158]), sum(fired[1158:])) == (1007, 74)
-    assert all(resolving_number(g).res >= 4 for g, f in zip(graphs + gap, fired) if f)
-    kept = [g for g, f in zip(graphs, fired) if not f]
-    assert len(kept) == 151
-    assert sum(resolving_number(g).res == 3 for g in kept) == 22
+    counts = [_kernel_agrees(g) for g in candidates + gap]
+    assert (sum(c > 2 for c in counts[:1158]), sum(c > 2 for c in counts[1158:])) == (1123, 84)
+    assert [counts[:1158].count(c) for c in (0, 1, 2)] == [1, 12, 22]
 
 
 def test_the_distance_two_test_rules_out_only_res_4_and_above():
-    # the distance-2 clause alone: on the 1,158 - 870 candidates with no
-    # twin pair and no pair of three common neighbours, common neighbours
-    # plus common distance-2 vertices rule out all but 151, and keep the
-    # 22 of res 3: the 17 members, four even cycles and the 3-star
-    def near(g):
-        return g.n >= 5 and any(
-            _twins(g.adj, u, v) or (g.adj[u] & g.adj[v]).bit_count() >= 3
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        )
-
-    graphs = [g for g in catalog._candidate_stream() if not near(g)]
-    assert len(graphs) == 1158 - 870
-    ruled_out = [g for g in graphs if catalog._rows_force_res4(g)]
-    assert len(graphs) - len(ruled_out) == 151
-    assert all(resolving_number(g).res >= 4 for g in ruled_out)
-    res3 = [g for g in graphs if resolving_number(g).res == 3]
-    assert len(res3) == 22 and not any(map(catalog._rows_force_res4, res3))
+    # the kernel capped at radius 2, the m2 prune: it rules out only
+    # res >= 4, and 939 of the 1,123 candidates the full kernel rules out;
+    # the other 184 (the sparse orders are grown under m2 <= 2) need spheres
+    # of radius 3 or more
+    candidates = list(catalog._candidate_stream())
+    near = [g for g in candidates if enumeration._most_equidistant(g.adj, 2, 2) > 2]
+    assert len(near) == 939
+    assert all(resolving_number(g).res >= 4 for g in near)
 
 
 def test_the_row_test_holds_beyond_the_scanned_orders():
-    # res >= 4 wherever the rows fire, on seeded connected graphs of order
-    # 11..16: cycles with up to two chords, where res is often 2 or 3, and
-    # random trees with extra edges, from trees to dense
+    # the kernel gives res - 1 on seeded connected graphs of order 11..16:
+    # cycles with up to two chords, where res is often 2 or 3, and random
+    # trees with extra edges, from trees to dense
     rng = random.Random(20241)
     low = 0
     for _ in range(300):
@@ -157,22 +156,22 @@ def test_the_row_test_holds_beyond_the_scanned_orders():
             edges = {(rng.randrange(v), v) for v in range(1, n)}
             p = rng.choice((0.0, 0.05, 0.15, 0.4))
             edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
-        g = from_edge_list(n, edges)
-        res = resolving_number(g).res
-        assert res >= 4 or not catalog._rows_force_res4(g)
-        low += res <= 3
+        low += _kernel_agrees(from_edge_list(n, edges)) <= 2
     assert low >= 50
-    # nor do they fire on the members, any cycle to C40 or the 3-star
+    # and on the members, every cycle to C40 and the 3-star, of res 2 or 3
     small = [m.form.to_graph() for m in load_default_catalog().members]
     small += [cycle_graph(n) for n in range(4, 41)] + [star_graph(3)]
-    assert not any(map(catalog._rows_force_res4, small))
+    assert all(_kernel_agrees(g) <= 2 for g in small)
 
 
 def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
-    # every one of the 1,294 candidates did before the row tests
+    # none: the kernel decides every candidate on its rows, where 151 of
+    # them reached the scan before it, and all 1,294 before any row test;
+    # nor does the build make a distance matrix
     calls = count_calls(catalog, "resolving_number")
+    bfs_runs = count_calls(graphs, "_all_pairs_bfs")
     build_res3_catalog()
-    assert calls() == 151
+    assert (calls(), bfs_runs()) == (0, 0)
 
 
 def test_canonical_form_calls_per_catalog_build(count_calls):

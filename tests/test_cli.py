@@ -163,11 +163,13 @@ def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
         assert (code, len(out.splitlines())) == (0, len(lines))
         # K1's res and shape need no distances, so classify runs no BFS for it
         assert bfs_runs() == len(lines) - (cmd == "classify"), cmd
-    # 151 candidates reach the res scan and 17 fixture lines are re-verified;
-    # the clique report on the 13 girth-3 members reads no distances
+    # the build decides its candidates on their rows (151 of them reached
+    # the res scan before the sphere kernel), the 17 fixture lines are
+    # re-verified, and the clique report on the 13 girth-3 members reads no
+    # distances
     load_default_catalog.cache_clear()
     assert run(capsys, "catalog", "--res", "3")[0] == 0
-    assert bfs_runs() == 151 + 17
+    assert bfs_runs() == 17
 
 
 def test_gen_and_enum(capsys):

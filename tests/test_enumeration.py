@@ -29,6 +29,7 @@ from oracles import (
     m2_oracle,
     naive_enumeration_oracle,
     permutation_min_form,
+    triangle_graph,
 )
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -102,7 +103,7 @@ def test_matches_naive_oracle_to_order_five():
         # the oracle dedupes by permutation-minimum adjacency, ours by
         # refinement search; compare through a common representative
         assert len(ours) == len(naive)
-        theirs = {canonical_form(f.to_graph()) for f in naive}
+        theirs = {canonical_form(triangle_graph(f.n, f.bits)) for f in naive}
         assert ours == theirs
 
 
@@ -145,12 +146,16 @@ def test_m2_class_counts(constrained_by_order, trees_by_order):
 
 def test_m2_from_the_rows_and_the_res_bound(connected_by_order, constrained_by_order):
     # every class to order 7 and on the unpruned sparse levels 8..10: the
-    # rows give the oracle's m2, and res >= 1 + m2
+    # sphere kernel on the rows gives the oracle's m2 at radius 2, and
+    # res - 1 unbounded; capped at k, it stops with a count past k
+    kernel = enumeration._most_equidistant
     for by_order in (connected_by_order, constrained_by_order):
         for g in (g for graphs in by_order.values() for g in graphs):
-            m2 = m2_of(g)
-            assert [enumeration._m2_exceeds(g.adj, k) for k in range(4)] == [m2 > k for k in range(4)]
-            assert resolving_number(g).res >= 1 + m2
+            m2, res = m2_of(g), resolving_number(g).res
+            assert kernel(g.adj, g.n, 2) == m2 and kernel(g.adj, g.n) == res - 1 >= m2
+            for k in range(4):
+                assert kernel(g.adj, k, 2) == m2 if m2 <= k else kernel(g.adj, k, 2) > k
+                assert kernel(g.adj, k) == res - 1 if res - 1 <= k else kernel(g.adj, k) > k
 
 
 def _shuffle_the_search(monkeypatch, seed):
@@ -226,15 +231,15 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
         assert deg == child.degrees()
         assert tied == deletion_ties_oracle(child)
         rejected += tied is None
-    # the other 1,460 children reach canon
-    assert (len(children), rejected) == (5548, 4088)
+    # the other 1,460 children reach canon; before the degree floor on the
+    # joins, 5,548 children were built and 4,088 of them rejected
+    assert (len(children), rejected) == (3098, 1638)
 
 
-def test_joins_match_the_distance_matrix_oracle(monkeypatch):
-    # every parent the graph engine grows on the catalog regions without
-    # their m2 cap and on orders <= 7 under each girth floor and degree cap:
-    # the same neighbour sets, in the same order, as the girth test on the
-    # distance matrix
+def _grown_parents(monkeypatch):
+    """(g, deg, max_degree, min_girth, joins) for every parent the graph
+    engine grows on the catalog regions without their m2 cap and on orders
+    <= 7 under each girth floor and degree cap."""
     parents = []
     real = enumeration._joins
 
@@ -255,11 +260,34 @@ def test_joins_match_the_distance_matrix_oracle(monkeypatch):
     ]
     for c in regions:
         list(enumerate_graphs(c))
+    return parents
+
+
+def test_joins_match_the_distance_matrix_oracle(monkeypatch):
+    # the same neighbour sets, in the same order, as the girth test on the
+    # distance matrix and the degree comparison with every non-cut vertex
+    parents = _grown_parents(monkeypatch)
     for g, deg, max_degree, min_girth, joins in parents:
         assert joins == joins_oracle(g, deg, max_degree, min_girth)
     # 363 of the 506 parents grow under a girth floor
     assert len(parents) == 506
     assert sum(min_girth is not None for _, _, _, min_girth, _ in parents) == 363
+
+
+def test_the_degree_floor_drops_only_children_the_deletion_oracle_rejects(monkeypatch):
+    # pruning by the floor keeps exactly what filtering the children keeps:
+    # every set it drops from the capped ones gives a child whose new
+    # vertex is not its canonical deletion
+    dropped = 0
+    for g, deg, max_degree, min_girth, joins in _grown_parents(monkeypatch):
+        kept = set(joins)
+        for s in joins_oracle(g, deg, max_degree, min_girth, floor=False):
+            if s not in kept:
+                mask = sum(1 << v for v in s)
+                rows = tuple(row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj))
+                assert deletion_ties_oracle(Graph(g.n + 1, rows + (mask,))) is None
+                dropped += 1
+    assert dropped == 5285
 
 
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
