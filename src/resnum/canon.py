@@ -2,26 +2,29 @@
 
 The search places vertices one position at a time, keeping the
 lexicographically least upper-triangle adjacency bit string over every
-labeling it explores.  Iterated neighborhood refinement (re-run after each
-placement) confines candidates to one invariant cell, interchangeable
-twins collapse to a single branch, and prefixes worse than the best string
-found so far are cut.  Neighbor lists are built once per call.  The placed
+labeling it explores and cutting each prefix worse than the best string
+found so far.  Neighbor lists are built once per call.  The placed
 vertices hold unique colors that sort first and never move; the free ones
-form an ordered list of cells, and each round splits only the cells of two
-or more vertices, by sorted neighbor colors, keeping the groups in key
-order.  Each placement refines again from the two cells placed and free:
-the order of the cells picks the branching cell and so fixes the
-labelling, and the parent's cells refined onward come out in another
-order.  Most placements are forced: round one's least cell is one vertex
-or a class of twins, and since cells only nest and neither ever splits
-(an automorphism fixing the placed vertices swaps two twins), that cell
-is the branch.  `_leader` finds it from the adjacency masks, and
-`_refine` runs only when round one leaves another least cell.  Two graphs
-receive equal forms iff they are isomorphic; the permutation oracle in
-the tests pins that down at small orders.  The form's bits are the graph6
-triangle, and the form carries the canonical adjacency rows too, written
-from the labelling in one pass over the neighbour lists, so
-`CanonicalForm.to_graph` decodes nothing.
+form an ordered list of cells, and each round of refinement splits only
+the cells of two or more vertices, by sorted neighbor colors, keeping the
+groups in key order.  Each placement refines again from the two cells
+placed and free: the order of the cells picks the first cell and so fixes
+the labelling, and the parent's cells refined onward come out in another
+order.
+
+One loop places the vertices, each step in the first cell.  Mostly that
+is round one's least cell, one vertex or a class of twins: cells only
+nest and neither ever splits (an automorphism fixing the placed vertices
+swaps two twins), so `_leader` reads it from the adjacency masks, and
+`_refine` runs only when round one leaves another least cell.  A cell
+has one row to the placed vertices, each of its own color, so a step
+extends the string and cuts on it once.  Twins in the cell collapse to
+one vertex; a step left with one places it and goes on, and only a step
+left with more branches.  Two graphs receive equal forms iff they are
+isomorphic; the permutation oracle in the tests pins that down at small
+orders.  The form's bits are the graph6 triangle, and the form carries
+the canonical adjacency rows too, written from the labelling in one pass
+over the neighbour lists, so `CanonicalForm.to_graph` decodes nothing.
 
 The search also prunes by the automorphisms it finds (the orbit pruning
 of McKay and Piperno, *Practical graph isomorphism II*, 2014), kept as
@@ -52,6 +55,7 @@ kept maps applied to the first one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import TooLarge
@@ -73,13 +77,11 @@ class CanonicalForm:
     n: int
     bits: int
     # labelling[v] is the canonical position of input vertex v
-    labelling: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    labelling: tuple[int, ...] = field(compare=False, repr=False)
     # position maps of automorphisms of to_graph() that generate its group
-    generators: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    generators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     # adjacency rows of the canonically labeled graph, whose triangle is `bits`
-    rows: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    rows: tuple[int, ...] = field(compare=False, repr=False)
 
     def to_graph(self) -> Graph:
         """The canonically labeled graph, built on the rows the search wrote."""
@@ -162,7 +164,7 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
 
 
-def _orbits(mask: int, perms: list[tuple[int, ...]]) -> int:
+def _orbits(mask: int, perms: Sequence[tuple[int, ...]]) -> int:
     """The union of the orbits of the vertices in mask under the group perms generate."""
     todo = mask
     while todo:
@@ -224,26 +226,51 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     def search(s: int, free: int) -> int:
         """Explore below `placed`, holding string s and free mask free; return
-        the depth to resume at, less than len(placed) after a tied leaf."""
+        the depth to resume at: a caller branching at depth p passes on a
+        depth below p, which only a tied leaf returns, and else goes on."""
         top = len(placed)
-        # follow forced placements, the one vertex or the lowest of the
-        # twins `_leader` reads from masks, up to a leaf or a refined cell
+        back = n
         while free:
             p = len(placed)
-            least = _leader(adj, placed, free)
-            if least is None:
-                break
-            v = (least & -least).bit_length() - 1
-            if least & (least - 1):
-                for u in _positions[least ^ 1 << v]:
-                    swap(v, u)
-            s = s << p | row(v)
+            # `_leader`'s cell, whose lowest vertex stands for its twins, or
+            # else the first cell refined, one vertex kept per class of twins
+            cell = _leader(adj, placed, free)
+            if cell is None:
+                colors = [p] * n
+                for i, v in enumerate(placed):
+                    colors[v] = i
+                reps: list[int] = []
+                for v in _refine(nbrs, colors, list(_positions[free]), p)[0]:
+                    twin = next((u for u in reps if _twins(adj, v, u)), None)
+                    if twin is None:
+                        reps.append(v)
+                    else:
+                        swap(twin, v)
+            else:
+                reps = [(cell & -cell).bit_length() - 1]
+                for u in _positions[cell ^ 1 << reps[0]]:
+                    swap(reps[0], u)
+            s = s << p | row(reps[0])  # the row of every vertex of the cell
             if s > best >> shift[p]:
-                del placed[top:]
-                return n
-            placed.append(v)
-            free ^= 1 << v
-        back = leaf(s) if not free else branch(s, free)
+                break
+            if len(reps) == 1:
+                placed.append(reps[0])
+                free ^= 1 << reps[0]
+                continue
+            prefix = ~free & ((1 << n) - 1)
+            seen = 0  # explored vertices and their images under `autos` fixing placed
+            for v in reps:
+                if seen >> v & 1:
+                    continue
+                placed.append(v)
+                back = search(s, free ^ 1 << v)
+                placed.pop()
+                if back < p:
+                    break
+                seen = _orbits(seen | 1 << v, [a for a, fixed in autos if prefix & ~fixed == 0])
+            break
+        else:
+            back = leaf(s)
         del placed[top:]
         return back
 
@@ -262,36 +289,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 k = i
         keep(image)
         return k
-
-    def branch(s: int, free: int) -> int:
-        # branch on the first cell of the refined partition
-        p = len(placed)
-        colors = [p] * n
-        for i, v in enumerate(placed):
-            colors[v] = i
-        cands = sorted((row(v), v) for v in _refine(nbrs, colors, list(_positions[free]), p)[0])
-        reps: list[tuple[int, int]] = []
-        for r, v in cands:
-            twin = next((v2 for r2, v2 in reps if r == r2 and _twins(adj, v, v2)), None)
-            if twin is None:
-                reps.append((r, v))
-            else:
-                swap(twin, v)
-        prefix = ~free & ((1 << n) - 1)
-        seen = 0  # explored candidates and their images under `autos` fixing placed
-        for r, v in reps:
-            if seen >> v & 1:
-                continue
-            t = s << p | r
-            if t > best >> shift[p]:
-                continue
-            placed.append(v)
-            back = search(t, free ^ 1 << v)
-            placed.pop()
-            if back < p:
-                return back
-            seen = _orbits(seen | 1 << v, [a for a, fixed in autos if prefix & ~fixed == 0])
-        return n
 
     search(0, (1 << n) - 1)
     labelling = [0] * n

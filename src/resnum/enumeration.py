@@ -52,13 +52,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, _orbits, canonical_form
 from .errors import InputError, TooLarge
 from .graphs import Graph, _positions
 
-EXHAUSTIVE_CAP = 7
-CONSTRAINED_CAP = 10
-TREES_CAP = 12
+# the top order of each region grown, by (degree cap, girth floor); a
+# request reaches the largest top among the rows whose caps it keeps
+REACH = {(None, None): 7, (3, 5): 10, (None, math.inf): 12}
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,12 @@ class EnumConstraints:
     """What to enumerate: order, optional degree / girth / m2 caps, tree mode.
 
     A `min_girth` of infinity means acyclic and is treated as tree mode,
-    which generates the trees of order n directly, up to n = 12, and
-    drops those above `max_degree` or `max_m2`.  Other graphs are grown
-    level by level: orders 8..10 are reachable only with max_degree <= 3
-    and min_girth >= 5; the unconstrained space is capped at 7.  A
-    `max_m2` of k keeps the graphs where no pair has more than k vertices
-    at distance 1 from both ends or at distance 2 from both, so each graph
-    it drops has res >= k + 2; it moves no order cap.
+    which generates the trees of order n directly and drops those above
+    `max_degree` or `max_m2`.  Other graphs are grown level by level.
+    `REACH` holds the top order of each region.  A `max_m2` of k keeps
+    the graphs where no pair has more than k vertices at distance 1 from
+    both ends or at distance 2 from both, so each graph it drops has
+    res >= k + 2; it moves no top order.
     """
 
     n: int
@@ -83,11 +82,13 @@ class EnumConstraints:
 
 
 def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | None]:
-    """Check domain and caps; return (max_degree, min_girth, max_m2), the
+    """Check domain and reach; return (max_degree, min_girth, max_m2), the
     level cache key.
 
     Trees become girth infinity; a girth floor of 3 or less, which every
-    simple graph meets, becomes None.  The m2 cap moves no order cap.
+    simple graph meets, becomes None.  A request keeps a row of `REACH`
+    when its degree cap is at most the row's and its girth floor at least
+    the row's, a None in the row asking nothing.
     """
     if c.n < 1:
         raise InputError(f"order must be at least 1, got {c.n}")
@@ -95,25 +96,25 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | N
         raise InputError(f"max_degree must be nonnegative, got {c.max_degree}")
     if c.max_m2 is not None and c.max_m2 < 0:
         raise InputError(f"max_m2 must be nonnegative, got {c.max_m2}")
-    min_girth = c.min_girth
-    if c.trees_only or (min_girth is not None and math.isinf(min_girth)):
-        if c.n > TREES_CAP:
-            raise TooLarge(f"tree enumeration is capped at n <= {TREES_CAP}, got {c.n}")
-        return c.max_degree, math.inf, c.max_m2
+    min_girth = math.inf if c.trees_only else c.min_girth
     if min_girth is not None and min_girth <= 3:
         min_girth = None
-    if c.n <= EXHAUSTIVE_CAP or (
-        c.n <= CONSTRAINED_CAP
-        and c.max_degree is not None
-        and c.max_degree <= 3
-        and min_girth is not None
-        and min_girth >= 5
-    ):
-        return c.max_degree, min_girth, c.max_m2
-    raise TooLarge(
-        f"enumeration is capped at n <= {EXHAUSTIVE_CAP}, or n <= {CONSTRAINED_CAP} "
-        f"with max_degree <= 3 and min_girth >= 5, got order {c.n}"
+    top = max(
+        reach
+        for (degree, girth), reach in REACH.items()
+        if (degree is None or c.max_degree is not None and c.max_degree <= degree)
+        and (girth is None or min_girth is not None and min_girth >= girth)
     )
+    if c.n > top:
+        rows = []
+        for (degree, girth), reach in REACH.items():
+            caps = [f"max_degree <= {degree}"] * (degree is not None)
+            caps += [f"min_girth >= {girth}"] * (girth is not None)
+            rows.append(f"n <= {reach}" + " with " * bool(caps) + " and ".join(caps))
+        raise TooLarge(
+            f"enumeration is capped at {', '.join(rows[:-1])}, or {rows[-1]}, got order {c.n}"
+        )
+    return c.max_degree, min_girth, c.max_m2
 
 
 def _joins(
@@ -360,7 +361,7 @@ def _canonical_child(
     form = canonical_form(Graph(w + 1, tuple(rows)))
     at = form.labelling
     lowest = min(at[v] for v in tied)
-    return form if 1 << lowest in _orbit(1 << at[w], form.generators) else None
+    return form if _orbits(1 << at[w], form.generators) >> lowest & 1 else None
 
 
 def _grow(

@@ -14,7 +14,7 @@ against `clique_number`, the m2 count on the distance matrix against
 the sphere kernel on adjacency rows, `enumeration._most_equidistant`,
 capped at radius 2, first-fit colouring vertex by vertex against the
 class-by-class greedy colouring of `invariants._colour_classes`, the
-graph6 reader's triangle decoder for forms built from their bits alone,
+graph6 reader's triangle decoder for the rows of the oracles' forms,
 a subset scan with `is_resolving_set`
 against the resolving-set table behind the dimensions, the same table as
 numpy arrays, one byte per subset, against the int-bitset table, and the
@@ -68,11 +68,16 @@ def _slot_index(n: int) -> dict[tuple[int, int], int]:
 def triangle_graph(n: int, bits: int) -> Graph:
     """The graph of order n whose graph6 triangle is the int `bits`, slot
     (0,1) most significant, decoded by the graph6 reader's
-    `serial._from_triangle`: the graph of a form built from its bits alone,
-    which carries no rows."""
+    `serial._from_triangle`: the rows of an oracle's form."""
     nbits = n * (n - 1) // 2
     raw = np.unpackbits(np.frombuffer(bits.to_bytes((nbits + 7) // 8, "big"), np.uint8))
     return _from_triangle(n, raw[raw.size - nbits:])
+
+
+def _bits_form(n: int, bits: int) -> CanonicalForm:
+    """An oracle's form: its bits and the rows they spell, with no search
+    behind it, so no labelling and no generators."""
+    return CanonicalForm(n, bits, (), (), triangle_graph(n, bits).adj)
 
 
 def permutation_min_form(g: Graph) -> CanonicalForm:
@@ -85,7 +90,7 @@ def permutation_min_form(g: Graph) -> CanonicalForm:
     if n > 8:
         raise TooLarge(f"permutation scan is capped at n <= 8, got {n}")
     if n == 1:
-        return CanonicalForm(1, 0)
+        return _bits_form(1, 0)
     idx = _slot_index(n)
     m = len(idx)
     edges = list(g.edges())
@@ -98,7 +103,7 @@ def permutation_min_form(g: Graph) -> CanonicalForm:
             val |= 1 << (m - 1 - s)
         if best is None or val < best:
             best = val
-    return CanonicalForm(n, best)
+    return _bits_form(n, best)
 
 
 def automorphisms_oracle(g: Graph) -> set[tuple[int, ...]]:
@@ -227,7 +232,7 @@ def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
     if n > NAIVE_CAP:
         raise TooLarge(f"naive oracle is capped at n <= {NAIVE_CAP}, got {n}")
     if n == 1:
-        return frozenset({CanonicalForm(1, 0)})
+        return frozenset({_bits_form(1, 0)})
     idx = _slot_index(n)
     m = len(idx)
     slots = sorted(idx, key=idx.get)
@@ -250,7 +255,7 @@ def naive_enumeration_oracle(n: int) -> frozenset[CanonicalForm]:
             s2 = idx[(a, b) if a < b else (b, a)]
             out |= ((arr >> (m - 1 - s)) & 1) << (m - 1 - s2)
         np.minimum(running, out, out=running)
-    forms = {CanonicalForm(n, v) for v in set(running.tolist())}
+    forms = {_bits_form(n, v) for v in set(running.tolist())}
     return frozenset(forms)
 
 

@@ -188,6 +188,8 @@ def test_counting_lemma_partition_validation():
         counting_lemma_check(g, 3, pairs, [[0, 1, 2, 9]], [0])
     with pytest.raises(InvalidPartition):
         counting_lemma_check(g, 3, {(2, 2)}, [[0, 1, 2, 3]], [0])
+    with pytest.raises(InvalidPartition):
+        counting_lemma_check(g, 3, {(0, 9)}, [[0, 1, 2, 3]], [0])
 
 
 def test_zero_violations_on_small_sweep(connected_by_order):

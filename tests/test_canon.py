@@ -176,13 +176,21 @@ def test_search_data_stay_out_of_equality(connected_by_order):
     rng = random.Random(3)
     for g in connected_by_order[5]:
         form = canonical_form(g)
-        bare = CanonicalForm(form.n, form.bits)
+        bare = CanonicalForm(form.n, form.bits, (), (), ())
         assert bare == form and hash(bare) == hash(form) and repr(bare) == repr(form)
         perm = list(range(g.n))
         rng.shuffle(perm)
         oracle = permutation_min_form(permute(g, perm))
         assert oracle == permutation_min_form(g)
         assert canonical_form(triangle_graph(oracle.n, oracle.bits)) == form
+
+
+def test_a_form_carries_its_graph():
+    # bits alone would give equal forms whose to_graph() has no rows
+    form = canonical_form(cycle_graph(5))
+    with pytest.raises(TypeError):
+        CanonicalForm(5, form.bits)
+    assert form.to_graph() == triangle_graph(5, form.bits)
 
 
 def _search_nodes():
@@ -217,6 +225,9 @@ def test_cell_refinement_matches_the_global_rank_oracle():
         assert [sorted(cell) for cell in cells] == [
             [v for v in free if expected[v] == c] for c in range(p, p + len(cells))
         ]
+        # each placed vertex has its own color, so a cell has one row to them
+        placed_mask = sum(1 << v for v in placed)
+        assert all(len({g.adj[v] & placed_mask for v in cell}) == 1 for cell in cells)
 
 
 # sha256 over repr((bits, labelling)) of every form in `shuffled_forms`, in

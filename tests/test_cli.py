@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from random import Random
@@ -11,10 +12,11 @@ from random import Random
 import pytest
 
 import resnum
-from resnum import canon, cli, enumeration, graphs, resolve
+from resnum import canon, catalog, cli, enumeration, families, graphs, resolve
 from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import build_parser, main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
+from resnum.errors import CatalogMissing
 from resnum.families import path_graph
 from resnum.graphs import ORDER_CAP, from_edge_list
 from resnum.serial import to_json_line, write_graph6
@@ -279,6 +281,30 @@ def test_catalog_command(capsys):
     assert rep["girth5_orders"] == [6, 7, 8, 10]
     assert rep["fixture_match"] is True
     assert rep["clique_equals_res"]["derived_size"] == 12
+
+
+def test_a_theorem_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # a res scan that read 1 on P3 would falsify the res = 1 statement
+    real = families.resolving_number
+    monkeypatch.setattr(families, "resolving_number", lambda g: replace(real(g), res=1))
+    f = tmp_path / "p3.g6"
+    f.write_text(write_graph6(path_graph(3)) + "\n")
+    code, out, err = run(capsys, "classify", "--input", str(f))
+    assert (code, out) == (4, "")
+    assert err == "theorem violation: line 1: res = 1 on a graph of order 3 that is not P1/P2\n"
+
+
+def test_a_missing_fixture_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "FIXTURE_NAME", "absent.g6")
+    load_default_catalog.cache_clear()
+    try:
+        with pytest.raises(CatalogMissing, match="^packaged fixture absent.g6 is unavailable: "):
+            load_default_catalog()
+        code, out, err = run(capsys, "catalog", "--res", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: packaged fixture absent.g6 is unavailable: ")
+    finally:
+        load_default_catalog.cache_clear()
 
 
 def test_the_position_table_holds_only_masks_of_enumerated_orders(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ import hashlib
 import math
 import sys
 from functools import lru_cache
+from itertools import product
 from random import Random
 
 import pytest
@@ -299,19 +300,22 @@ def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
 
 
 def test_caps():
-    # one message states both caps, whichever of them a request breaks
-    caps = "enumeration is capped at n <= 7, or n <= 10 with max_degree <= 3 and min_girth >= 5"
+    # one message states every row of the reach table, whichever a request breaks
+    caps = (
+        "enumeration is capped at n <= 7, n <= 10 with max_degree <= 3 and "
+        "min_girth >= 5, or n <= 12 with min_girth >= inf"
+    )
     for c in (
         EnumConstraints(8),
         EnumConstraints(8, max_degree=3),
         EnumConstraints(11, max_degree=3, min_girth=5),
         EnumConstraints(11, max_degree=2, min_girth=11),
+        EnumConstraints(13, trees_only=True),
+        EnumConstraints(13, max_degree=2, min_girth=math.inf),
     ):
         with pytest.raises(TooLarge) as exc:
             list(enumerate_graphs(c))
         assert str(exc.value) == f"{caps}, got order {c.n}"
-    with pytest.raises(TooLarge):
-        list(enumerate_graphs(EnumConstraints(13, trees_only=True)))
     for trees_only in (False, True):
         with pytest.raises(InputError):
             list(enumerate_graphs(EnumConstraints(0, trees_only=trees_only)))
@@ -324,6 +328,40 @@ def test_caps():
     big_tree = next(iter(enumerate_graphs(EnumConstraints(9, trees_only=True))))
     with pytest.raises(TooLarge):
         permutation_min_form(big_tree)
+
+
+def _written_rule(c):
+    """The reach rule written out case by case: trees to 12, n <= 10 with
+    max_degree <= 3 and min_girth >= 5, any other graph to 7."""
+    if c.n < 1 or c.max_degree is not None and c.max_degree < 0:
+        raise InputError
+    if c.max_m2 is not None and c.max_m2 < 0:
+        raise InputError
+    if c.trees_only or c.min_girth == math.inf:
+        if c.n > 12:
+            raise TooLarge
+        return c.max_degree, math.inf, c.max_m2
+    min_girth = None if c.min_girth is None or c.min_girth <= 3 else c.min_girth
+    sparse = c.max_degree is not None and c.max_degree <= 3 and (min_girth or 0) >= 5
+    if c.n > (10 if sparse else 7):
+        raise TooLarge
+    return c.max_degree, min_girth, c.max_m2
+
+
+def _outcome(region, c):
+    try:
+        return region(c)
+    except (InputError, TooLarge) as exc:
+        return type(exc)
+
+
+def test_the_reach_table_keeps_the_written_rule():
+    girths = (None, 0, 3, 4, 4.5, 5, 5.5, 6, 9, math.inf)
+    grid = list(product(range(15), (None, *range(-1, 6)), girths, (False, True), (None, 2)))
+    assert len(grid) == 4800
+    for n, max_degree, min_girth, trees_only, max_m2 in grid:
+        c = EnumConstraints(n, max_degree, min_girth, trees_only, max_m2)
+        assert _outcome(enumeration._region, c) == _outcome(_written_rule, c), c
 
 
 def test_degree_cap_applies_to_trees(trees_by_order):

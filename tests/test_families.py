@@ -115,6 +115,10 @@ def test_parameter_validation():
         clique4_sporadic(5)
     with pytest.raises(InvalidFamilyParam):
         path_graph(0)
+    with pytest.raises(InvalidFamilyParam):
+        complete_graph(0)
+    with pytest.raises(InvalidFamilyParam):
+        empty_graph(0)
 
 
 def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
