@@ -5,11 +5,17 @@ without re-deriving the arithmetic.  Compound statements (the order
 sandwich, the four-link parameter chain) expand into one row per
 inequality, tied together by prop_id and distinguished by part.
 Inapplicability is data, never an error.
+
+Rows are interned: `_na` and `_row` build each distinct row once and
+hand the same frozen object to every graph that has it, so a row compares
+and hashes by identity.  Value equality would let a row holding True and
+one holding 1 meet as one key, though they render differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -32,7 +38,7 @@ PROP_IDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundVerdict:
     prop_id: str
     part: str | None
@@ -45,10 +51,14 @@ class BoundVerdict:
     extremal_match: bool | None
 
 
+# the reasons are a finite set of fixed texts and cap messages
+@lru_cache(maxsize=None)
 def _na(prop_id: str, reason: str, part: str | None = None) -> BoundVerdict:
     return BoundVerdict(prop_id, part, False, reason, None, None, None, None, None)
 
 
+# typed: a row built from 1 must not be served for one built from True
+@lru_cache(maxsize=4096, typed=True)
 def _row(
     prop_id: str,
     lhs: int,

@@ -1,11 +1,13 @@
 """Command line front end.
 
 Every report is newline-delimited JSON with sorted keys, one line per
-graph, so output can be piped and diffed.  Exit codes: 0 success, 2 bad
-input, 3 size cap exceeded, 4 theorem violation (reserved for outcomes
-that would falsify a published result; seeing it means a bug).  An error
-on an input line, graph6 or edge list, names that line; `serial.numbered`
-writes the prefix.
+graph, so output can be piped and diffed; a command's report function
+returns its line, and `verify` joins the memoised encodings of its
+interned rows.  Exit codes: 0 success, 2 bad input, 3 size cap
+exceeded, 4 theorem violation (reserved for outcomes that would falsify
+a published result; seeing it means a bug).  An error on an input line,
+graph6 or edge list, names that line; `serial.numbered` writes the
+prefix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import string
 import sys
 from typing import Callable
 
-from .bounds import PROP_IDS, verify_bounds
+from .bounds import PROP_IDS, BoundVerdict, verify_bounds
 from .catalog import (
     build_res3_catalog,
     clique_equals_res_report,
@@ -55,17 +57,17 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _report_each(args: argparse.Namespace, report: Callable[[Graph], object]) -> int:
-    """Print `report(g)` as one JSON line per input graph, as each parses,
+def _report_each(args: argparse.Namespace, report: Callable[[Graph], str]) -> int:
+    """Print `report(g)`, one JSON line per input graph, as each parses,
     so that the lines before a bad one are reported first."""
     text = _read_text(args.input)
     if args.format == "edgelist":
-        print(to_json_line(report(parse_edge_list(text))))
+        print(report(parse_edge_list(text)))
         return 0
     reports = numbered(text, lambda line: report(parse_graph6(line)))
     count = 0
-    for count, out in enumerate(reports, start=1):
-        print(to_json_line(out))
+    for count, line in enumerate(reports, start=1):
+        print(line)
     if not count:
         raise InputError(f"no graph6 lines found in {args.input}")
     return 0
@@ -76,7 +78,7 @@ def _jsonable_girth(value) -> int | None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    def report(g: Graph) -> dict:
+    def report(g: Graph) -> str:
         rep = resolving_number(g)
         inv = invariant_summary(g)
         out = {
@@ -96,30 +98,37 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 out["dim"] = dims.dim
             if args.updim:
                 out["updim"] = dims.updim
-        return out
+        return to_json_line(out)
 
     return _report_each(args, report)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    def report(g: Graph) -> dict:
+    def report(g: Graph) -> str:
         cat = classify_res(g)
         out = {"category": cat.tag, "res": cat.res}
         if cat.tag.startswith("Catalog"):
             out["catalog_member"] = cat.member.graph6
-        return out
+        return to_json_line(out)
 
     return _report_each(args, report)
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_line(row: BoundVerdict) -> str:
+    """One verdict row's JSON, encoded once per interned row."""
+    return to_json_line(vars(row))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    def report(g: Graph) -> list:
+    def report(g: Graph) -> str:
         inv = invariant_summary(g)
         res = resolving_number(g).res
         rows = verify_bounds(g, inv, res)
         if args.prop != "all":
             rows = tuple(r for r in rows if r.prop_id == args.prop)
-        return [vars(r) for r in rows]
+        # the encoder writes a list as its items' encodings joined by ","
+        return "[" + ",".join(map(_row_line, rows)) + "]"
 
     return _report_each(args, report)
 

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .canon import CanonicalForm, _orbits, canonical_form
@@ -371,7 +372,9 @@ def _grow(
 
     The sort makes the level independent of the order in which trees,
     parents and neighbour sets are visited, so a caller that shuffles
-    `_free_trees`, `_level` or `_joins` gets the same tuple.
+    `_free_trees`, `_level` or `_joins` gets the same tuple.  It reads
+    `bits` alone: every form of a level has order n, so this is the forms'
+    own order.
     """
     if n == 1:
         return (canonical_form(Graph(1, (0,))),)
@@ -382,7 +385,7 @@ def _grow(
             if (max_degree is None or max(t.degrees()) <= max_degree)
             and (max_m2 is None or _most_equidistant(t.adj, max_m2, 2) <= max_m2)
         )
-        return tuple(sorted(map(canonical_form, trees)))
+        return tuple(sorted(map(canonical_form, trees), key=attrgetter("bits")))
     new = 1 << (n - 1)
     children: list[CanonicalForm] = []
     for form in _level(n - 1, max_degree, min_girth, max_m2):
@@ -404,7 +407,7 @@ def _grow(
             kept = _canonical_child(rows, degs, max_m2)
             if kept is not None:
                 children.append(kept)
-    return tuple(sorted(children))
+    return tuple(sorted(children, key=attrgetter("bits")))
 
 
 # each level built once per process

@@ -210,13 +210,13 @@ def _dimensions(g: Graph) -> DimensionReport:
         return DimensionReport(dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,))
     weights = 1 << np.arange(n, dtype=np.int64)
     chunks = _chunks(distance_matrix(g))
-    pair_masks = np.concatenate([slab @ weights for _, _, slab in chunks]).tolist()
+    pair_masks = np.concatenate([slab @ weights for _, _, slab in chunks])
     full, without, size = _subset_masks(n)
-    # set in a byte buffer: or-ing each 1 << mask into an int copies 2^n bits per pair
-    table = bytearray(max(1, (1 << n) >> 3))
-    for mask in pair_masks:
-        table[mask >> 3] |= 1 << (mask & 7)
-    bad = int.from_bytes(table, "little")
+    # scattered into a bool array and packed: or-ing each 1 << mask into an
+    # int copies 2^n bits per pair
+    table = np.zeros(1 << n, dtype=bool)
+    table[pair_masks] = True
+    bad = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
     for v in range(n):
         # bit S moves to S - {v}, kept only where S held v
         bad |= bad >> (1 << v) & without[v]
@@ -227,7 +227,7 @@ def _dimensions(g: Graph) -> DimensionReport:
         minimal &= without[v] | bad << (1 << v)
     dim = next(k for k in range(n + 1) if good & size[k])
     updim = next(k for k in range(n, -1, -1) if minimal & size[k])
-    res = 1 + max(mask.bit_count() for mask in pair_masks)
+    res = 1 + max(map(int.bit_count, pair_masks.tolist()))
     if not dim <= updim <= res:
         raise TheoremViolation(
             f"dimension chain broken: dim={dim} updim={updim} res={res}"

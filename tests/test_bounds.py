@@ -126,6 +126,14 @@ def test_chain_rows_and_cap():
     assert chain.reason == "metric dimension is capped at n <= 16, got 17"
 
 
+def test_a_graph_gets_the_same_row_objects_twice():
+    g = spider_graph(1, 2, 3)
+    inv = invariant_summary(g)
+    res = resolving_number(g).res
+    first, again = verify_bounds(g, inv, res), verify_bounds(g, inv, res)
+    assert len(first) == 12 and all(a is b for a, b in zip(first, again))
+
+
 def test_vertex_pairs_helper():
     assert vertex_pairs([3, 1, 2]) == frozenset({(1, 2), (1, 3), (2, 3)})
     assert vertex_pairs([5]) == frozenset()

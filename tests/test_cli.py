@@ -12,14 +12,17 @@ from random import Random
 import pytest
 
 import resnum
-from resnum import canon, catalog, cli, enumeration, families, graphs, resolve
+from resnum import bounds, canon, catalog, cli, enumeration, families, graphs, resolve
+from resnum.bounds import PROP_IDS, verify_bounds
 from resnum.catalog import build_res3_catalog, load_default_catalog
 from resnum.cli import build_parser, main
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 from resnum.errors import CatalogMissing
 from resnum.families import path_graph
 from resnum.graphs import ORDER_CAP, from_edge_list
-from resnum.serial import to_json_line, write_graph6
+from resnum.invariants import invariant_summary
+from resnum.resolve import resolving_number
+from resnum.serial import parse_graph6, to_json_line, write_graph6
 
 
 def run(capsys, *argv):
@@ -234,22 +237,93 @@ def test_a_kept_parser_parses_each_call_as_a_fresh_one(tmp_path, capsys):
     assert [call(argv) for argv in calls] == alone
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _verify_rows(g):
+    return verify_bounds(g, invariant_summary(g), resolving_number(g).res)
+
+
 def test_reports_render_as_json_dumps_does(tmp_path, capsys, monkeypatch):
+    lines = ["@", "C~", "Dhc", write_graph6(path_graph(12))]
     f = tmp_path / "g.g6"
-    f.write_text("@\nC~\nDhc\n" + write_graph6(path_graph(12)) + "\n")
-    reports = []
+    f.write_text("\n".join(lines) + "\n")
+    encoded = []
 
     def keep(obj):
-        reports.append(obj)
+        encoded.append(obj)
         return to_json_line(obj)
 
     monkeypatch.setattr(cli, "to_json_line", keep)
-    for argv in (["compute", "--dim", "--updim"], ["verify"], ["classify"]):
-        assert run(capsys, *argv, "--input", str(f))[0] == 0
-    assert run(capsys, "catalog", "--res", "3")[0] == 0
-    assert len(reports) == 3 * 4 + 1
-    for obj in reports:
-        assert to_json_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    cli._row_line.cache_clear()
+    reports = {}
+    for argv in (
+        ["compute", "--dim", "--updim", "--input", str(f)],
+        ["classify", "--input", str(f)],
+        ["catalog", "--res", "3"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        reports[argv[0]] = out.splitlines()
+        # one encoder call per report, each report encoded whole
+        assert reports[argv[0]] == [_dumps(obj) for obj in encoded]
+        encoded.clear()
+    assert [len(reports[c]) for c in ("compute", "classify", "catalog")] == [4, 4, 1]
+    code, out, _ = run(capsys, "verify", "--input", str(f))
+    assert code == 0
+    rows = [_verify_rows(parse_graph6(line)) for line in lines]
+    assert out.splitlines() == [_dumps([vars(r) for r in rs]) for rs in rows]
+    # one encoder call per distinct row, 29 for the 48 rows: 38 calls in
+    # all, where encoding each report whole made 13
+    assert [vars(r) for r in {r: None for rs in rows for r in rs}] == encoded
+    assert len(encoded) == 29 and sum(map(len, rows)) == 48
+
+
+def _seeded_graphs(seed: int, orders) -> list:
+    """Three random connected graphs of each order: a random recursive tree
+    plus edges drawn at densities 0, 0.2 and 0.5."""
+    rng = Random(seed)
+    out = []
+    for n in orders:
+        for p in (0.0, 0.2, 0.5):
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+            out.append(from_edge_list(n, edges))
+    return out
+
+
+def test_verify_lines_encode_the_rows_whole(tmp_path, capsys):
+    gs = _seeded_graphs(17, range(1, 18))
+    f = tmp_path / "g.g6"
+    f.write_text("".join(write_graph6(g) + "\n" for g in gs))
+    rows = [_verify_rows(g) for g in gs]
+    # past DIM_CAP the chain rows carry the table's cap message
+    assert {r.reason for r in rows[-1] if r.prop_id == "Chain"} == {
+        "metric dimension is capped at n <= 16, got 17"
+    }
+    for prop in ("all",) + PROP_IDS:
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--prop", prop)
+        assert code == 0
+        kept = [[r for r in rs if prop in ("all", r.prop_id)] for rs in rows]
+        assert out.splitlines() == [to_json_line([vars(r) for r in rs]) for rs in kept]
+
+
+def test_rows_apart_only_by_true_and_one_render_apart():
+    flag, one = (bounds._row("CliqueUB", 2, 3, extremal_match=m) for m in (True, 1))
+    assert flag is not one and vars(flag) == vars(one)
+    line = cli._row_line(flag)
+    assert '"extremal_match":true,' in line and line == to_json_line(vars(flag))
+    assert cli._row_line(one) == line.replace('"extremal_match":true,', '"extremal_match":1,')
+
+
+def test_verify_builds_each_distinct_row_once():
+    bounds._row.cache_clear()
+    bounds._na.cache_clear()
+    rows = [r for g in _seeded_graphs(30, range(1, 18)) for r in _verify_rows(g)]
+    built = bounds._row.cache_info().currsize + bounds._na.cache_info().currsize
+    assert (len(rows), len(set(rows)), built) == (612, 286, 286)
+    assert bounds._row.cache_info().maxsize is not None
 
 
 def test_enum_with_a_huge_girth_floor_returns_the_trees():
