@@ -4,7 +4,9 @@ Each verdict row carries raw lhs/rhs integers so a report can be audited
 without re-deriving the arithmetic.  Compound statements (the order
 sandwich, the four-link parameter chain) expand into one row per
 inequality, tied together by prop_id and distinguished by part.
-Inapplicability is data, never an error.
+Inapplicability is data, never an error.  Each statement's rows come from
+its own builder in `_ROWS`, so a request for one prop builds that prop's
+rows alone, and only the Chain rows build the 2^n dimension table.
 
 Rows are interned: `_na` and `_row` build each distinct row once and
 hand the same frozen object to every graph that has it, so a row compares
@@ -25,17 +27,6 @@ from .errors import InvalidPartition, NotApplicable, TooLarge
 from .graphs import Graph, distance_matrix
 from .invariants import InvariantSummary
 from .resolve import upper_dimension
-
-PROP_IDS = (
-    "DiamTree",
-    "Girth",
-    "CliqueUB",
-    "OrderBounds",
-    "OrderTree",
-    "MaxDeg",
-    "MaxDegTree",
-    "Chain",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,74 +83,95 @@ def _order_upper_rhs(res: int, g: int | float, max_degree: int) -> int:
     return 6 * res - 8
 
 
-def verify_bounds(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
-    """All verdict rows for one graph, in fixed order."""
-    out: list[BoundVerdict] = []
-    tree_not_path = inv.is_tree and not inv.is_path
-    general = not inv.is_path and not inv.is_cycle
+def _diam_tree(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if not inv.is_tree or inv.is_path:
+        return (_na("DiamTree", "tree bound; needs a non-path tree"),)
+    sig = inv.spider
+    match = sig is not None and sig[1] == sig[2] == res - 2 and sig[0] <= sig[1]
+    return (_row("DiamTree", inv.diameter, 2 * res - 4, extremal_match=match),)
 
-    if tree_not_path:
-        sig = inv.spider
-        match = (
-            sig is not None
-            and sig[1] == sig[2] == res - 2
-            and sig[0] <= sig[1]
-        )
-        out.append(
-            _row("DiamTree", inv.diameter, 2 * res - 4, extremal_match=match)
-        )
-    else:
-        out.append(_na("DiamTree", "tree bound; needs a non-path tree"))
 
-    if not inv.is_tree and not inv.is_cycle:
-        out.append(_row("Girth", int(inv.girth), 2 * res - 1))
-    else:
-        out.append(_na("Girth", "needs a cycle-containing non-cycle graph"))
+def _girth(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if inv.is_tree or inv.is_cycle:
+        return (_na("Girth", "needs a cycle-containing non-cycle graph"),)
+    return (_row("Girth", int(inv.girth), 2 * res - 1),)
 
-    out.append(_row("CliqueUB", inv.omega, res + 1, extremal_match=inv.omega == g.n))
 
-    if general:
-        out.append(_row("OrderBounds", res + 1, g.n, part="lower"))
-        rhs = _order_upper_rhs(res, inv.girth, inv.max_degree)
-        out.append(_row("OrderBounds", g.n, rhs, part="upper"))
-    else:
-        out.append(_na("OrderBounds", "excludes paths and cycles", part="lower"))
-        out.append(_na("OrderBounds", "excludes paths and cycles", part="upper"))
+def _clique_ub(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    return (_row("CliqueUB", inv.omega, res + 1, extremal_match=inv.omega == g.n),)
 
-    if tree_not_path:
-        sig = inv.spider
-        match = sig is not None and sig[0] == sig[1] == sig[2] == res - 2
-        out.append(_row("OrderTree", g.n, 3 * res - 5, extremal_match=match))
-    else:
-        out.append(_na("OrderTree", "tree bound; needs a non-path tree"))
 
-    if general:
-        rhs = 3 * res - 4 if inv.girth == 3 else res
-        out.append(_row("MaxDeg", inv.max_degree, rhs))
-    else:
-        out.append(_na("MaxDeg", "excludes paths and cycles"))
+def _order_bounds(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if inv.is_path or inv.is_cycle:
+        reason = "excludes paths and cycles"
+        return (_na("OrderBounds", reason, part="lower"), _na("OrderBounds", reason, part="upper"))
+    rhs = _order_upper_rhs(res, inv.girth, inv.max_degree)
+    return (
+        _row("OrderBounds", res + 1, g.n, part="lower"),
+        _row("OrderBounds", g.n, rhs, part="upper"),
+    )
 
-    if tree_not_path:
-        out.append(
-            _row("MaxDegTree", inv.max_degree, res, extremal_match=inv.is_star)
-        )
-    else:
-        out.append(_na("MaxDegTree", "tree bound; needs a non-path tree"))
 
+def _order_tree(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if not inv.is_tree or inv.is_path:
+        return (_na("OrderTree", "tree bound; needs a non-path tree"),)
+    sig = inv.spider
+    match = sig is not None and sig[0] == sig[1] == sig[2] == res - 2
+    return (_row("OrderTree", g.n, 3 * res - 5, extremal_match=match),)
+
+
+def _max_deg(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if inv.is_path or inv.is_cycle:
+        return (_na("MaxDeg", "excludes paths and cycles"),)
+    rhs = 3 * res - 4 if inv.girth == 3 else res
+    return (_row("MaxDeg", inv.max_degree, rhs),)
+
+
+def _max_deg_tree(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    if not inv.is_tree or inv.is_path:
+        return (_na("MaxDegTree", "tree bound; needs a non-path tree"),)
+    return (_row("MaxDegTree", inv.max_degree, res, extremal_match=inv.is_star),)
+
+
+def _chain(g: Graph, inv: InvariantSummary, res: int) -> tuple[BoundVerdict, ...]:
+    """The only rows that build the 2^n dimension table."""
     try:
         if g.n < 2:
             raise NotApplicable("single vertex has no vertex pair")
         dims = upper_dimension(g)
     except (NotApplicable, TooLarge) as exc:
-        for part in ("unit_le_dim", "dim_le_updim", "updim_le_res", "res_le_order"):
-            out.append(_na("Chain", str(exc), part=part))
-    else:
-        out.append(_row("Chain", 1, dims.dim, part="unit_le_dim"))
-        out.append(_row("Chain", dims.dim, dims.updim, part="dim_le_updim"))
-        out.append(_row("Chain", dims.updim, res, part="updim_le_res"))
-        out.append(_row("Chain", res, g.n - 1, part="res_le_order"))
+        parts = ("unit_le_dim", "dim_le_updim", "updim_le_res", "res_le_order")
+        return tuple(_na("Chain", str(exc), part=part) for part in parts)
+    return (
+        _row("Chain", 1, dims.dim, part="unit_le_dim"),
+        _row("Chain", dims.dim, dims.updim, part="dim_le_updim"),
+        _row("Chain", dims.updim, res, part="updim_le_res"),
+        _row("Chain", res, g.n - 1, part="res_le_order"),
+    )
 
-    return tuple(out)
+
+# each statement's rows, in PROP_IDS order
+_ROWS = {
+    "DiamTree": _diam_tree,
+    "Girth": _girth,
+    "CliqueUB": _clique_ub,
+    "OrderBounds": _order_bounds,
+    "OrderTree": _order_tree,
+    "MaxDeg": _max_deg,
+    "MaxDegTree": _max_deg_tree,
+    "Chain": _chain,
+}
+PROP_IDS = tuple(_ROWS)
+
+
+def verify_bounds(
+    g: Graph, inv: InvariantSummary, res: int, prop: str = "all"
+) -> tuple[BoundVerdict, ...]:
+    """All verdict rows for one graph in fixed order, or, for a prop id
+    of PROP_IDS, that statement's rows alone."""
+    if prop == "all":
+        return tuple(row for rows in _ROWS.values() for row in rows(g, inv, res))
+    return _ROWS[prop](g, inv, res)
 
 
 def vertex_pairs(vertices: Iterable[int]) -> frozenset[tuple[int, int]]:

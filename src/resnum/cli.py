@@ -124,9 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def report(g: Graph) -> str:
         inv = invariant_summary(g)
         res = resolving_number(g).res
-        rows = verify_bounds(g, inv, res)
-        if args.prop != "all":
-            rows = tuple(r for r in rows if r.prop_id == args.prop)
+        rows = verify_bounds(g, inv, res, args.prop)
         # the encoder writes a list as its items' encodings joined by ","
         return "[" + ",".join(map(_row_line, rows)) + "]"
 

@@ -5,16 +5,22 @@ neighborhood algebra is plain integer arithmetic and arbitrary orders fit
 without a second representation.  Everything downstream (distances,
 resolving machinery, enumeration) builds on this type.
 
-Distances have one representation too: `distance_matrix` returns a
-read-only n x n int32 numpy array, built once per graph and kept on it
-for every routine that reads distances.  It runs every BFS at once, on
-balls packed as uint64 words, one numpy pass per radius.
+Distances have two representations, and this module picks one by order.
+Up to `SPHERE_CAP` vertices a graph keeps its sphere layers, grown on the
+adjacency rows, and the mask of the vertices equidistant from each pair
+x < y in row-major order, both from one pass per graph; `diameter` and
+`pair_masks` read them.  Past the cap the library reads the read-only
+n x n int32 array of `distance_matrix`, which runs every BFS at once, on
+balls packed as uint64 words, one numpy pass per radius.  Every order can
+ask for the matrix, and the test oracles read nothing else.  Either one
+is built on first use and kept on the graph; a disconnected graph keeps
+nothing and raises Disconnected on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,13 +46,14 @@ class _Positions(dict):
     """mask -> the tuple of its set bit positions in increasing order,
     each computed on first lookup; a subscript costs less than a call.
 
-    Only canon and enumeration read it.  Canon and the enumeration engine
-    pass masks below 2^n for n <= `canon.CANONICAL_CAP` = 16, at most
-    65,536 keys: the res-3 catalog fills keys below 2^10 and the tree
-    ladder keys below 2^12.  The sphere kernel
-    `enumeration._most_equidistant` looks up the rows of the graph it is
-    given, at most n keys per graph.  Masks of other graphs go through
-    `_bits`.
+    Only canon, enumeration and `_sphere_pass` read it.  Canon and the
+    enumeration engine pass masks below 2^n for n <= `canon.CANONICAL_CAP`
+    = 16, at most 65,536 keys: the res-3 catalog fills keys below 2^10 and
+    the tree ladder keys below 2^12.  The sphere kernel
+    `enumeration._most_equidistant` and `_sphere_pass` look up the rows of
+    the graph they are given, at most n keys per graph, and the pass takes
+    graphs of order at most `SPHERE_CAP` = 16 only, so its keys stay below
+    2^16 too.  Masks of other graphs go through `_bits`.
     """
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
@@ -93,7 +100,14 @@ class Graph:
     def _distances(self) -> np.ndarray:
         return _all_pairs_bfs(self)
 
+    @cached_property
+    def _spheres(self) -> tuple[list[list[int]], np.ndarray]:
+        return _sphere_pass(self)
 
+
+# the largest order whose distances are kept as sphere layers on the rows
+# in place of a matrix; a layer's masks fit the uint32 planes of the pass
+SPHERE_CAP = 16
 # the largest order a family builds or an edge list has: `resnum compute`
 # reads K800's 319,600 edge lines in 1.3-1.7 s (2-core x86-64)
 ORDER_CAP = 800
@@ -209,3 +223,74 @@ def _all_pairs_bfs(g: Graph) -> np.ndarray:
         left = now
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs x < y of range(n) in row-major order, as int16 arrays xs, ys.
+
+    An entry takes 2n(n - 1) bytes.  Every graph6 order 1..62 fits in the
+    64 entries in under 0.2 MB; the worst case, 64 entries at
+    `ORDER_CAP` = 800, is 1.3 MB each and 82 MB in all.
+    """
+    xs, ys = np.triu_indices(n, 1)
+    return xs.astype(np.int16), ys.astype(np.int16)
+
+
+def _sphere_pass(g: Graph) -> tuple[list[list[int]], np.ndarray]:
+    """The sphere layers of g and its pair masks, from its rows alone.
+
+    `layers[r - 1][v]` is the sphere S_r(v), the mask of the vertices at
+    distance r from v, for r = 1 up to the diameter: S_r(v) is the union
+    of the S_{r-1} of v's neighbours less the ball B_{r-1}(v).  Only the
+    vertices whose ball still misses a vertex grow, and in a connected
+    graph each of them gains one; one that gains none raises Disconnected,
+    with the text of `distance_matrix`.  `masks[k]` marks the vertices
+    equidistant from the k-th pair x < y of `_pairs(n)`, the union over r
+    of S_r(x) & S_r(y), taken in one numpy pass over the layers as
+    (radii x n) uint32 planes.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    nbrs = [_positions[row] for row in g.adj]
+    ball = [row | 1 << v for v, row in enumerate(g.adj)]
+    layers = [list(g.adj)] if n > 1 else []
+    short = [v for v in range(n) if ball[v] != full]
+    while short:
+        last, sphere, still = layers[-1], [0] * n, []
+        for v in short:
+            reach = 0
+            for u in nbrs[v]:
+                reach |= last[u]
+            reach &= ~ball[v]
+            if not reach:
+                raise Disconnected("distance matrix requires a connected graph")
+            sphere[v] = reach
+            ball[v] |= reach
+            if ball[v] != full:
+                still.append(v)
+        layers.append(sphere)
+        short = still
+    planes = np.array(layers, dtype=np.uint32).reshape(-1, n)
+    xs, ys = _pairs(n)
+    masks = np.bitwise_or.reduce(planes.take(xs, axis=1) & planes.take(ys, axis=1), axis=0)
+    masks.setflags(write=False)
+    return layers, masks
+
+
+def diameter(g: Graph) -> int:
+    """The largest distance in g, 0 for K1; raises Disconnected as
+    `distance_matrix` does.  Read from the sphere layers up to
+    `SPHERE_CAP`, from the matrix past it."""
+    if g.n <= SPHERE_CAP:
+        return len(g._spheres[0])
+    return int(distance_matrix(g).max())
+
+
+def pair_masks(g: Graph) -> np.ndarray | None:
+    """`masks[k]`, the uint32 mask of the vertices equidistant from the
+    k-th pair x < y of range(n) in row-major order (never x or y), as one
+    read-only array, and up to `SPHERE_CAP` Disconnected as
+    `distance_matrix` raises it; None past the cap, where distances come
+    from `distance_matrix` alone."""
+    return g._spheres[1] if g.n <= SPHERE_CAP else None

@@ -12,7 +12,10 @@ Computers & OR 38 (2011)), so the bound is the number of classes left.
 A vertex joins its class with one mask step by the complement of its
 closed neighbourhood, built once per search.  `invariant_summary` finds
 the girth first and searches for cliques only when it is 3: a graph with
-no triangle has clique number min(n, 2).
+no triangle has clique number min(n, 2).  It reads the diameter from
+`graphs.diameter`, which takes it from the sphere layers or the distance
+matrix, whichever `graphs` keeps for the order, and a spider's legs are
+walked on the adjacency rows.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet
-from .graphs import Graph, _bits, check_vertex, distance_matrix
+from .errors import Disconnected, EmptySet
+from .graphs import Graph, _bits, check_vertex, diameter, distance_matrix
 
 INFINITE_GIRTH = math.inf
 
@@ -138,15 +141,29 @@ def clique_number(g: Graph) -> int:
 def spider_signature(g: Graph) -> tuple[int, int, int] | None:
     """Sorted leg lengths when g is a tree of three paths glued at one vertex.
 
-    Each leg runs from the centre to a leaf, so its length is the leaf's
-    distance from the centre.  A disconnected g that passes the edge and
-    degree counts raises Disconnected, as every distance routine does.
+    Each leg is walked on the rows from a neighbour of the centre through
+    vertices of degree 2.  Off the centre no degree passes 2, so the legs
+    are disjoint paths, and g is the spider exactly when each ends at a
+    leaf and they cover every vertex.  Otherwise g, with its n - 1 edges,
+    is disconnected and raises Disconnected, as every distance routine
+    does.
     """
     degs = g.degrees()
     if g.m != g.n - 1 or max(degs, default=0) != 3 or degs.count(3) != 1:
         return None
-    to_centre = distance_matrix(g)[degs.index(3)]
-    return tuple(sorted(int(to_centre[v]) for v, d in enumerate(degs) if d == 1))  # type: ignore[return-value]
+    centre = degs.index(3)
+    legs = []
+    for v in _bits(g.adj[centre]):
+        came, length = centre, 1
+        while degs[v] == 2:
+            came, v = v, (g.adj[v] & ~(1 << came)).bit_length() - 1
+            length += 1
+        if v == centre:
+            break
+        legs.append(length)
+    if len(legs) < 3 or sum(legs) != g.n - 1:
+        raise Disconnected("distance matrix requires a connected graph")
+    return tuple(sorted(legs))  # type: ignore[return-value]
 
 
 def distance_window(g: Graph, u: int, a: frozenset[int] | set[int]) -> tuple[int, bool]:
@@ -183,7 +200,7 @@ def invariant_summary(g: Graph) -> InvariantSummary:
     is_path, is_cycle, is_star = path_cycle_star(g)
     g_girth = INFINITE_GIRTH if is_tree else girth(g)
     return InvariantSummary(
-        diameter=int(distance_matrix(g).max()),
+        diameter=diameter(g),
         girth=g_girth,
         # a 3-clique is a triangle, so without one the clique is an edge or K1
         omega=clique_number(g) if g_girth == 3 else min(g.n, 2),

@@ -4,26 +4,31 @@ A vertex u resolves a pair {x, y} when d(u, x) != d(u, y).  The resolving
 number of a connected graph is the least k such that *every* k-subset of
 vertices resolves every pair.  It equals one plus the largest number of
 vertices that fail to resolve some single pair, which turns the
-exponential definition into one distance-matrix scan; the subset-scan
+exponential definition into one pass over the pairs; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
-One equidistance kernel feeds everything else.  It walks the pairs
-x < y in row-major order, in chunks bounded by `SLAB_ENTRIES` bytes, and
-compares both rows of each pair at once: the boolean slab
-``narrow[xs] == narrow[ys]`` marks the vertices that fail to resolve each
-pair of the chunk.  `narrow` holds the distances in the smallest unsigned
-type that takes n - 1, exact since no distance reaches n: one byte each
-up to order 256.  The slab counts give the resolving number.  Weighted
-by vertex bits, the same slabs give the pair masks of a single 2^n
-resolving-set table per graph, read once for the metric dimension (least
-size of a resolving set), the upper dimension (largest size of a minimal
-one) and res again for the chain check.  The table is a few Python ints
-with one bit per vertex subset, so its set algebra is big-int shifts,
-ands and ors.  Each dimension witness is the lowest integer bit mask
-among the sets of its kind.
+The pairs come from one of the two distance representations of
+`graphs`, which picks it by order.  Up to its sphere cap, `pair_masks`
+gives the mask of the vertices that fail to resolve each pair x < y in
+row-major order, grown once per graph on the adjacency rows: their bit
+counts give the resolving number, and the masks themselves mark a single
+2^n resolving-set table per graph, read once for the metric dimension
+(least size of a resolving set), the upper dimension (largest size of a
+minimal one) and res again for the chain check.  `DIM_CAP` is at most
+that cap, so the table never reads a matrix.  The table is a few Python
+ints with one bit per vertex subset, so its set algebra is big-int
+shifts, ands and ors.  Each dimension witness is the lowest integer bit
+mask among the sets of its kind.
 
-Distances come from `graphs.distance_matrix`, which builds each graph's
-array once, so these routines and their callers share one BFS per graph.
+Past the cap `resolving_number` scans `graphs.distance_matrix` with one
+equidistance kernel.  It walks the pairs in chunks bounded by
+`SLAB_ENTRIES` bytes and compares both rows of each pair at once: the
+boolean slab ``narrow[xs] == narrow[ys]`` marks the vertices that fail
+to resolve each pair of the chunk.  `narrow` holds the distances in the
+smallest unsigned type that takes n - 1, exact since no distance reaches
+n: one byte each up to order 256.  Either way a graph's distances are
+built once and kept on it, so these routines and their callers share one
+pass per graph.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DegeneratePair, TheoremViolation, TooLarge
-from .graphs import Graph, check_vertex, distance_matrix
+from .graphs import Graph, _bits, _pairs, check_vertex, distance_matrix, pair_masks
 
 ORACLE_CAP = 12
 DIM_CAP = 16
@@ -76,18 +81,6 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-@lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs x < y of range(n) in row-major order, as int16 arrays xs, ys.
-
-    An entry takes 2n(n - 1) bytes.  Every graph6 order 1..62 fits in the
-    64 entries in under 0.2 MB; the worst case, 64 entries at
-    `graphs.ORDER_CAP` = 800, is 1.3 MB each and 82 MB in all.
-    """
-    xs, ys = np.triu_indices(n, 1)
-    return xs.astype(np.int16), ys.astype(np.int16)
-
-
 def _chunks(dm: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`(xs, ys, slab)` for each chunk of pairs in row-major order; each
     array of a chunk holds at most SLAB_ENTRIES bytes, or one row."""
@@ -125,13 +118,23 @@ def is_resolving_set(g: Graph, s: Iterable[int]) -> tuple[bool, tuple[int, int] 
 
 
 def resolving_number(g: Graph) -> ResolvingReport:
-    """Exact resolving number from one scan over all vertex pairs.
+    """Exact resolving number from one pass over all vertex pairs.
 
     Among pairs maximizing the count of equidistant vertices the
     lexicographically smallest is reported.
     """
     if g.n == 1:
         return ResolvingReport(1, None, frozenset())
+    masks = pair_masks(g)
+    if masks is not None:
+        counts = list(map(int.bit_count, masks.tolist()))
+        best = max(counts)
+        # the first maximum in row-major pair order is the smallest pair
+        k = counts.index(best)
+        xs, ys = _pairs(g.n)
+        return ResolvingReport(
+            best + 1, (int(xs[k]), int(ys[k])), frozenset(_bits(int(masks[k])))
+        )
     best = -1
     for xs, ys, slab in _chunks(distance_matrix(g)):
         # summing the bools as bytes counts them faster than count_nonzero
@@ -208,14 +211,13 @@ def _dimensions(g: Graph) -> DimensionReport:
         raise TooLarge(f"metric dimension is capped at n <= {DIM_CAP}, got {n}")
     if n == 1:
         return DimensionReport(dim=1, updim=1, witness_min_set=(0,), witness_max_minimal_set=(0,))
-    weights = 1 << np.arange(n, dtype=np.int64)
-    chunks = _chunks(distance_matrix(g))
-    pair_masks = np.concatenate([slab @ weights for _, _, slab in chunks])
+    # DIM_CAP is within the sphere cap, so the masks are there
+    masks = pair_masks(g)
     full, without, size = _subset_masks(n)
     # scattered into a bool array and packed: or-ing each 1 << mask into an
     # int copies 2^n bits per pair
     table = np.zeros(1 << n, dtype=bool)
-    table[pair_masks] = True
+    table[masks] = True
     bad = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
     for v in range(n):
         # bit S moves to S - {v}, kept only where S held v
@@ -227,7 +229,7 @@ def _dimensions(g: Graph) -> DimensionReport:
         minimal &= without[v] | bad << (1 << v)
     dim = next(k for k in range(n + 1) if good & size[k])
     updim = next(k for k in range(n, -1, -1) if minimal & size[k])
-    res = 1 + max(map(int.bit_count, pair_masks.tolist()))
+    res = 1 + max(map(int.bit_count, masks.tolist()))
     if not dim <= updim <= res:
         raise TheoremViolation(
             f"dimension chain broken: dim={dim} updim={updim} res={res}"

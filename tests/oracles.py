@@ -19,7 +19,10 @@ a subset scan with `is_resolving_set`
 against the resolving-set table behind the dimensions, the same table as
 numpy arrays, one byte per subset, against the int-bitset table, and the
 row-block equidistance kernel on the int32 matrix against the pair-list
-kernel on narrow distances.
+kernel on narrow distances, and the values `graphs` reads off its sphere
+layers (res, the first maximal pair, its witness set, the diameter, the
+spider legs and the pair masks) read straight from the matrix, one pair
+at a time, against both distance representations.
 """
 
 from itertools import combinations, permutations, product
@@ -358,6 +361,33 @@ def dimension_table_oracle(g: Graph, pair_masks=None) -> DimensionReport:
         members(np.flatnonzero(good & (popcount == dim))[0]),
         members(np.flatnonzero(minimal & (popcount == updim))[0]),
     )
+
+
+def distance_oracle(g: Graph) -> tuple[ResolvingReport, int, tuple[int, ...] | None, list[int]]:
+    """The resolving report, the diameter, the spider legs and the pair
+    masks in row-major pair order, read from `distance_matrix(g)`.
+
+    Each pair's mask is the set of vertices with equal entries in its two
+    rows.  The report takes the first pair of the most equidistant
+    vertices.  A spider is a tree whose only vertex of degree over 2 has
+    degree 3, and its legs are its leaves' distances from that vertex.
+    """
+    n = g.n
+    dm = distance_matrix(g).tolist()
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    masks = [sum(1 << v for v in range(n) if dm[x][v] == dm[y][v]) for x, y in pairs]
+    report = ResolvingReport(1, None, frozenset())
+    for (x, y), mask in zip(pairs, masks):
+        if mask.bit_count() + 1 > report.res or report.witness_pair is None:
+            report = ResolvingReport(
+                mask.bit_count() + 1, (x, y), frozenset(v for v in range(n) if mask >> v & 1)
+            )
+    degs = g.degrees()
+    spider = None
+    if g.m == n - 1 and sorted(d for d in degs if d > 2) == [3]:
+        centre = degs.index(3)
+        spider = tuple(sorted(dm[centre][v] for v in range(n) if degs[v] == 1))
+    return report, max(map(max, dm)), spider, masks
 
 
 def _blocks(n: int):

@@ -126,55 +126,92 @@ def test_verify_all_props(tmp_path, capsys):
 
 
 def test_dimensions_read_the_matrix_the_command_built(tmp_path, capsys, monkeypatch):
-    # the res scan or the invariants build each graph's matrix; the
-    # dimensions (verify's Chain rows among them) then find it on the graph
+    # the res scan or the invariants grow each graph's spheres once; the
+    # dimensions (verify's Chain rows among them) then find its pair masks
+    # on the graph, and no command builds a matrix below the sphere cap
     f = tmp_path / "g.g6"
     f.write_text("@\nC~\nDhc\n")
     commands = [("verify",), ("compute", "--dim"), ("compute", "--dim", "--updim")]
     before = [run(capsys, cmd, "--input", str(f), *flags) for cmd, *flags in commands]
     assert all(code == 0 for code, _, _ in before)
 
-    real_bfs, real_dimensions = graphs._all_pairs_bfs, resolve._dimensions
-    built, found = [], []
+    real_pass, real_bfs = graphs._sphere_pass, graphs._all_pairs_bfs
+    real_dimensions = resolve._dimensions
+    grown, built, found = [], [], []
+
+    def sphere_pass(g):
+        grown.append(g)
+        return real_pass(g)
 
     def bfs(g):
         built.append(g)
         return real_bfs(g)
 
     def dimensions(g):
-        found.append("_distances" in vars(g))
+        found.append("_spheres" in vars(g))
         return real_dimensions(g)
 
+    monkeypatch.setattr(graphs, "_sphere_pass", sphere_pass)
     monkeypatch.setattr(graphs, "_all_pairs_bfs", bfs)
     monkeypatch.setattr(resolve, "_dimensions", dimensions)
     for (cmd, *flags), expected in zip(commands, before):
-        built.clear()
+        grown.clear()
         found.clear()
         assert run(capsys, cmd, "--input", str(f), *flags) == expected
-        assert len({id(g) for g in built}) == len(built) == 3, cmd
+        assert len({id(g) for g in grown}) == len(grown) == 3, cmd
         assert found and all(found), cmd
+    assert built == []
+    # past the cap the res scan and the invariants share one matrix
+    f.write_text(write_graph6(path_graph(17)) + "\n")
+    grown.clear()
+    assert run(capsys, "verify", "--input", str(f))[0] == 0
+    assert (len(grown), len(built)) == (0, 1)
 
 
 def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
     # the res scan, the invariants, the dimensions and the Chain rows share
-    # the matrix that the first `distance_matrix` call for a graph built
+    # the spheres that the first read of a graph's distances grew; up to
+    # order 16 no command runs a BFS
     catalog = load_default_catalog()
     lines = ["@", "C~", "Dhc", catalog.members[0].graph6, write_graph6(path_graph(12))]
     f = tmp_path / "g.g6"
     f.write_text("\n".join(lines) + "\n")
     bfs_runs = count_calls(graphs, "_all_pairs_bfs")
+    passes = count_calls(graphs, "_sphere_pass")
     for cmd, *flags in [("compute", "--dim", "--updim"), ("verify",), ("classify",)]:
         code, out, _ = run(capsys, cmd, "--input", str(f), *flags)
         assert (code, len(out.splitlines())) == (0, len(lines))
-        # K1's res and shape need no distances, so classify runs no BFS for it
-        assert bfs_runs() == len(lines) - (cmd == "classify"), cmd
+        # K1's res and shape need no distances, so classify grows no spheres for it
+        assert (passes(), bfs_runs()) == (len(lines) - (cmd == "classify"), 0), cmd
     # the build decides its candidates on their rows (151 of them reached
     # the res scan before the sphere kernel), the 17 fixture lines are
     # re-verified, and the clique report on the 13 girth-3 members reads no
     # distances
     load_default_catalog.cache_clear()
     assert run(capsys, "catalog", "--res", "3")[0] == 0
-    assert bfs_runs() == 17
+    assert (passes(), bfs_runs()) == (17, 0)
+
+
+def test_verify_builds_the_dimension_table_only_for_chain(tmp_path, capsys, count_calls):
+    lines = [write_graph6(g) for g in _seeded_graphs(6, range(2, 13))]
+    f = tmp_path / "g.g6"
+    f.write_text("\n".join(lines) + "\n")
+    tables = count_calls(resolve, "_dimensions")
+    for prop, made in [("Girth", 0), ("CliqueUB", 0), ("Chain", len(lines)), ("all", len(lines))]:
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--prop", prop)
+        assert (code, len(out.splitlines()), tables()) == (0, len(lines), made), prop
+
+
+@pytest.mark.parametrize("n", (4, 16, 17))
+def test_a_disconnected_line_is_one_input_error_on_both_sides_of_the_sphere_cap(n, tmp_path, capsys):
+    # a path on n - 1 vertices and an isolated vertex, after a good line
+    split = from_edge_list(n, [(v - 1, v) for v in range(1, n - 1)])
+    f = tmp_path / "g.g6"
+    f.write_text("C~\n" + write_graph6(split) + "\n")
+    for cmd in ("compute", "verify", "classify"):
+        code, out, err = run(capsys, cmd, "--input", str(f))
+        assert (code, len(out.splitlines())) == (2, 1), cmd
+        assert err == "input error: line 2: distance matrix requires a connected graph\n", cmd
 
 
 def test_gen_and_enum(capsys):

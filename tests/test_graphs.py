@@ -12,8 +12,10 @@ from resnum.errors import (
 )
 from resnum.graphs import (
     Graph,
+    diameter,
     distance_matrix,
     from_edge_list,
+    pair_masks,
     permute,
 )
 
@@ -179,3 +181,32 @@ def test_distances_match_networkx_across_word_boundaries(n):
 def test_distance_matrix_of_k1():
     dm = distance_matrix(from_edge_list(1, []))
     assert dm.tolist() == [[0]] and dm.dtype == np.int32 and not dm.flags.writeable
+
+
+def test_k1_has_diameter_zero_and_no_pairs():
+    k1 = from_edge_list(1, [])
+    assert diameter(k1) == 0 and pair_masks(k1).tolist() == []
+
+
+@pytest.mark.parametrize("n", (2, 4, 16, 17))
+def test_distance_accessors_refuse_a_disconnected_graph_on_every_call(n):
+    # a path on n - 1 vertices and an isolated vertex: both sides of the
+    # sphere cap raise the matrix's text and keep nothing on the graph
+    split = from_edge_list(n, [(v - 1, v) for v in range(1, n - 1)])
+    reads = (diameter, distance_matrix) + ((pair_masks,) if n <= 16 else ())
+    for _ in range(2):
+        for read in reads:
+            with pytest.raises(Disconnected, match="^distance matrix requires a connected graph$"):
+                read(split)
+    assert "_spheres" not in vars(split) and "_distances" not in vars(split)
+    # past the cap there are no masks to read
+    assert n <= 16 or pair_masks(split) is None
+
+
+def test_the_spheres_are_grown_once_per_graph():
+    g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    masks = pair_masks(g)
+    assert pair_masks(g) is masks and diameter(g) == 4
+    assert "_distances" not in vars(g)
+    twin = Graph(g.n, g.adj)
+    assert twin == g and pair_masks(twin) is not masks

@@ -162,10 +162,19 @@ def test_spider_signatures():
     assert spider_signature(star_graph(4)) is None  # four legs
     assert spider_signature(cycle_graph(6)) is None
     # K1,3 plus a disjoint triangle has n - 1 edges and one degree-3 vertex
-    # but is no tree: its legs have no distances to read
+    # but is no tree: its legs miss the triangle
     star_and_triangle = from_edge_list(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4)])
     with pytest.raises(Disconnected):
         spider_signature(star_and_triangle)
+
+
+def test_a_leg_walk_that_returns_to_the_centre_is_no_spider():
+    # a triangle on the centre with a pendant, beside a path of 4: n - 1
+    # edges and one degree-3 vertex, and the walks around the triangle
+    # (3 and 3) with the pendant (1) add up to n - 1
+    shape = from_edge_list(8, [(0, 1), (1, 2), (2, 0), (0, 3), (4, 5), (5, 6), (6, 7)])
+    with pytest.raises(Disconnected):
+        spider_signature(shape)
 
 
 def test_invariant_summary_flags():

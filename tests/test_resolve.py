@@ -11,14 +11,16 @@ import weakref
 
 import pytest
 
+from resnum import graphs
 from resnum.errors import DegeneratePair, IndexOutOfRange, TooLarge
-from resnum.graphs import Graph, distance_matrix, from_edge_list, permute
+from resnum.graphs import Graph, diameter, distance_matrix, from_edge_list, pair_masks, permute
 from resnum.families import (
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
+from resnum.invariants import spider_signature
 from resnum import resolve
 from resnum.resolve import (
     DimensionReport,
@@ -33,6 +35,7 @@ from resnum.resolve import (
 
 from oracles import (
     dimension_table_oracle,
+    distance_oracle,
     equidistance_blocks_oracle,
     subset_scan_dimensions,
 )
@@ -208,14 +211,16 @@ def test_caps_raise():
 
 
 def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
+    # the slabs scan the matrix past the sphere cap, from order 17 on
     graphs = [g for n in range(2, 8) for g in connected_by_order[n]]
+    graphs += _seeded_by_order(range(17, 21))
 
     def results():
         out = []
         for g in graphs:
             rep = resolving_number(g)
             pairs = [non_resolvers(g, (x, y)) for x in range(g.n) for y in range(x + 1, g.n)]
-            out.append((rep, pairs, _dimensions(g)))
+            out.append((rep, pairs, _dimensions(g) if g.n <= 16 else None))
         return out
 
     whole = results()
@@ -277,3 +282,37 @@ def test_each_pair_is_compared_once(monkeypatch):
     # n one-byte entries for each of the n(n - 1)/2 pairs, where row blocks
     # compared n^3
     assert sum(sizes) == 62 * (62 * 61 // 2) == 117_242
+
+
+def _seeded_by_order(orders, seed=17):
+    """Three seeded connected graphs of each order: a tree and two denser."""
+    rng = random.Random(seed)
+    return [_random_connected(n, rng, p) for n in orders for p in (0.0, 0.2, 0.5)]
+
+
+def test_both_distance_representations_match_the_matrix_oracle(
+    connected_by_order, trees_by_order, constrained_by_order
+):
+    gs = [g for n in range(1, 8) for g in connected_by_order[n]]
+    gs += [g for n in range(8, 13) for g in trees_by_order[n]]
+    gs += [g for n in (8, 9, 10) for g in constrained_by_order[n]]
+    # order 17 is past the sphere cap, where the library reads the matrix
+    gs += _seeded_by_order(range(2, 18))
+    for g in gs:
+        report, diam, spider, masks = distance_oracle(g)
+        assert resolving_number(g) == report
+        assert (diameter(g), spider_signature(g)) == (diam, spider)
+        kept = pair_masks(g)
+        assert (kept is None) == (g.n > 16)
+        if kept is not None:
+            assert kept.tolist() == masks and not kept.flags.writeable
+
+
+def test_the_dimensions_read_the_spheres_up_to_the_cap():
+    for g in _seeded_by_order(range(13, 17)):
+        assert _dimensions(g) == dimension_table_oracle(g)
+
+
+def test_the_dimension_cap_is_within_the_sphere_cap():
+    # the dimension table takes its pair masks only from the sphere layers
+    assert resolve.DIM_CAP <= graphs.SPHERE_CAP
