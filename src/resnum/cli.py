@@ -3,7 +3,8 @@
 Every report is newline-delimited JSON with sorted keys, one line per
 graph, so output can be piped and diffed; a command's report function
 returns its line, and `verify` joins the memoised encodings of its
-interned rows.  Exit codes: 0 success, 2 bad input, 3 size cap
+interned rows.  graph6 input streams: each line is read, reported and
+flushed before the next one is read.  Exit codes: 0 success, 2 bad input, 3 size cap
 exceeded, 4 theorem violation (reserved for outcomes that would falsify
 a published result; seeing it means a bug).  An error on an input line,
 graph6 or edge list, names that line; `serial.numbered` writes the
@@ -18,7 +19,7 @@ import math
 import re
 import string
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bounds import PROP_IDS, BoundVerdict, verify_bounds
 from .catalog import (
@@ -57,17 +58,30 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
+def _read_lines(path: str) -> Iterator[str]:
+    """The lines of the input as `_read_text` reads it, each as it arrives."""
+    try:
+        if path == "-":
+            yield from sys.stdin
+        else:
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+                yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+
+
 def _report_each(args: argparse.Namespace, report: Callable[[Graph], str]) -> int:
-    """Print `report(g)`, one JSON line per input graph, as each parses,
-    so that the lines before a bad one are reported first."""
-    text = _read_text(args.input)
+    """Print `report(g)`, one JSON line per input graph.  graph6 input is
+    read a line at a time, and each report is flushed before the next
+    line is read, so a pipe gets each report as soon as its line has
+    arrived, and the reports of the lines before a bad one."""
     if args.format == "edgelist":
-        print(report(parse_edge_list(text)))
+        print(report(parse_edge_list(_read_text(args.input))))
         return 0
-    reports = numbered(text, lambda line: report(parse_graph6(line)))
+    reports = numbered(_read_lines(args.input), lambda line: report(parse_graph6(line)))
     count = 0
     for count, line in enumerate(reports, start=1):
-        print(line)
+        print(line, flush=True)
     if not count:
         raise InputError(f"no graph6 lines found in {args.input}")
     return 0

@@ -6,15 +6,17 @@ without a second representation.  Everything downstream (distances,
 resolving machinery, enumeration) builds on this type.
 
 Distances have two representations, and this module picks one by order.
-Up to `SPHERE_CAP` vertices a graph keeps its sphere layers, grown on the
-adjacency rows, and the mask of the vertices equidistant from each pair
-x < y in row-major order, both from one pass per graph; `diameter` and
-`pair_masks` read them.  Past the cap the library reads the read-only
-n x n int32 array of `distance_matrix`, which runs every BFS at once, on
-balls packed as uint64 words, one numpy pass per radius.  Every order can
-ask for the matrix, and the test oracles read nothing else.  Either one
-is built on first use and kept on the graph; a disconnected graph keeps
-nothing and raises Disconnected on every call.
+Up to `SPHERE_CAP` = 64 vertices, where a vertex set fits one uint64 word,
+a graph keeps the mask of the vertices equidistant from each pair x < y
+in row-major order, their bit counts and its diameter, all from one pass
+over its sphere planes; `pair_masks`, `pair_counts` and `diameter` read
+them.  The planes grow on the adjacency rows up to order 16, and past it
+by the numpy ball step of `_balls`, one pass per radius over every BFS
+ball at once.  Past the cap the library reads the read-only n x n int32
+array of `distance_matrix`, which sums the same balls' misses.  Every
+order can ask for the matrix, and the test oracles read nothing else.
+Either one is built on first use and kept on the graph; a disconnected
+graph keeps nothing and raises Disconnected on every call.
 """
 
 from __future__ import annotations
@@ -46,14 +48,16 @@ class _Positions(dict):
     """mask -> the tuple of its set bit positions in increasing order,
     each computed on first lookup; a subscript costs less than a call.
 
-    Only canon, enumeration and `_sphere_pass` read it.  Canon and the
-    enumeration engine pass masks below 2^n for n <= `canon.CANONICAL_CAP`
-    = 16, at most 65,536 keys: the res-3 catalog fills keys below 2^10 and
-    the tree ladder keys below 2^12.  The sphere kernel
-    `enumeration._most_equidistant` and `_sphere_pass` look up the rows of
-    the graph they are given, at most n keys per graph, and the pass takes
-    graphs of order at most `SPHERE_CAP` = 16 only, so its keys stay below
-    2^16 too.  Masks of other graphs go through `_bits`.
+    Only canon, enumeration and the rows loop `_row_spheres` read it.
+    Canon and the enumeration engine pass masks below 2^n for n <=
+    `canon.CANONICAL_CAP` = 16, at most 65,536 keys: the res-3 catalog
+    fills keys below 2^10 and the tree ladder keys below 2^12.  The sphere
+    kernel `enumeration._most_equidistant` and the rows loop look up the
+    rows of the graph they are given, at most n keys per graph, and the
+    rows loop takes graphs of order at most `_ROWS_CAP` = 16 only, so its
+    keys stay below 2^16 too.  The table only grows, so nothing that takes
+    larger graphs, such as the numpy ball step, may read it; their masks
+    go through `_bits`.
     """
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
@@ -101,13 +105,18 @@ class Graph:
         return _all_pairs_bfs(self)
 
     @cached_property
-    def _spheres(self) -> tuple[list[list[int]], np.ndarray]:
+    def _spheres(self) -> tuple[int, np.ndarray, np.ndarray]:
         return _sphere_pass(self)
 
 
-# the largest order whose distances are kept as sphere layers on the rows
-# in place of a matrix; a layer's masks fit the uint32 planes of the pass
-SPHERE_CAP = 16
+# the largest order whose distances are kept as sphere planes and pair
+# masks in place of a matrix; a sphere fits one uint64 word
+SPHERE_CAP = 64
+# the largest order whose spheres grow on the adjacency rows, which read
+# their bit positions from `_positions` and so keep its keys below 2^16;
+# there the rows loop takes 12 us a graph at orders 8..12 and 19 us at
+# 13..16, against 25 and 29 us for the numpy ball step (2-core x86-64)
+_ROWS_CAP = 16
 # the largest order a family builds or an edge list has: `resnum compute`
 # reads K800's 319,600 edge lines in 1.3-1.7 s (2-core x86-64)
 ORDER_CAP = 800
@@ -192,35 +201,44 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return g._distances
 
 
-def _all_pairs_bfs(g: Graph) -> np.ndarray:
-    """The distance matrix of g from scratch.  All BFS balls grow at once,
-    packed as little-endian uint64 words: the radius r+1 ball of u is the
-    union of the radius r balls over the closed neighbourhood of u, and
-    d(u, v) is the number of radii whose ball misses v."""
+def _balls(g: Graph) -> Iterator[np.ndarray]:
+    """Every BFS ball of g at once, from radius 1 until each holds every
+    vertex, packed as little-endian uint64 words: row u of each array
+    holds B_r(u), as one word when n <= 64 (numpy gathers a 1-D array
+    fastest).  The radius r+1 ball of u is the union of the radius r
+    balls over the closed neighbourhood of u.  A radius that grows no
+    ball while one still misses a vertex raises Disconnected."""
     n = g.n
     words = (n + 63) >> 6
     # the radius 1 balls are the closed neighbourhoods
     ball = np.frombuffer(
         b"".join((row | 1 << u).to_bytes(words << 3, "little") for u, row in enumerate(g.adj)),
         dtype="<u8",
-    ).reshape(n, words)
-    closed = np.unpackbits(ball.view(np.uint8), axis=1, count=n, bitorder="little")
+    ).reshape((n, words) if words > 1 else n)
+    full = np.frombuffer(((1 << n) - 1).to_bytes(words << 3, "little"), dtype="<u8")
+    closed = np.unpackbits(ball.view(np.uint8).reshape(n, -1), axis=1, count=n, bitorder="little")
     # members[starts[u]:starts[u + 1]] is the closed neighbourhood of u; one
     # flat nonzero on a bool view costs less than a 2-D one on uint8
     flat = closed.view(bool).ravel().nonzero()[0]
     starts = flat.searchsorted(np.arange(0, n * n, n))
     members = flat % n
-    # radius 0 misses every v != u, radius 1 every v outside the ball
-    a = 2 - np.eye(n, dtype=np.int32) - closed
-    left = n * n - members.size
-    while left:
-        ball = np.bitwise_or.reduceat(ball[members], starts, axis=0)
-        outside = np.unpackbits(~ball.view(np.uint8), axis=1, count=n, bitorder="little")
-        now = np.count_nonzero(outside)
-        if now == left:
+    while True:
+        yield ball
+        grown = np.bitwise_or.reduceat(ball.take(members, axis=0), starts, axis=0)
+        if (grown == ball).all():
+            if (ball == full).all():
+                return
             raise Disconnected("distance matrix requires a connected graph")
-        a += outside
-        left = now
+        ball = grown
+
+
+def _all_pairs_bfs(g: Graph) -> np.ndarray:
+    """The distance matrix of g from scratch: d(u, v) is the number of
+    radii r >= 0 whose ball B_r(u) misses v, B_0(u) being u alone."""
+    n = g.n
+    a = 1 - np.eye(n, dtype=np.int32)
+    for ball in _balls(g):
+        a += np.unpackbits(~ball.view(np.uint8).reshape(n, -1), axis=1, count=n, bitorder="little")
     a.setflags(write=False)
     return a
 
@@ -237,18 +255,26 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs.astype(np.int16), ys.astype(np.int16)
 
 
-def _sphere_pass(g: Graph) -> tuple[list[list[int]], np.ndarray]:
-    """The sphere layers of g and its pair masks, from its rows alone.
+# the bit count of each byte value; times 0x01..01 a word's top byte sums
+# its eight bytes, and no partial sum carries, since none passes 64.
+# Typed, since numpy 1.24 casts a uint64 mixed with a Python int to float64
+_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+_H01, _S56 = np.uint64(0x0101010101010101), np.uint64(56)
 
-    `layers[r - 1][v]` is the sphere S_r(v), the mask of the vertices at
-    distance r from v, for r = 1 up to the diameter: S_r(v) is the union
-    of the S_{r-1} of v's neighbours less the ball B_{r-1}(v).  Only the
-    vertices whose ball still misses a vertex grow, and in a connected
-    graph each of them gains one; one that gains none raises Disconnected,
-    with the text of `distance_matrix`.  `masks[k]` marks the vertices
-    equidistant from the k-th pair x < y of `_pairs(n)`, the union over r
-    of S_r(x) & S_r(y), taken in one numpy pass over the layers as
-    (radii x n) uint32 planes.
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The bit count of each uint64 of x: each byte counted by table, then
+    the eight counts of a word summed by one multiply (SWAR)."""
+    return _BYTE_BITS.take(x.view(np.uint8)).view(np.uint64) * _H01 >> _S56
+
+
+def _row_spheres(g: Graph) -> np.ndarray:
+    """The sphere planes of `_sphere_pass`, grown on the rows of g.
+
+    S_r(v) is the union of the S_{r-1} of v's neighbours less the ball
+    B_{r-1}(v).  Only the vertices whose ball still misses a vertex grow,
+    and in a connected graph each of them gains one; one that gains none
+    raises Disconnected, with the text of `distance_matrix`.
     """
     n = g.n
     full = (1 << n) - 1
@@ -271,26 +297,62 @@ def _sphere_pass(g: Graph) -> tuple[list[list[int]], np.ndarray]:
                 still.append(v)
         layers.append(sphere)
         short = still
-    planes = np.array(layers, dtype=np.uint32).reshape(-1, n)
+    return np.array(layers, dtype=np.uint64).reshape(-1, n)
+
+
+def _ball_spheres(g: Graph) -> np.ndarray:
+    """The sphere planes of `_sphere_pass`, from the balls of `_balls`:
+    S_r(v) is B_r(v) less B_{r-1}(v), one word per vertex."""
+    last = np.left_shift(np.uint64(1), np.arange(g.n, dtype=np.uint64))
+    planes = []
+    for ball in _balls(g):
+        planes.append(ball ^ last)
+        last = ball
+    return np.array(planes)
+
+
+def _sphere_pass(g: Graph) -> tuple[int, np.ndarray, np.ndarray]:
+    """The diameter of g, its pair masks and their bit counts.
+
+    The spheres come as (radii x n) uint64 planes, `planes[r - 1][v]` the
+    mask of the vertices at distance r from v, for r = 1 up to the
+    diameter.  Up to order `_ROWS_CAP` they grow on the adjacency rows,
+    past it by the numpy ball step that the matrix runs.  `masks[k]` marks
+    the vertices equidistant from the k-th pair x < y of `_pairs(n)`, the
+    union over r of S_r(x) & S_r(y), taken in one numpy pass over the
+    planes, and `counts[k]` is its bit count.
+    """
+    n = g.n
+    planes = _row_spheres(g) if n <= _ROWS_CAP else _ball_spheres(g)
     xs, ys = _pairs(n)
-    masks = np.bitwise_or.reduce(planes.take(xs, axis=1) & planes.take(ys, axis=1), axis=0)
+    both = planes.take(xs, axis=1)
+    both &= planes.take(ys, axis=1)
+    masks = np.bitwise_or.reduce(both, axis=0)
+    counts = _popcount(masks)
     masks.setflags(write=False)
-    return layers, masks
+    counts.setflags(write=False)
+    return len(planes), masks, counts
 
 
 def diameter(g: Graph) -> int:
     """The largest distance in g, 0 for K1; raises Disconnected as
-    `distance_matrix` does.  Read from the sphere layers up to
-    `SPHERE_CAP`, from the matrix past it."""
+    `distance_matrix` does.  The number of sphere planes up to
+    `SPHERE_CAP`, the matrix's largest entry past it."""
     if g.n <= SPHERE_CAP:
-        return len(g._spheres[0])
+        return g._spheres[0]
     return int(distance_matrix(g).max())
 
 
 def pair_masks(g: Graph) -> np.ndarray | None:
-    """`masks[k]`, the uint32 mask of the vertices equidistant from the
+    """`masks[k]`, the uint64 mask of the vertices equidistant from the
     k-th pair x < y of range(n) in row-major order (never x or y), as one
     read-only array, and up to `SPHERE_CAP` Disconnected as
     `distance_matrix` raises it; None past the cap, where distances come
     from `distance_matrix` alone."""
     return g._spheres[1] if g.n <= SPHERE_CAP else None
+
+
+def pair_counts(g: Graph) -> np.ndarray | None:
+    """`counts[k]`, the bit count of `pair_masks(g)[k]`, as one read-only
+    uint64 array taken with the masks; None past `SPHERE_CAP`."""
+    return g._spheres[2] if g.n <= SPHERE_CAP else None

@@ -8,15 +8,16 @@ exponential definition into one pass over the pairs; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
 The pairs come from one of the two distance representations of
-`graphs`, which picks it by order.  Up to its sphere cap, `pair_masks`
-gives the mask of the vertices that fail to resolve each pair x < y in
-row-major order, grown once per graph on the adjacency rows: their bit
-counts give the resolving number, and the masks themselves mark a single
-2^n resolving-set table per graph, read once for the metric dimension
-(least size of a resolving set), the upper dimension (largest size of a
-minimal one) and res again for the chain check.  `DIM_CAP` is at most
-that cap, so the table never reads a matrix.  The table is a few Python
-ints with one bit per vertex subset, so its set algebra is big-int
+`graphs`, which picks it by order.  Up to its sphere cap of 64,
+`pair_masks` gives the mask of the vertices that fail to resolve each
+pair x < y in row-major order, and `pair_counts` their bit counts, both
+taken once per graph: the first maximal count gives the resolving
+number, its pair and its mask the witness, and the masks themselves mark
+a single 2^n resolving-set table per graph, read once for the metric
+dimension (least size of a resolving set), the upper dimension (largest
+size of a minimal one) and res again for the chain check.  `DIM_CAP` is
+at most that cap, so the table never reads a matrix.  The table is a few
+Python ints with one bit per vertex subset, so its set algebra is big-int
 shifts, ands and ors.  Each dimension witness is the lowest integer bit
 mask among the sets of its kind.
 
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DegeneratePair, TheoremViolation, TooLarge
-from .graphs import Graph, _bits, _pairs, check_vertex, distance_matrix, pair_masks
+from .graphs import Graph, _bits, _pairs, check_vertex, distance_matrix, pair_counts, pair_masks
 
 ORACLE_CAP = 12
 DIM_CAP = 16
@@ -125,16 +126,13 @@ def resolving_number(g: Graph) -> ResolvingReport:
     """
     if g.n == 1:
         return ResolvingReport(1, None, frozenset())
-    masks = pair_masks(g)
-    if masks is not None:
-        counts = list(map(int.bit_count, masks.tolist()))
-        best = max(counts)
-        # the first maximum in row-major pair order is the smallest pair
-        k = counts.index(best)
+    counts = pair_counts(g)
+    if counts is not None:
+        # the first argmax in row-major pair order is the smallest pair
+        k = int(counts.argmax())
         xs, ys = _pairs(g.n)
-        return ResolvingReport(
-            best + 1, (int(xs[k]), int(ys[k])), frozenset(_bits(int(masks[k])))
-        )
+        witness = frozenset(_bits(int(pair_masks(g)[k])))
+        return ResolvingReport(int(counts[k]) + 1, (int(xs[k]), int(ys[k])), witness)
     best = -1
     for xs, ys, slab in _chunks(distance_matrix(g)):
         # summing the bools as bytes counts them faster than count_nonzero
@@ -229,7 +227,7 @@ def _dimensions(g: Graph) -> DimensionReport:
         minimal &= without[v] | bad << (1 << v)
     dim = next(k for k in range(n + 1) if good & size[k])
     updim = next(k for k in range(n, -1, -1) if minimal & size[k])
-    res = 1 + max(map(int.bit_count, masks.tolist()))
+    res = 1 + int(pair_counts(g).max())
     if not dim <= updim <= res:
         raise TheoremViolation(
             f"dimension chain broken: dim={dim} updim={updim} res={res}"

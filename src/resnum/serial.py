@@ -21,7 +21,7 @@ import json
 import re
 import string
 from functools import lru_cache
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -117,18 +117,26 @@ def write_graph6(g: Graph) -> str:
     return chr(n + 63) + body.tobytes().decode("ascii")
 
 
-def numbered(text: str, read: Callable[[str], T]) -> Iterator[T]:
-    """Yield `read(line)` for each nonblank line of text.  An error that
-    `read` raises comes out as its own class with the line number, counted
-    from 1, in front: the one place an input error names its line."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip(string.whitespace):
-            try:
-                item = read(line)
-            except ResnumError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            yield item
+def numbered(text: str | Iterable[str], read: Callable[[str], T]) -> Iterator[T]:
+    """Yield `read(line)` for each nonblank line of text, given whole or
+    as pieces that each end at a line feed but the last, such as the lines
+    of a file as they arrive; a line ends at CR LF, CR or LF.  An error
+    that `read` raises comes out as its own class with the line number,
+    counted from 1, in front: the one place an input error names its line."""
+    lineno = 0
+    for piece in (text,) if isinstance(text, str) else text:
+        lines = piece.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        # a piece that ends at a break leaves an empty line after it
+        if not lines[-1]:
+            lines.pop()
+        for line in lines:
+            lineno += 1
+            if line.strip(string.whitespace):
+                try:
+                    item = read(line)
+                except ResnumError as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from None
+                yield item
 
 
 def parse_graph6_lines(text: str) -> Iterator[Graph]:

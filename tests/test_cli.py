@@ -161,17 +161,24 @@ def test_dimensions_read_the_matrix_the_command_built(tmp_path, capsys, monkeypa
         assert len({id(g) for g in grown}) == len(grown) == 3, cmd
         assert found and all(found), cmd
     assert built == []
-    # past the cap the res scan and the invariants share one matrix
+    # past the dimension cap the spheres still serve the res scan and the
+    # invariants, grown by the numpy ball step
     f.write_text(write_graph6(path_graph(17)) + "\n")
     grown.clear()
     assert run(capsys, "verify", "--input", str(f))[0] == 0
+    assert (len(grown), len(built)) == (1, 0)
+    # past the sphere cap they share one matrix
+    e = tmp_path / "g.txt"
+    e.write_text("n 65\n" + "".join(f"{v - 1} {v}\n" for v in range(1, 65)))
+    grown.clear()
+    assert run(capsys, "verify", "--input", str(e), "--format", "edgelist")[0] == 0
     assert (len(grown), len(built)) == (0, 1)
 
 
 def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
     # the res scan, the invariants, the dimensions and the Chain rows share
     # the spheres that the first read of a graph's distances grew; up to
-    # order 16 no command runs a BFS
+    # order 64 no command runs a BFS
     catalog = load_default_catalog()
     lines = ["@", "C~", "Dhc", catalog.members[0].graph6, write_graph6(path_graph(12))]
     f = tmp_path / "g.g6"
@@ -183,6 +190,20 @@ def test_each_graph_runs_one_bfs(tmp_path, capsys, count_calls):
         assert (code, len(out.splitlines())) == (0, len(lines))
         # K1's res and shape need no distances, so classify grows no spheres for it
         assert (passes(), bfs_runs()) == (len(lines) - (cmd == "classify"), 0), cmd
+    # past the dimension cap, up to graph6's top order and as edge lists up
+    # to the sphere cap; from order 65 on each graph runs one BFS instead
+    big = [write_graph6(g) for g in _seeded_graphs(7, (17, 40, 62))]
+    f.write_text("\n".join(big) + "\n")
+    for cmd in ("compute", "verify", "classify"):
+        code, out, _ = run(capsys, cmd, "--input", str(f))
+        assert (code, len(out.splitlines())) == (0, len(big))
+        assert (passes(), bfs_runs()) == (len(big), 0), cmd
+    e = tmp_path / "g.txt"
+    for n in (63, 64, 65):
+        e.write_text(f"n {n}\n" + "".join(f"{v - 1} {v}\n" for v in range(1, n)))
+        for cmd in ("compute", "verify", "classify"):
+            assert run(capsys, cmd, "--input", str(e), "--format", "edgelist")[0] == 0
+            assert (passes(), bfs_runs()) == ((1, 0) if n <= 64 else (0, 1)), (cmd, n)
     # the build decides its candidates on their rows (151 of them reached
     # the res scan before the sphere kernel), the 17 fixture lines are
     # re-verified, and the clique report on the 13 girth-3 members reads no
@@ -437,6 +458,22 @@ def test_the_position_table_holds_only_masks_of_enumerated_orders(tmp_path, caps
     assert max(graphs._positions).bit_length() == 12
 
 
+def test_compute_on_the_benchmark_stream_adds_no_position_key(tmp_path, capsys, monkeypatch):
+    # the position table only grows, so the numpy ball step that grows the
+    # spheres past order 16 must not read it; the stream is the benchmark's
+    # compute_stream, seed 1, 30 batches of 48 graphs of order 20..62
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import batch, graph6
+
+    f = tmp_path / "g.g6"
+    f.write_text("".join(
+        graph6(n, edges) + "\n" for i in range(30) for n, _, edges in batch(1, i, (20, 62), 8)
+    ))
+    before = set(graphs._positions)
+    assert run(capsys, "compute", "--input", str(f))[0] == 0
+    assert set(graphs._positions) == before
+
+
 def test_the_pair_cache_stays_within_its_bound(tmp_path, capsys):
     resolve._pairs.cache_clear()
     rng = Random(62)
@@ -666,11 +703,57 @@ def test_an_error_quotes_a_bounded_prefix_of_a_long_line(capsys, monkeypatch, te
     assert err.endswith(f"' and {left_out} more characters\n")
 
 
-def test_undecodable_stdin_is_an_input_error(capsys, monkeypatch):
-    stdin = io.TextIOWrapper(io.BytesIO(b"C~\nC\xff\n"), encoding="utf-8", errors="strict")
+class _Pipe(io.RawIOBase):
+    """A pipe whose writer has sent one chunk each time it is read."""
+
+    def __init__(self, *chunks: bytes):
+        self.chunks = list(chunks)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+def test_compute_reports_each_stdin_line_before_the_next_arrives(monkeypatch):
+    # a producer such as geng writes a line at a time into the pipe
+    class Out(io.StringIO):
+        flushed = 0
+
+        def flush(self):
+            self.flushed = self.getvalue().count("\n")
+
+    class Watched(_Pipe):
+        def readinto(self, buffer):
+            # how many reports had reached the reader when this read began
+            seen.append(out.flushed)
+            return super().readinto(buffer)
+
+    out, seen = Out(), []
+    raw = Watched(b"C~\n", b"Ch\r\n", b"\n", b"Dhc")
+    # sys.stdin splits lines at LF alone on POSIX
+    stdin = io.TextIOWrapper(io.BufferedReader(raw), encoding="ascii", newline="\n")
     monkeypatch.setattr("sys.stdin", stdin)
-    code, out, err = run(capsys, "compute", "--input", "-")
-    assert (code, out) == (2, "") and err.startswith("input error: cannot read -: ")
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["compute", "--input", "-"]) == 0
+    # the last line has no line feed, so its report waits for the end of input
+    assert seen == [0, 1, 2, 2, 2, 3]
+    assert [json.loads(line)["n"] for line in out.getvalue().splitlines()] == [4, 4, 5]
+
+
+def test_undecodable_stdin_is_an_input_error(capsys, monkeypatch):
+    # stdin decodes what has arrived at once: a bad byte that arrives with
+    # C~ stops the input before C~ is read, and one that arrives after it
+    # stops the input after C~'s report
+    for raw, reports in [(io.BytesIO(b"C~\nC\xff\n"), 0), (_Pipe(b"C~\n", b"C\xff\n"), 1)]:
+        stdin = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="strict", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "compute", "--input", "-")
+        assert code == 2 and err.startswith("input error: cannot read -: ")
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [4] * reports
 
 
 def test_gen_rejects_bad_params(capsys):

@@ -15,6 +15,7 @@ from resnum.graphs import (
     diameter,
     distance_matrix,
     from_edge_list,
+    pair_counts,
     pair_masks,
     permute,
 )
@@ -188,19 +189,39 @@ def test_k1_has_diameter_zero_and_no_pairs():
     assert diameter(k1) == 0 and pair_masks(k1).tolist() == []
 
 
-@pytest.mark.parametrize("n", (2, 4, 16, 17))
+@pytest.mark.parametrize("n", (2, 4, 16, 17, 64, 65))
 def test_distance_accessors_refuse_a_disconnected_graph_on_every_call(n):
     # a path on n - 1 vertices and an isolated vertex: both sides of the
-    # sphere cap raise the matrix's text and keep nothing on the graph
+    # sphere cap, and both ways of growing the spheres below it, raise the
+    # matrix's text and keep nothing on the graph
     split = from_edge_list(n, [(v - 1, v) for v in range(1, n - 1)])
-    reads = (diameter, distance_matrix) + ((pair_masks,) if n <= 16 else ())
+    reads = (diameter, distance_matrix) + ((pair_masks, pair_counts) if n <= 64 else ())
     for _ in range(2):
         for read in reads:
             with pytest.raises(Disconnected, match="^distance matrix requires a connected graph$"):
                 read(split)
     assert "_spheres" not in vars(split) and "_distances" not in vars(split)
     # past the cap there are no masks to read
-    assert n <= 16 or pair_masks(split) is None
+    assert n <= 64 or pair_masks(split) is pair_counts(split) is None
+
+
+@pytest.mark.parametrize("n", (2, 16, 17, 40, 63, 64))
+def test_the_kept_counts_are_the_bit_counts_of_the_masks(n):
+    # both ways of growing the spheres, up to masks that use bit 63
+    rng = random.Random(n)
+    graphs = [from_edge_list(n, [(u, v) for v in range(n) for u in range(v)])]
+    for p in (0.0, 0.1, 0.5):
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        graphs.append(from_edge_list(n, edges))
+    for g in graphs:
+        masks, counts = pair_masks(g), pair_counts(g)
+        assert counts.tolist() == [mask.bit_count() for mask in masks.tolist()]
+        assert not counts.flags.writeable and pair_counts(g) is counts
+    # in K_n the n - 2 other vertices are equidistant from each pair
+    top = graphs[0]
+    assert set(pair_counts(top).tolist()) == {n - 2}
+    assert n < 3 or pair_masks(top)[0] >> np.uint64(n - 1) == 1
 
 
 def test_the_spheres_are_grown_once_per_graph():

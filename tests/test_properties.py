@@ -71,17 +71,19 @@ def test_parsers_raise_only_resnum_errors(text):
 def test_numbered_splits_lines_like_the_line_break_regex(text):
     # the nonblank pieces, each with its line number counted from 1
     pieces = [(i, p) for i, p in enumerate(LINE_BREAK.split(text), 1) if p.strip()]
-    assert list(numbered(text, str)) == [p for _, p in pieces]
-    for j, (lineno, _) in enumerate(pieces):
-        countdown = iter(range(j, -1, -1))
+    # the text whole, and as the lines a POSIX stdin yields, split at LF alone
+    for source in (text, io.StringIO(text, newline="\n").readlines()):
+        assert list(numbered(source, str)) == [p for _, p in pieces]
+        for j, (lineno, _) in enumerate(pieces):
+            countdown = iter(range(j, -1, -1))
 
-        def read(line):
-            # fails on the (j + 1)-th nonblank piece
-            if next(countdown) == 0:
-                raise MalformedLine("bad")
+            def read(line):
+                # fails on the (j + 1)-th nonblank piece
+                if next(countdown) == 0:
+                    raise MalformedLine("bad")
 
-        with pytest.raises(MalformedLine, match=f"^line {lineno}: bad$"):
-            list(numbered(text, read))
+            with pytest.raises(MalformedLine, match=f"^line {lineno}: bad$"):
+                list(numbered(source, read))
 
 
 @given(

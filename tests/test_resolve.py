@@ -211,9 +211,9 @@ def test_caps_raise():
 
 
 def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
-    # the slabs scan the matrix past the sphere cap, from order 17 on
+    # the slabs scan the matrix past the sphere cap, from order 65 on
     graphs = [g for n in range(2, 8) for g in connected_by_order[n]]
-    graphs += _seeded_by_order(range(17, 21))
+    graphs += _seeded_by_order((65, 66))
 
     def results():
         out = []
@@ -278,10 +278,11 @@ def test_no_slab_exceeds_the_budget(monkeypatch):
 
 def test_each_pair_is_compared_once(monkeypatch):
     sizes, _ = _record_slabs(monkeypatch)
-    resolving_number(complete_graph(62))
+    # K65, the least complete graph past the sphere cap
+    resolving_number(complete_graph(65))
     # n one-byte entries for each of the n(n - 1)/2 pairs, where row blocks
     # compared n^3
-    assert sum(sizes) == 62 * (62 * 61 // 2) == 117_242
+    assert sum(sizes) == 65 * (65 * 64 // 2) == 135_200
 
 
 def _seeded_by_order(orders, seed=17):
@@ -296,14 +297,16 @@ def test_both_distance_representations_match_the_matrix_oracle(
     gs = [g for n in range(1, 8) for g in connected_by_order[n]]
     gs += [g for n in range(8, 13) for g in trees_by_order[n]]
     gs += [g for n in (8, 9, 10) for g in constrained_by_order[n]]
-    # order 17 is past the sphere cap, where the library reads the matrix
-    gs += _seeded_by_order(range(2, 18))
+    # the spheres grow on the rows up to order 16 and by the numpy ball
+    # step past it; orders 63 to 65, past graph6, come as edge lists, and
+    # order 65 is past the sphere cap, where the library reads the matrix
+    gs += _seeded_by_order([*range(2, 21), 40, 62, 63, 64, 65])
     for g in gs:
         report, diam, spider, masks = distance_oracle(g)
         assert resolving_number(g) == report
         assert (diameter(g), spider_signature(g)) == (diam, spider)
         kept = pair_masks(g)
-        assert (kept is None) == (g.n > 16)
+        assert (kept is None) == (g.n > 64)
         if kept is not None:
             assert kept.tolist() == masks and not kept.flags.writeable
 
