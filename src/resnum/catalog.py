@@ -9,8 +9,9 @@ graph6 lines; rebuilding must reproduce it byte for byte.
 
 No candidate gets a distance matrix.  The res of a graph is one more
 than the most vertices equidistant from a single pair, and
-`enumeration._most_equidistant` counts them on spheres grown from the
-adjacency rows, radius by radius, stopping at the first pair with three:
+`enumeration._most_equidistant` counts them on the spheres that
+`graphs._row_layers` grows from the adjacency rows, radius by radius,
+stopping at the first pair with three:
 res is 3 iff the count is exactly 2.  The scan of orders 8..10 grows
 only graphs with m2 <= 2, the same count capped at radius 2.  The
 fixture load re-verifies each member through `resolving_number`.

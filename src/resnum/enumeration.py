@@ -7,8 +7,9 @@ nonempty set S of its vertices.  Maximum degree and girth survive that
 deletion, so they prune S before the canonical form is ever computed:
 the new vertex and every member of S must stay within the degree cap,
 and two members of S at distance d would close a cycle of length d + 2,
-so under a girth floor g no member of S may lie in the ball of another,
-grown on the parent's adjacency rows to radius ceil(g) - 3.
+so under a girth floor g no member of S may lie in the ball of another
+of radius ceil(g) - 3, the union of the parent's first sphere layers
+from the rows loop `graphs._row_layers`.
 
 Each class is produced once, by McKay's canonical deletion (Isomorph-free
 exhaustive generation, J. Algorithms 26 (1998)).  A parent is tried with
@@ -29,8 +30,8 @@ distance 1 from both ends of a pair or at distance 2 from both, passes
 to the parent as well: deleting a non-cut vertex only lengthens the
 distances among the rest, so no pair gains such a vertex.  It is tested
 on the child's rows after the invariant and before canon, by the sphere
-kernel `_most_equidistant` capped at radius 2, so pruning keeps exactly
-what filtering would.
+kernel `_most_equidistant` capped at radius 2, which counts on the same
+layers, so pruning keeps exactly what filtering would.
 
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
@@ -49,13 +50,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .canon import CanonicalForm, _orbits, canonical_form
 from .errors import InputError, TooLarge
-from .graphs import Graph, _positions
+from .graphs import Graph, _positions, _row_layers
 
 # the top order of each region grown, by (degree cap, girth floor); a
 # request reaches the largest top among the rows whose caps it keeps
@@ -126,8 +127,7 @@ def _joins(
     floor shows cannot be the canonical deletion.
 
     Caps: under a girth floor, no member of S lies in another's ball of
-    radius ceil(min_girth) - 3 on the rows of g; a ball stops growing
-    within g.n - 1 rounds, so the radius is capped at g.n.
+    radius ceil(min_girth) - 3, the union of the first sphere layers of g.
 
     Floor: when |S| >= 2, a non-cut vertex v of g stays non-cut in the
     child, where its degree is deg[v], plus one if v is in S, and the new
@@ -149,14 +149,10 @@ def _joins(
             peak |= 1 << v
     near = None
     if min_girth is not None and largest > 1:
-        near = []
-        radius = min(math.ceil(min_girth) - 3, g.n)
-        for v in range(g.n):
-            ball = 1 << v
-            for _ in range(radius):
-                for u in _positions[ball]:
-                    ball |= g.adj[u]
-            near.append(ball ^ 1 << v)
+        near = [0] * g.n
+        # the layers stop at the diameter; range, unlike islice, takes any floor
+        for _, layer in zip(range(math.ceil(min_girth) - 3), _row_layers(g.adj)):
+            near = [a | b for a, b in zip(near, layer)]
     # at size top, the sets that miss `peak`
     off_peak = [v for v in free if not peak >> v & 1]
     return [
@@ -300,33 +296,18 @@ def _most_equidistant(rows: Sequence[int], k: int, radius: int | None = None) ->
     """The most vertices equidistant from one pair, each within `radius`
     of it (at any distance by default), or the first count past k.
 
-    The sphere S_r(v) is the union of the S_{r-1} of v's neighbours less
-    the ball B_{r-1}(v), and each pair adds |S_r(x) & S_r(y)| radius by
-    radius, so the scan stops at the first pair past k.  A count of at
-    most k is exact: res - 1 at any distance (the paper's equidistance
-    theorem), and m2 within radius 2, the most vertices at distance 1
-    from both ends of a pair or at distance 2 from both.
+    The spheres come from the rows loop `graphs._row_layers`, and each
+    pair adds |S_r(x) & S_r(y)| radius by radius, so the scan stops at
+    the first pair past k.  A count of at most k is exact: res - 1 at any
+    distance (the paper's equidistance theorem), and m2 within radius 2,
+    the most vertices at distance 1 from both ends of a pair or at
+    distance 2 from both.  Rows of a disconnected graph raise
+    Disconnected once a layer past the rows is read.
     """
     n = len(rows)
-    nbrs = [_positions[row] for row in rows]
-    sphere = list(rows)
-    ball = [row | 1 << v for v, row in enumerate(rows)]
     counts = [0] * (n * n)  # counts[x * n + y] for the pair x < y
     best = 0
-    # no sphere reaches past radius n - 1
-    for r in range(n if radius is None else radius):
-        if r:
-            grown = []
-            for v in range(n):
-                reach = 0
-                for u in nbrs[v]:
-                    reach |= sphere[u]
-                reach &= ~ball[v]
-                ball[v] |= reach
-                grown.append(reach)
-            if not any(grown):
-                break
-            sphere = grown
+    for sphere in islice(_row_layers(rows), radius):
         for x in range(n - 1):
             here = sphere[x]
             if here:

@@ -10,13 +10,15 @@ Up to `SPHERE_CAP` = 64 vertices, where a vertex set fits one uint64 word,
 a graph keeps the mask of the vertices equidistant from each pair x < y
 in row-major order, their bit counts and its diameter, all from one pass
 over its sphere planes; `pair_masks`, `pair_counts` and `diameter` read
-them.  The planes grow on the adjacency rows up to order 16, and past it
-by the numpy ball step of `_balls`, one pass per radius over every BFS
-ball at once.  Past the cap the library reads the read-only n x n int32
-array of `distance_matrix`, which sums the same balls' misses.  Every
-order can ask for the matrix, and the test oracles read nothing else.
-Either one is built on first use and kept on the graph; a disconnected
-graph keeps nothing and raises Disconnected on every call.
+them.  The planes grow on the adjacency rows up to order 16, in the one
+rows loop `_row_layers` that the enumeration's sphere kernel and girth
+balls read too, and past it by the numpy ball step of `_balls`, one pass
+per radius over every BFS ball at once.  Past the cap the library reads
+the read-only n x n int32 array of `distance_matrix`, which sums the
+same balls' misses.  Every order can ask for the matrix, and the test
+oracles read nothing else.  Either one is built on first use and kept on
+the graph; a disconnected graph keeps nothing and raises Disconnected on
+every call.
 """
 
 from __future__ import annotations
@@ -48,16 +50,16 @@ class _Positions(dict):
     """mask -> the tuple of its set bit positions in increasing order,
     each computed on first lookup; a subscript costs less than a call.
 
-    Only canon, enumeration and the rows loop `_row_spheres` read it.
+    Only canon, enumeration and the one rows loop `_row_layers` read it.
     Canon and the enumeration engine pass masks below 2^n for n <=
     `canon.CANONICAL_CAP` = 16, at most 65,536 keys: the res-3 catalog
-    fills keys below 2^10 and the tree ladder keys below 2^12.  The sphere
-    kernel `enumeration._most_equidistant` and the rows loop look up the
-    rows of the graph they are given, at most n keys per graph, and the
-    rows loop takes graphs of order at most `_ROWS_CAP` = 16 only, so its
-    keys stay below 2^16 too.  The table only grows, so nothing that takes
-    larger graphs, such as the numpy ball step, may read it; their masks
-    go through `_bits`.
+    fills keys below 2^10 and the tree ladder keys below 2^12.  The rows
+    loop looks up the rows of the graph it is given, at most n keys per
+    graph, and its callers (the sphere planes, the enumeration's sphere
+    kernel and girth balls) pass graphs of order at most `_ROWS_CAP` = 16
+    only, so its keys stay below 2^16 too.  The table only grows, so
+    nothing that takes larger graphs, such as the numpy ball step, may
+    read it; their masks go through `_bits`.
     """
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
@@ -268,22 +270,30 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return _BYTE_BITS.take(x.view(np.uint8)).view(np.uint64) * _H01 >> _S56
 
 
-def _row_spheres(g: Graph) -> np.ndarray:
-    """The sphere planes of `_sphere_pass`, grown on the rows of g.
+def _row_layers(rows: Sequence[int]) -> Iterator[list[int]]:
+    """Yield the spheres of the graph with these adjacency rows, one layer
+    per radius r = 1 up to its diameter: `layer[v]` is the mask of S_r(v).
+    K1 yields none.
 
     S_r(v) is the union of the S_{r-1} of v's neighbours less the ball
     B_{r-1}(v).  Only the vertices whose ball still misses a vertex grow,
     and in a connected graph each of them gains one; one that gains none
-    raises Disconnected, with the text of `distance_matrix`.
+    raises Disconnected, with the text of `distance_matrix`.  The rows
+    are the first layer, yielded before the rest is set up, since most
+    callers stop there.  It reads `_positions`, so its callers pass
+    graphs of order at most `_ROWS_CAP`.
     """
-    n = g.n
+    n = len(rows)
+    if n < 2:
+        return
+    last = list(rows)
+    yield last
     full = (1 << n) - 1
-    nbrs = [_positions[row] for row in g.adj]
-    ball = [row | 1 << v for v, row in enumerate(g.adj)]
-    layers = [list(g.adj)] if n > 1 else []
+    nbrs = [_positions[row] for row in rows]
+    ball = [row | 1 << v for v, row in enumerate(rows)]
     short = [v for v in range(n) if ball[v] != full]
     while short:
-        last, sphere, still = layers[-1], [0] * n, []
+        sphere, still = [0] * n, []
         for v in short:
             reach = 0
             for u in nbrs[v]:
@@ -295,9 +305,8 @@ def _row_spheres(g: Graph) -> np.ndarray:
             ball[v] |= reach
             if ball[v] != full:
                 still.append(v)
-        layers.append(sphere)
-        short = still
-    return np.array(layers, dtype=np.uint64).reshape(-1, n)
+        yield sphere
+        last, short = sphere, still
 
 
 def _ball_spheres(g: Graph) -> np.ndarray:
@@ -316,14 +325,18 @@ def _sphere_pass(g: Graph) -> tuple[int, np.ndarray, np.ndarray]:
 
     The spheres come as (radii x n) uint64 planes, `planes[r - 1][v]` the
     mask of the vertices at distance r from v, for r = 1 up to the
-    diameter.  Up to order `_ROWS_CAP` they grow on the adjacency rows,
-    past it by the numpy ball step that the matrix runs.  `masks[k]` marks
-    the vertices equidistant from the k-th pair x < y of `_pairs(n)`, the
-    union over r of S_r(x) & S_r(y), taken in one numpy pass over the
-    planes, and `counts[k]` is its bit count.
+    diameter.  Up to order `_ROWS_CAP` they are the layers of the rows
+    loop, past it the balls of the numpy step that the matrix runs.
+    `masks[k]` marks the vertices equidistant from the k-th pair x < y of
+    `_pairs(n)`, the union over r of S_r(x) & S_r(y), taken in one numpy
+    pass over the planes, and `counts[k]` is its bit count.
     """
     n = g.n
-    planes = _row_spheres(g) if n <= _ROWS_CAP else _ball_spheres(g)
+    if n <= _ROWS_CAP:
+        # the reshape keeps K1, which has no layer, two-dimensional
+        planes = np.array(list(_row_layers(g.adj)), np.uint64).reshape(-1, n)
+    else:
+        planes = _ball_spheres(g)
     xs, ys = _pairs(n)
     both = planes.take(xs, axis=1)
     both &= planes.take(ys, axis=1)

@@ -9,20 +9,21 @@ edge-subset enumeration against the enumeration engine, the canonical
 deletion pre-check on a `Graph`, with the full key for every rival,
 against the one on rows and degrees, the girth test on the distance
 matrix and a degree comparison with every non-cut vertex against the
-balls on the rows and the degree floor in `_joins`, subset brute force
-against `clique_number`, the m2 count on the distance matrix against
-the sphere kernel on adjacency rows, `enumeration._most_equidistant`,
-capped at radius 2, first-fit colouring vertex by vertex against the
-class-by-class greedy colouring of `invariants._colour_classes`, the
-graph6 reader's triangle decoder for the rows of the oracles' forms,
-a subset scan with `is_resolving_set`
-against the resolving-set table behind the dimensions, the same table as
+balls `_joins` takes from the rows loop `graphs._row_layers` and its
+degree floor, subset brute force against `clique_number`, the m2 count
+on the distance matrix against the sphere kernel on those layers,
+`enumeration._most_equidistant`, capped at radius 2, first-fit
+colouring vertex by vertex against the class-by-class greedy colouring
+of `invariants._colour_classes`, the graph6 reader's triangle decoder
+for the rows of the oracles' forms, a subset scan with
+`is_resolving_set` against the resolving-set table behind the dimensions, the same table as
 numpy arrays, one byte per subset, against the int-bitset table, and the
 row-block equidistance kernel on the int32 matrix against the pair-list
 kernel on narrow distances, and the values `graphs` reads off its sphere
 layers (res, the first maximal pair, its witness set, the diameter, the
 spider legs and the pair masks) read straight from the matrix, one pair
-at a time, against both distance representations.
+at a time, against both distance representations; `test_graphs` holds
+the layers themselves against the matrix's spheres.
 """
 
 from itertools import combinations, permutations, product

@@ -182,6 +182,17 @@ def test_canonical_form_calls_per_catalog_build(count_calls):
     assert calls() == 1296
 
 
+def test_sphere_kernel_calls_per_catalog_build(count_calls):
+    # one count per candidate, read by the catalog, and one per child that
+    # passes the deletion pre-check on the m2-capped orders, read by the
+    # enumeration; the catalog imports the kernel by name, so each module's
+    # name is wrapped
+    children = count_calls(enumeration, "_most_equidistant")
+    candidates = count_calls(catalog, "_most_equidistant")
+    build_res3_catalog()
+    assert (candidates(), children()) == (1158, 386)
+
+
 def test_girth_split():
     cat = load_default_catalog()
     g3 = cat.slice_by_girth(3)

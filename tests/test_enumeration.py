@@ -17,7 +17,7 @@ import pytest
 from resnum import canon, enumeration
 from resnum.canon import canonical_form
 from resnum.enumeration import EnumConstraints, enumerate_graphs
-from resnum.errors import InputError, TooLarge
+from resnum.errors import Disconnected, InputError, TooLarge
 from resnum.graphs import Graph, permute
 from resnum.invariants import girth
 from resnum.resolve import resolving_number
@@ -85,6 +85,21 @@ def test_a_girth_floor_past_the_order_gives_the_trees(trees_by_order):
     # 10**9 costs no more than one of 9
     got = tuple(enumerate_graphs(EnumConstraints(8, max_degree=3, min_girth=10**9)))
     assert got == tuple(g for g in trees_by_order[8] if max(g.degrees()) <= 3)
+    # and so does one past the largest index a slice takes
+    assert tuple(enumerate_graphs(EnumConstraints(8, max_degree=3, min_girth=10**30))) == got
+
+
+def test_girth_floors_six_and_seven_past_order_seven(constrained_by_order):
+    # balls of radius 3 and 4 on parents of order 7..9: under max degree 3
+    # the levels grown with girth floors 6 and 7 are the girth-5 level
+    # filtered by girth
+    counts = []
+    for n, graphs in constrained_by_order.items():
+        for floor in (6, 7):
+            expected = tuple(g for g in graphs if girth(g) >= floor)
+            assert tuple(enumerate_graphs(EnumConstraints(n, 3, floor))) == expected
+            counts.append(len(expected))
+    assert counts == [18, 13, 35, 24, 90, 54]
 
 
 def test_stream_is_canonically_sorted(connected_by_order):
@@ -157,6 +172,17 @@ def test_m2_from_the_rows_and_the_res_bound(connected_by_order, constrained_by_o
             for k in range(4):
                 assert kernel(g.adj, k, 2) == m2 if m2 <= k else kernel(g.adj, k, 2) > k
                 assert kernel(g.adj, k) == res - 1 if res - 1 <= k else kernel(g.adj, k) > k
+
+
+def test_the_kernel_refuses_a_disconnected_graph():
+    # its spheres are `graphs._row_layers`, which raise where a ball stops
+    # short of the order, as the matrix does; K3 and an isolated vertex
+    k3_and_k1 = (0b110, 0b101, 0b011, 0)
+    for radius in (None, 2):
+        with pytest.raises(Disconnected, match="^distance matrix requires a connected graph$"):
+            enumeration._most_equidistant(k3_and_k1, 4, radius)
+    # the rows alone are the first layer, which no ball has outgrown yet
+    assert enumeration._most_equidistant(k3_and_k1, 4, 1) == 1
 
 
 def _shuffle_the_search(monkeypatch, seed):

@@ -12,6 +12,7 @@ from resnum.errors import (
 )
 from resnum.graphs import (
     Graph,
+    _row_layers,
     diameter,
     distance_matrix,
     from_edge_list,
@@ -87,6 +88,45 @@ def test_distance_matrix_requires_connected():
     for n, edges in cases:
         with pytest.raises(Disconnected):
             distance_matrix(from_edge_list(n, edges))
+
+
+def _layers_agree(g):
+    """Layer r of each vertex v is the mask of the vertices at distance r
+    from v in the matrix, and there are as many layers as the diameter."""
+    dm = distance_matrix(g)
+    layers = list(_row_layers(g.adj))
+    assert len(layers) == dm.max()
+    for r, layer in enumerate(layers, 1):
+        assert layer == [sum(1 << u for u in np.flatnonzero(row == r).tolist()) for row in dm]
+
+
+def test_the_row_layers_are_the_spheres_of_the_matrix(connected_by_order, constrained_by_order):
+    # every class to order 7, the unpruned sparse levels 8..10, then seeded
+    # connected graphs of order 11..16, the last order whose planes grow on
+    # the rows, from trees to dense
+    for by_order in (connected_by_order, constrained_by_order):
+        for g in (g for graphs in by_order.values() for g in graphs):
+            _layers_agree(g)
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(11, 16)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        p = rng.choice((0.0, 0.05, 0.15, 0.4, 0.8))
+        edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        _layers_agree(from_edge_list(n, edges))
+    # K1 has no sphere past its centre
+    assert list(_row_layers((0,))) == []
+
+
+def test_the_row_layers_refuse_an_isolated_vertex():
+    # a path on the other n - 1 vertices, the isolated one placed at random
+    rng = random.Random(17)
+    for n in range(2, 17):
+        lone = rng.randrange(n)
+        rest = [v for v in range(n) if v != lone]
+        g = from_edge_list(n, zip(rest, rest[1:]))
+        with pytest.raises(Disconnected, match="^distance matrix requires a connected graph$"):
+            list(_row_layers(g.adj))
 
 
 def test_distance_matrix_is_built_once_per_graph():
