@@ -2,10 +2,10 @@
 
 The resolving number of a connected graph is the least k such that every
 k-subset of vertices is a resolving set.  This package computes it in
-polynomial time from the distance matrix, computes the companion
-parameters (metric dimension, upper dimension), verifies the inequality
-suite relating them to classical invariants, and re-derives the complete
-catalog of resolving-number-3 graphs by isomorph-free search.
+polynomial time from the sets of vertices equidistant from each pair,
+computes the companion parameters (metric and upper dimension), verifies
+the inequality suite relating them to classical invariants, and re-derives
+the complete catalog of resolving-number-3 graphs by isomorph-free search.
 """
 
 from .bounds import BoundVerdict, counting_lemma_check, verify_bounds, vertex_pairs

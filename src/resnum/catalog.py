@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import enumeration
 from .canon import CanonicalForm, canonical_form
@@ -132,8 +132,8 @@ def _fixture_member(line: str) -> CatalogMember:
     return _member_from_graph(g)
 
 
-def load_fixture_text(text: str) -> Res3Catalog:
-    """Rebuild a catalog from fixture lines, re-verifying every member.
+def load_fixture_text(text: str | Iterable[str]) -> Res3Catalog:
+    """Rebuild a catalog from fixture text or lines, re-verifying every member.
 
     An error names its fixture line and keeps its class.  Even cycles and
     the 3-star have res = 3 but are classified structurally, so a line

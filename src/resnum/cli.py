@@ -4,18 +4,21 @@ Every report is newline-delimited JSON with sorted keys, one line per
 graph, so output can be piped and diffed; a command's report function
 returns its line, and `verify` joins the memoised encodings of its
 interned rows.  graph6 input streams: each line is read, reported and
-flushed before the next one is read.  Exit codes: 0 success, 2 bad input, 3 size cap
-exceeded, 4 theorem violation (reserved for outcomes that would falsify
-a published result; seeing it means a bug).  An error on an input line,
-graph6 or edge list, names that line; `serial.numbered` writes the
-prefix.
+flushed before the next one is read.  Every input, from a file or stdin,
+is read as bytes a line at a time and decoded as ASCII whatever the
+locale.  Exit codes: 0 success, 1 stdout closed by its reader, 2 bad
+input, 3 size cap exceeded, 4 theorem violation (reserved for outcomes
+that would falsify a published result; seeing it means a bug).  An error
+on an input line names that line; `serial.numbered` writes the prefix.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import re
 import string
 import sys
@@ -47,26 +50,16 @@ def integer(text: str) -> int:
     return int(s)
 
 
-def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        # as stdin under the POSIX locale: the line readers name a bad byte's line
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-
-
 def _read_lines(path: str) -> Iterator[str]:
-    """The lines of the input as `_read_text` reads it, each as it arrives."""
+    """Each line of the file, or of stdin for "-", as it arrives, decoded as
+    ASCII; a byte past ASCII stays a lone surrogate for its line's reader."""
     try:
-        if path == "-":
-            yield from sys.stdin
-        else:
-            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-                yield from fh
-    except (OSError, UnicodeDecodeError) as exc:
+        if path == "-" and sys.stdin is None:  # fd 0 was closed at start
+            raise OSError("stdin is closed")
+        with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as lines:
+            for line in lines:
+                yield line.decode("ascii", "surrogateescape")
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
 
 
@@ -76,7 +69,7 @@ def _report_each(args: argparse.Namespace, report: Callable[[Graph], str]) -> in
     line is read, so a pipe gets each report as soon as its line has
     arrived, and the reports of the lines before a bad one."""
     if args.format == "edgelist":
-        print(report(parse_edge_list(_read_text(args.input))))
+        print(report(parse_edge_list(_read_lines(args.input))))
         return 0
     reports = numbered(_read_lines(args.input), lambda line: report(parse_graph6(line)))
     count = 0
@@ -171,7 +164,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         raise InputError(f"only the res = 3 catalog is derivable, got --res {args.res}")
     derived = build_res3_catalog()
     if args.fixture:
-        expected = load_fixture_text(_read_text(args.fixture))
+        expected = load_fixture_text(_read_lines(args.fixture))
     else:
         expected = load_default_catalog()
     match = render_fixture(derived) == render_fixture(expected)
@@ -240,7 +233,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe raises here, not at exit; skips a None stdout
+        return code
+    except BrokenPipeError:  # the Python `signal` docs' recipe: the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 4

@@ -120,7 +120,7 @@ def write_graph6(g: Graph) -> str:
 def numbered(text: str | Iterable[str], read: Callable[[str], T]) -> Iterator[T]:
     """Yield `read(line)` for each nonblank line of text, given whole or
     as pieces that each end at a line feed but the last, such as the lines
-    of a file as they arrive; a line ends at CR LF, CR or LF.  An error
+    `cli` reads as they arrive; a line ends at CR LF, CR or LF.  An error
     that `read` raises comes out as its own class with the line number,
     counted from 1, in front: the one place an input error names its line."""
     lineno = 0
@@ -139,13 +139,13 @@ def numbered(text: str | Iterable[str], read: Callable[[str], T]) -> Iterator[T]
                 yield item
 
 
-def parse_graph6_lines(text: str) -> Iterator[Graph]:
+def parse_graph6_lines(text: str | Iterable[str]) -> Iterator[Graph]:
     """Decode every nonempty line of a graph6 stream; errors name their line."""
     return numbered(text, parse_graph6)
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse the plain edge-list format, whole or as `numbered` lines.
 
     The first significant line is ``n <order>``; every following line is
     ``u v``.  Blank lines and lines starting with ``#`` are skipped.

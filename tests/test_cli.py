@@ -31,6 +31,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin: text over bytes, as Python's stdin is."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def test_compute_graph6_file(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_text("C~\nCh\n")
@@ -45,7 +50,7 @@ def test_compute_graph6_file(tmp_path, capsys):
 
 
 def test_compute_stdin_with_dims(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("Dhc\n"))
     code, out, _ = run(capsys, "compute", "--input", "-", "--dim", "--updim")
     assert code == 0
     rep = json.loads(out)
@@ -507,7 +512,7 @@ def test_catalog_with_wrong_res(capsys):
 
 
 def test_exit_code_input_error(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not graph6 \x01\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("not graph6 \x01\n"))
     code, _, err = run(capsys, "compute", "--input", "-")
     assert code == 2 and "input error" in err
 
@@ -615,23 +620,26 @@ def test_non_ascii_input_file_is_an_input_error(tmp_path, capsys):
     assert code == 2 and "input error" in err and "line 1:" in err
 
 
-def test_a_file_decodes_as_stdin_does_under_the_posix_locale(tmp_path):
-    # the good line is reported, then the bad byte is named by its line
-    data = b"C~\nC\xff\n"
+def test_a_file_decodes_as_stdin_does_under_any_locale(tmp_path):
+    # a good line is reported, then a byte past ASCII is named by its line,
+    # whether or not it is valid UTF-8 and whatever stdin's encoding
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    base["PYTHONPATH"] = str(Path(resnum.__file__).parent.parent)
+    envs = [{**base, "LC_ALL": "C"}, {**base, "PYTHONIOENCODING": "utf-8:strict"}, base]
     f = tmp_path / "g.g6"
-    f.write_bytes(data)
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
-    env.update(LC_ALL="C", PYTHONPATH=str(Path(resnum.__file__).parent.parent))
 
-    def compute(path, stdin=None):
+    def compute(env, path, stdin=None):
         argv = [sys.executable, "-m", "resnum", "compute", "--input", path]
         done = subprocess.run(argv, input=stdin, capture_output=True, env=env)
         return done.returncode, done.stdout, done.stderr
 
-    code, out, err = compute(str(f))
-    assert (code, out, err) == compute("-", data)
-    assert (code, len(out.splitlines())) == (2, 1)
-    assert err.startswith(b"input error: line 2: byte outside graph6 range")
+    for data, reports, lineno in [(b"C~\nC\xff\n", 1, 2), (b"B\xc3\xa9\n", 0, 1)]:
+        f.write_bytes(data)
+        for env in envs:
+            code, out, err = compute(env, str(f))
+            assert (code, out, err) == compute(env, "-", data)
+            assert (code, len(out.splitlines())) == (2, reports)
+            assert err.startswith(b"input error: line %d: byte outside graph6 range" % lineno)
 
 
 def test_exit_code_disconnected(tmp_path, capsys):
@@ -680,7 +688,7 @@ def test_edge_list_order_cap(tmp_path, capsys):
 
 
 def test_an_edge_list_vertex_error_names_its_line(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("n 3\n0 1\n# c\n1 7\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("n 3\n0 1\n# c\n1 7\n"))
     code, out, err = run(capsys, "compute", "--input", "-", "--format", "edgelist")
     assert (code, out) == (2, "")
     assert err == "input error: line 4: vertex 7 outside range 0..2\n"
@@ -696,7 +704,7 @@ def test_an_edge_list_vertex_error_names_its_line(capsys, monkeypatch):
     ],
 )
 def test_an_error_quotes_a_bounded_prefix_of_a_long_line(capsys, monkeypatch, text, fmt, left_out):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
     code, out, err = run(capsys, "compute", "--input", "-", "--format", fmt)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and len(err.encode()) < 200
@@ -734,9 +742,7 @@ def test_compute_reports_each_stdin_line_before_the_next_arrives(monkeypatch):
 
     out, seen = Out(), []
     raw = Watched(b"C~\n", b"Ch\r\n", b"\n", b"Dhc")
-    # sys.stdin splits lines at LF alone on POSIX
-    stdin = io.TextIOWrapper(io.BufferedReader(raw), encoding="ascii", newline="\n")
-    monkeypatch.setattr("sys.stdin", stdin)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(raw)))
     monkeypatch.setattr("sys.stdout", out)
     assert main(["compute", "--input", "-"]) == 0
     # the last line has no line feed, so its report waits for the end of input
@@ -745,15 +751,47 @@ def test_compute_reports_each_stdin_line_before_the_next_arrives(monkeypatch):
 
 
 def test_undecodable_stdin_is_an_input_error(capsys, monkeypatch):
-    # stdin decodes what has arrived at once: a bad byte that arrives with
-    # C~ stops the input before C~ is read, and one that arrives after it
-    # stops the input after C~'s report
-    for raw, reports in [(io.BytesIO(b"C~\nC\xff\n"), 0), (_Pipe(b"C~\n", b"C\xff\n"), 1)]:
-        stdin = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="strict", newline="\n")
+    # stdin's own strict decoder is not used: each line's bytes are decoded
+    # alone, so C~ is reported whether the bad byte arrives with it or after
+    for raw in [io.BytesIO(b"C~\nC\xff\n"), _Pipe(b"C~\n", b"C\xff\n")]:
+        stdin = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="strict")
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "compute", "--input", "-")
-        assert code == 2 and err.startswith("input error: cannot read -: ")
-        assert [json.loads(line)["n"] for line in out.splitlines()] == [4] * reports
+        assert code == 2 and err.startswith("input error: line 2: byte outside graph6 range")
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [4]
+
+
+def _cli_argv(*argv: str) -> tuple[list[str], dict]:
+    """`python -m resnum argv` and an environment that imports this resnum."""
+    env = {**os.environ, "PYTHONPATH": str(Path(resnum.__file__).parent.parent)}
+    return [sys.executable, "-m", "resnum", *argv], env
+
+
+def test_a_closed_stdout_ends_the_command_with_exit_1_and_no_traceback():
+    # the reader takes one report and closes the pipe, as `head -1` does
+    argv, env = _cli_argv("compute", "--input", "-")
+    pipe = subprocess.PIPE
+    with subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe, env=env) as proc:
+        proc.stdin.write(b"C~\n")
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["n"] == 4
+        proc.stdout.close()
+        # the report of this line meets the closed pipe
+        proc.stdin.write(b"C~\n")
+        proc.stdin.close()
+        assert (proc.wait(timeout=30), proc.stderr.read()) == (1, b"")
+    # fd 1 closed from the start: Python sets sys.stdout to None, print skips it
+    argv, env = _cli_argv("enum", "--n", "3")
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True, env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_a_closed_stdin_is_an_input_error():
+    # Python sets sys.stdin to None when fd 0 is closed at start
+    argv, env = _cli_argv("compute", "--input", "-")
+    done = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", *argv], capture_output=True, env=env)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"input error: cannot read -: stdin is closed\n"
 
 
 def test_gen_rejects_bad_params(capsys):
