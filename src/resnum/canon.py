@@ -3,13 +3,16 @@
 The search places vertices one position at a time, keeping the
 lexicographically least upper-triangle adjacency bit string over every
 labeling it explores and cutting each prefix worse than the best string
-found so far.  Neighbor lists are built once per call.  The placed
-vertices hold unique colors that sort first and never move; the free ones
-form an ordered list of cells, and each round of refinement splits only
-the cells of two or more vertices, by sorted neighbor colors, keeping the
-groups in key order.  Each placement refines again from the two cells
-placed and free: the order of the cells picks the first cell and so fixes
-the labelling, and the parent's cells refined onward come out in another
+found so far.  Neighbor lists are built once per call; the shifts the
+cut reads are tabled per order at import.  The placed vertices hold
+unique colors that sort first and never move; the free ones form an
+ordered list of cells, and each round of refinement splits only the
+cells of two or more vertices, by sorted neighbor colors, keeping the
+groups in key order.  At the root, with nothing placed, round one's keys
+are the degrees, so it buckets the vertices by degree and sorts no
+neighbor key.  Each placement refines again from the two cells placed
+and free: the order of the cells picks the first cell and so fixes the
+labelling, and the parent's cells refined onward come out in another
 order.
 
 One loop places the vertices, each step in the first cell.  Mostly that
@@ -28,9 +31,10 @@ over the neighbour lists, so `CanonicalForm.to_graph` decodes nothing.
 
 The search also prunes by the automorphisms it finds (the orbit pruning
 of McKay and Piperno, *Practical graph isomorphism II*, 2014), kept as
-vertex maps: each later leaf that ties the best string gives the map from
-the first best leaf onto it, and each twin swap whose branch was skipped
-gives a transposition unless earlier swaps already join its two vertices.
+vertex maps, each with the mask of the vertices it fixes: each later leaf
+that ties the best string gives the map from the first best leaf onto
+it, and each twin swap whose branch was skipped gives a transposition,
+fixing all but its two vertices, unless earlier swaps already join them.
 A candidate in the orbit of an explored sibling, under the maps found so
 far that fix the placed vertices, is skipped; and a tied leaf sends the
 search straight back to the node where its path left the first leaf's,
@@ -62,6 +66,11 @@ from .errors import TooLarge
 from .graphs import Graph, _positions
 
 CANONICAL_CAP = 16
+# _SHIFTS[n][p]: the triangle bits of n vertices past the first p + 1, so a
+# string of p + 1 placed vertices compares with best >> _SHIFTS[n][p]
+_SHIFTS = [
+    [n * (n - 1) // 2 - (p + 1) * p // 2 for p in range(n)] for n in range(CANONICAL_CAP + 1)
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -95,10 +104,21 @@ def _refine(
     until a round splits no cell; return the cells, cell i of color p + i.
 
     Signatures read the previous round's colors: a round writes its
-    colors only once every cell is split.
+    colors only once every cell is split.  At the root, p = 0, every
+    round-one key is (0,) * degree, so round one is a bucketing by degree.
     """
     color_of = colors.__getitem__
     cells = [free]
+    if not p:
+        by_degree: dict[int, list[int]] = {}
+        for v in free:
+            by_degree.setdefault(len(nbrs[v]), []).append(v)
+        if len(by_degree) == 1:
+            return cells
+        cells = [by_degree[d] for d in sorted(by_degree)]
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
     while True:
         split = []
         for cell in cells:
@@ -189,12 +209,12 @@ def canonical_form(g: Graph) -> CanonicalForm:
     nbrs = [_positions[row] for row in adj]
     # the string of p placed vertices is their p(p-1)/2 triangle bits as one
     # int, position 0 first; best starts above every string of n vertices
-    total = n * (n - 1) // 2
-    shift = [total - (p + 1) * p // 2 for p in range(n)]
-    best = 1 << total
+    shift = _SHIFTS[n]
+    best = 1 << n * (n - 1) // 2
     first: list[int] = []  # placement order of the first leaf reaching best
     autos: list[tuple[tuple[int, ...], int]] = []  # (vertex map, fixed-vertex mask)
     joined = list(range(n))  # union-find over the kept swaps
+    everyone = (1 << n) - 1
     placed: list[int] = []
 
     def root(v: int) -> int:
@@ -215,7 +235,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
             joined[root(a)] = root(b)
             image = list(range(n))
             image[a], image[b] = b, a
-            keep(image)
+            autos.append((tuple(image), everyone ^ (1 << a | 1 << b)))
 
     def row(v: int) -> int:
         # v's adjacency to the placed vertices, position 0 most significant
@@ -257,7 +277,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 placed.append(reps[0])
                 free ^= 1 << reps[0]
                 continue
-            prefix = ~free & ((1 << n) - 1)
+            prefix = everyone ^ free
             seen = 0  # explored vertices and their images under `autos` fixing placed
             for v in reps:
                 if seen >> v & 1:
@@ -290,11 +310,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
         keep(image)
         return k
 
-    search(0, (1 << n) - 1)
+    search(0, everyone)
     labelling = [0] * n
     for i, v in enumerate(first):
         labelling[v] = i
-    generators = tuple(tuple(labelling[a[v]] for v in first) for a, _ in autos)
+    generators = tuple([tuple([labelling[a[v]] for v in first]) for a, _ in autos])
     rows = [0] * n
     for v, vs in enumerate(nbrs):
         row = 0

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import chain
 
 import pytest
 
@@ -214,8 +215,19 @@ def _search_nodes():
         yield g, nbrs, placed, colors, free
 
 
-def test_cell_refinement_matches_the_global_rank_oracle():
-    for g, nbrs, placed, colors, free in _search_nodes():
+def _root_node(g):
+    """The search's root node of g: nothing placed, every vertex free."""
+    return g, [tuple(_bits(row)) for row in g.adj], [], [0] * g.n, list(range(g.n))
+
+
+def test_cell_refinement_matches_the_global_rank_oracle(trees_by_order):
+    # root nodes, which refine from the degree classes: trees, which split
+    # for several rounds after them, and regular graphs, one degree class
+    # that must come back as [free] with its colors untouched; G(n, p)
+    # roots rarely have either shape
+    roots = [g for n in range(1, 13) for g in trees_by_order[n]]
+    roots += [cycle_graph(8), complete_graph(7), _cube(), _petersen()]
+    for g, nbrs, placed, colors, free in chain(_search_nodes(), map(_root_node, roots)):
         p = len(placed)
         expected = colors.copy()
         refine_by_global_rank(nbrs, expected, free, p)

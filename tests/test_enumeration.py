@@ -43,6 +43,10 @@ STREAMS_SHA256 = "1bf0d07ec3d34b099e65720619ef44be9c0407df2dc7f820300f11c1e23d6a
 M2_COUNTS = {1: [1, 2, 1, 2, 1, 2], 2: [1, 2, 6, 7, 17, 23], 3: [1, 2, 6, 21, 44, 132]}
 # each graph's m2 from the distance matrix, computed once per session
 m2_of = lru_cache(maxsize=None)(m2_oracle)
+# the tree ladder, and the regions the res-3 catalog scans without its m2 cap
+LADDER = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
+REGIONS = [EnumConstraints(n) for n in range(2, 8)]
+REGIONS += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
 
 
 def test_connected_class_counts(connected_by_order):
@@ -248,9 +252,7 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_deletion_ties", record)
     monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
-    regions = [EnumConstraints(n) for n in range(2, 8)]
-    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    for c in regions:
+    for c in REGIONS:
         list(enumerate_graphs(c))
     rejected = 0
     for rows, deg, tied in children:
@@ -277,9 +279,7 @@ def _grown_parents(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_joins", record)
     monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
-    regions = [EnumConstraints(n) for n in range(2, 8)]
-    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    regions += [
+    regions = REGIONS + [
         EnumConstraints(n, max_degree, min_girth)
         for n in range(2, 8)
         for max_degree in (None, 2, 3, 4)
@@ -438,8 +438,7 @@ def _calls_per_order(count_calls, constraints, module=enumeration, name="canonic
 
 
 def test_each_tree_class_is_canonicalised_once(count_calls):
-    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    calls = _calls_per_order(count_calls, ladder)
+    calls = _calls_per_order(count_calls, LADDER)
     assert calls == [TREE_COUNTS[n] for n in range(1, 13)]
     assert sum(calls) == 987
     # a tree level needs no parent level
@@ -450,8 +449,7 @@ def test_the_tree_walk_jumps_past_rejected_first_subtrees(count_calls):
     # level sequences examined per order; stepping one sequence at a time
     # would examine 3,106 at n = 12, and jumping without resetting the
     # tail to a path 2,153
-    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    examined = _calls_per_order(count_calls, ladder, enumeration, "_centred")
+    examined = _calls_per_order(count_calls, LADDER, enumeration, "_centred")
     assert examined == [0, 1, 1, 2, 3, 7, 13, 28, 57, 126, 274, 627]
 
 
@@ -464,9 +462,19 @@ def test_canonical_form_calls_unconstrained(count_calls):
 
 def test_canonical_form_calls_catalog_regions(count_calls):
     # the regions the res-3 catalog scans, without its m2 cap: 1,294 classes
-    regions = [EnumConstraints(n) for n in range(2, 8)]
-    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    assert sum(_calls_per_order(count_calls, regions)) == 1462
+    assert sum(_calls_per_order(count_calls, REGIONS)) == 1462
+
+
+def _profiled(monkeypatch, constraints, count):
+    """Enumerate every level of `constraints` from a cold level cache with
+    `count` as the profile function."""
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    sys.setprofile(count)
+    try:
+        for c in constraints:
+            list(enumerate_graphs(c))
+    finally:
+        sys.setprofile(None)
 
 
 def test_search_nodes_on_the_tree_ladder(monkeypatch):
@@ -483,14 +491,26 @@ def test_search_nodes_on_the_tree_ladder(monkeypatch):
         if event == "call" and frame.f_code in counts:
             counts[frame.f_code] += 1
 
-    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
-    sys.setprofile(count)
-    try:
-        for n in range(1, 13):
-            list(enumerate_graphs(EnumConstraints(n, trees_only=True)))
-    finally:
-        sys.setprofile(None)
+    _profiled(monkeypatch, LADDER, count)
     assert list(counts.values()) == [14209, 1406]
+
+
+def test_refine_sorts_on_the_tree_ladder_and_the_catalog_regions(monkeypatch):
+    # `sorted` calls made from `_refine` frames; before round one at the
+    # root bucketed the vertices by degree, sorting every key there, the
+    # tree ladder took 46,177 and the catalog regions 34,005
+    sorts = 0
+
+    def count(frame, event, arg):
+        nonlocal sorts
+        if event == "c_call" and arg is sorted and frame.f_code is canon._refine.__code__:
+            sorts += 1
+
+    _profiled(monkeypatch, LADDER, count)
+    assert sorts == 35249
+    sorts = 0
+    _profiled(monkeypatch, REGIONS, count)
+    assert sorts == 27672
 
 
 def test_refine_runs_only_where_round_ones_least_cell_may_still_split(count_calls):
@@ -498,8 +518,5 @@ def test_refine_runs_only_where_round_ones_least_cell_may_still_split(count_call
     # masks, one vertex or a class of twins; refining at every node took
     # 17,025 calls on the tree ladder and 17,480 on the catalog regions,
     # and refining wherever that cell was not one vertex 4,329 and 3,325
-    ladder = [EnumConstraints(n, trees_only=True) for n in range(1, 13)]
-    assert sum(_calls_per_order(count_calls, ladder, canon, "_refine")) == 1426
-    regions = [EnumConstraints(n) for n in range(2, 8)]
-    regions += [EnumConstraints(n, max_degree=3, min_girth=5) for n in (8, 9, 10)]
-    assert sum(_calls_per_order(count_calls, regions, canon, "_refine")) == 1552
+    assert sum(_calls_per_order(count_calls, LADDER, canon, "_refine")) == 1426
+    assert sum(_calls_per_order(count_calls, REGIONS, canon, "_refine")) == 1552
