@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPartition, NotApplicable, TooLarge
+from .errors import InputError, InvalidPartition, NotApplicable, TooLarge
 from .graphs import Graph, distance_matrix
 from .invariants import InvariantSummary
 from .resolve import upper_dimension
@@ -168,9 +168,12 @@ def verify_bounds(
     g: Graph, inv: InvariantSummary, res: int, prop: str = "all"
 ) -> tuple[BoundVerdict, ...]:
     """All verdict rows for one graph in fixed order, or, for a prop id
-    of PROP_IDS, that statement's rows alone."""
+    of PROP_IDS, that statement's rows alone; any other prop is an
+    InputError."""
     if prop == "all":
         return tuple(row for rows in _ROWS.values() for row in rows(g, inv, res))
+    if prop not in _ROWS:
+        raise InputError(f"unknown prop {prop!r}; known: all, {', '.join(PROP_IDS)}")
     return _ROWS[prop](g, inv, res)
 
 

@@ -79,10 +79,20 @@ def _member_from_graph(g: Graph) -> CatalogMember:
     )
 
 
-def _structural(g: Graph) -> bool:
-    """Whether a connected res-3 graph is an even cycle or the 3-leaf star."""
-    _, is_cycle, is_star = path_cycle_star(g)
-    return is_cycle or is_star and g.n == 4
+def _shape(g: Graph) -> str | None:
+    """The structural res <= 3 shape of a connected graph as a `_SHAPE_RES`
+    tag, or None, read off its degrees and edge count: the one statement of
+    these shapes, for the scan, the fixture check and `classify_res`."""
+    is_path, is_cycle, is_star = path_cycle_star(g)
+    if is_path:
+        return "TrivialPath" if g.n <= 2 else "Path"
+    if is_cycle:
+        return "OddCycle" if g.n % 2 else "EvenCycle"
+    return "Star3" if is_star and g.n == 4 else None
+
+
+# the res of each shape; any other connected graph of res <= 3 is a res-3 catalog member
+_SHAPE_RES = {"TrivialPath": 1, "Path": 2, "OddCycle": 2, "EvenCycle": 3, "Star3": 3}
 
 
 def _candidate_stream() -> Iterator[Graph]:
@@ -103,15 +113,15 @@ def build_res3_catalog() -> Res3Catalog:
     The sparse orders are grown under m2 <= 2, and every candidate is
     decided on its adjacency rows: res = 3 iff the most vertices
     equidistant from one pair number exactly 2, a count the sphere kernel
-    stops as soon as it passes 2, so no distance matrix is built.  Even
-    cycles and the 3-leaf star are classified structurally, so they stay
-    out of the member list.  The stream yields each class once, so no
-    member repeats.
+    stops as soon as it passes 2, so no distance matrix is built.  A
+    graph with a `_shape`, here an even cycle or the 3-leaf star, is
+    classified structurally and stays out of the member list.  The
+    stream yields each class once, so no member repeats.
     """
     members = (
         _member_from_graph(g)
         for g in _candidate_stream()
-        if _most_equidistant(g.adj, 2) == 2 and not _structural(g)
+        if _most_equidistant(g.adj, 2) == 2 and _shape(g) is None
     )
     return Res3Catalog(tuple(sorted(members, key=lambda m: m.graph6)))
 
@@ -124,7 +134,7 @@ def _fixture_member(line: str) -> CatalogMember:
     g = parse_graph6(line)
     if resolving_number(g).res != 3:
         raise CatalogMissing(f"graph {line!r} does not have res = 3")
-    if _structural(g):
+    if _shape(g) is not None:
         raise CatalogMissing(
             f"graph {line!r} is an even cycle or the 3-star, which are "
             "classified structurally, not catalog members"

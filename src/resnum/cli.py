@@ -114,7 +114,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     def report(g: Graph) -> str:
         cat = classify_res(g)
         out = {"category": cat.tag, "res": cat.res}
-        if cat.tag.startswith("Catalog"):
+        if cat.member is not None:
             out["catalog_member"] = cat.member.graph6
         return to_json_line(out)
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .canon import canonical_form
-from .catalog import CatalogMember, load_default_catalog
+from .catalog import _SHAPE_RES, CatalogMember, _shape, load_default_catalog
 from .errors import InvalidFamilyParam, NotApplicable, TheoremViolation
 from .graphs import Graph, check_order, from_edge_list
-from .invariants import clique_number, girth, path_cycle_star
+from .invariants import clique_number, girth
 from .resolve import resolving_number
 
 
@@ -229,41 +229,26 @@ class Category:
 def classify_res(g: Graph) -> Category:
     """Classify a connected graph by its resolving number regime.
 
-    Graphs with res <= 3 have completely known shapes; a res-3 graph that
-    is neither an even cycle nor the 3-leaf star must appear in the
-    catalog, and any mismatch between shape and res raises
-    TheoremViolation because it would falsify a proved statement.
+    A graph of res <= 3 with a shape of `catalog._shape` takes its tag
+    and must have the res `_SHAPE_RES` gives it; a res-3 graph without
+    one must be a catalog member, tagged by its girth.  Any other outcome
+    raises TheoremViolation because it would falsify a proved statement.
     """
     res = resolving_number(g).res
     if res >= 4:
         return Category("ResAtLeast4", res)
-    is_path, is_cycle, is_star = path_cycle_star(g)
-    if res == 1:
-        if is_path and g.n <= 2:
-            return Category("TrivialPath", 1)
-        raise TheoremViolation(f"res = 1 on a graph of order {g.n} that is not P1/P2")
-    if res == 2:
-        if is_path:
-            return Category("Path", 2)
-        if is_cycle and g.n % 2 == 1:
-            return Category("OddCycle", 2)
-        raise TheoremViolation("res = 2 on a graph that is neither a path nor an odd cycle")
-    # res = 3 from here on
-    if is_cycle:
-        if g.n % 2 == 0:
-            return Category("EvenCycle", 3)
-        raise TheoremViolation("odd cycle with res = 3")
-    if is_star and g.n == 4:
-        return Category("Star3", 3)
+    shape = _shape(g)
+    if shape is not None or res < 3:
+        if _SHAPE_RES.get(shape) != res:
+            raise TheoremViolation(f"res = {res} on a graph of order {g.n} and shape {shape}")
+        return Category(shape, res)
     member = load_default_catalog().lookup(canonical_form(g))
     if member is None:
         raise TheoremViolation(
             "res = 3 graph outside the derived catalog: "
             f"order {g.n}, girth {girth(g)}"
         )
-    # `catalog._member_from_graph` admits girth 3 and 5 only
-    tag = "CatalogGirth3" if member.girth == 3 else "CatalogGirth5"
-    return Category(tag, 3, member)
+    return Category(f"CatalogGirth{member.girth}", 3, member)
 
 
 def clique_res_category(g: Graph) -> int:

@@ -9,16 +9,17 @@ Distances have two representations, and this module picks one by order.
 Up to `SPHERE_CAP` = 64 vertices, where a vertex set fits one uint64 word,
 a graph keeps the mask of the vertices equidistant from each pair x < y
 in row-major order, their bit counts and its diameter, all from one pass
-over its sphere planes; `pair_masks`, `pair_counts` and `diameter` read
-them.  The planes grow on the adjacency rows up to order 16, in the one
-rows loop `_row_layers` that the enumeration's sphere kernel and girth
-balls read too, and past it by the numpy ball step of `_balls`, one pass
-per radius over every BFS ball at once.  Past the cap the library reads
-the read-only n x n int32 array of `distance_matrix`, which sums the
-same balls' misses.  Every order can ask for the matrix, and the test
-oracles read nothing else.  Either one is built on first use and kept on
-the graph; a disconnected graph keeps nothing and raises Disconnected on
-every call.
+over its sphere planes.  The planes grow on the adjacency rows up to
+order 16, in the one rows loop `_row_layers` that the enumeration's
+sphere kernel and girth balls read too, and past it by the numpy ball
+step of `_balls`, one pass per radius over every BFS ball at once.  Past
+the cap the library reads the read-only n x n int32 array of
+`distance_matrix`, which sums the same balls' misses, and the one
+equidistance kernel `_equidistant` counts the pairs on it, so
+`pair_counts` answers at every order.  The test oracles read only the
+matrix, which every order can ask for.  Each of these is built on first
+use and kept on the graph; a disconnected graph keeps nothing and raises
+Disconnected on every call.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ class Graph:
     def _spheres(self) -> tuple[int, np.ndarray, np.ndarray]:
         return _sphere_pass(self)
 
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        return _slab_counts(distance_matrix(self))
+
 
 # the largest order whose distances are kept as sphere planes and pair
 # masks in place of a matrix; a sphere fits one uint64 word
@@ -119,6 +124,8 @@ SPHERE_CAP = 64
 # there the rows loop takes 12 us a graph at orders 8..12 and 19 us at
 # 13..16, against 25 and 29 us for the numpy ball step (2-core x86-64)
 _ROWS_CAP = 16
+# most bytes in one array of an equidistance chunk (slab or row gather)
+SLAB_ENTRIES = 1 << 18
 # the largest order a family builds or an edge list has: `resnum compute`
 # reads K800's 319,600 edge lines in 1.3-1.7 s (2-core x86-64)
 ORDER_CAP = 800
@@ -270,6 +277,29 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return _BYTE_BITS.take(x.view(np.uint8)).view(np.uint64) * _H01 >> _S56
 
 
+def _equidistant(narrow: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`slab[k]` marks the vertices equidistant from xs[k] and ys[k]."""
+    return narrow.take(xs, axis=0) == narrow.take(ys, axis=0)
+
+
+def _slab_counts(dm: np.ndarray) -> np.ndarray:
+    """`pair_counts` read off the distance matrix, a row-major chunk of
+    pairs at a time, each array of a chunk at most `SLAB_ENTRIES` bytes
+    or one row.  `narrow` holds the distances in the least unsigned type
+    that takes n - 1, exact as no distance reaches n."""
+    n = len(dm)
+    narrow = dm.astype(np.min_scalar_type(n - 1))
+    xs, ys = _pairs(n)
+    step = max(1, SLAB_ENTRIES // (n * narrow.itemsize))
+    counts = np.concatenate([
+        # summing the bools as bytes counts them faster than count_nonzero
+        _equidistant(narrow, xs[i:i + step], ys[i:i + step]).view(np.uint8).sum(1, np.uint64)
+        for i in range(0, len(xs), step)
+    ])
+    counts.setflags(write=False)
+    return counts
+
+
 def _row_layers(rows: Sequence[int]) -> Iterator[list[int]]:
     """Yield the spheres of the graph with these adjacency rows, one layer
     per radius r = 1 up to its diameter: `layer[v]` is the mask of S_r(v).
@@ -360,12 +390,14 @@ def pair_masks(g: Graph) -> np.ndarray | None:
     """`masks[k]`, the uint64 mask of the vertices equidistant from the
     k-th pair x < y of range(n) in row-major order (never x or y), as one
     read-only array, and up to `SPHERE_CAP` Disconnected as
-    `distance_matrix` raises it; None past the cap, where distances come
-    from `distance_matrix` alone."""
+    `distance_matrix` raises it; None past the cap, where a mask does not
+    fit a word."""
     return g._spheres[1] if g.n <= SPHERE_CAP else None
 
 
-def pair_counts(g: Graph) -> np.ndarray | None:
-    """`counts[k]`, the bit count of `pair_masks(g)[k]`, as one read-only
-    uint64 array taken with the masks; None past `SPHERE_CAP`."""
-    return g._spheres[2] if g.n <= SPHERE_CAP else None
+def pair_counts(g: Graph) -> np.ndarray:
+    """`counts[k]`, how many vertices are equidistant from the k-th pair
+    x < y of range(n) in row-major order, as one read-only uint64 array
+    kept on g: the bit counts of `pair_masks(g)` up to `SPHERE_CAP`, the
+    slab counts on `distance_matrix(g)` past it."""
+    return g._spheres[2] if g.n <= SPHERE_CAP else g._counts

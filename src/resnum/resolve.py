@@ -7,29 +7,19 @@ vertices that fail to resolve some single pair, which turns the
 exponential definition into one pass over the pairs; the subset-scan
 oracle is kept alongside so the shortcut never has to be trusted blindly.
 
-The pairs come from one of the two distance representations of
-`graphs`, which picks it by order.  Up to its sphere cap of 64,
-`pair_masks` gives the mask of the vertices that fail to resolve each
-pair x < y in row-major order, and `pair_counts` their bit counts, both
-taken once per graph: the first maximal count gives the resolving
-number, its pair and its mask the witness, and the masks themselves mark
-a single 2^n resolving-set table per graph, read once for the metric
-dimension (least size of a resolving set), the upper dimension (largest
-size of a minimal one) and res again for the chain check.  `DIM_CAP` is
-at most that cap, so the table never reads a matrix.  The table is a few
-Python ints with one bit per vertex subset, so its set algebra is big-int
-shifts, ands and ors.  Each dimension witness is the lowest integer bit
-mask among the sets of its kind.
-
-Past the cap `resolving_number` scans `graphs.distance_matrix` with one
-equidistance kernel.  It walks the pairs in chunks bounded by
-`SLAB_ENTRIES` bytes and compares both rows of each pair at once: the
-boolean slab ``narrow[xs] == narrow[ys]`` marks the vertices that fail
-to resolve each pair of the chunk.  `narrow` holds the distances in the
-smallest unsigned type that takes n - 1, exact since no distance reaches
-n: one byte each up to order 256.  Either way a graph's distances are
-built once and kept on it, so these routines and their callers share one
-pass per graph.
+One res path serves every order: `graphs.pair_counts` counts the
+vertices that fail to resolve each pair x < y in row-major order, its
+first maximal count gives res and its pair, and `_equidistant_set`, the
+helper of `non_resolvers`, the witness set.  Up to the sphere cap of 64
+the pair masks also mark a single 2^n resolving-set table per graph,
+read once for the metric dimension (least size of a resolving set), the
+upper dimension (largest size of a minimal one) and res again for the
+chain check; `DIM_CAP` is within that cap, so the table never reads a
+matrix.  The table is a few Python ints with one bit per vertex subset,
+so its set algebra is big-int shifts, ands and ors.  Each dimension
+witness is the lowest integer bit mask among the sets of its kind.  A
+graph's distances are built once and kept on it, so these routines and
+their callers share one pass per graph.
 """
 
 from __future__ import annotations
@@ -37,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -46,8 +36,6 @@ from .graphs import Graph, _bits, _pairs, check_vertex, distance_matrix, pair_co
 
 ORACLE_CAP = 12
 DIM_CAP = 16
-# most bytes in one array of an equidistance chunk (slab or row gather)
-SLAB_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,34 +64,28 @@ class DimensionReport:
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
-    x, y = (check_vertex(n, w) for w in pair)
-    if x == y:
+    vertices = sorted(check_vertex(n, w) for w in pair)
+    if len(vertices) != 2 or vertices[0] == vertices[1]:
         raise DegeneratePair(f"pair must be two distinct vertices, got {pair}")
-    return (x, y) if x < y else (y, x)
+    return vertices[0], vertices[1]
 
 
-def _chunks(dm: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`(xs, ys, slab)` for each chunk of pairs in row-major order; each
-    array of a chunk holds at most SLAB_ENTRIES bytes, or one row."""
-    n = len(dm)
-    narrow = dm.astype(np.min_scalar_type(n - 1))
-    all_xs, all_ys = _pairs(n)
-    step = max(1, SLAB_ENTRIES // (n * narrow.itemsize))
-    for lo in range(0, len(all_xs), step):
-        xs, ys = all_xs[lo:lo + step], all_ys[lo:lo + step]
-        yield xs, ys, _equidistant(narrow, xs, ys)
-
-
-def _equidistant(narrow: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`slab[k]` marks the vertices that fail to resolve {xs[k], ys[k]}."""
-    return narrow.take(xs, axis=0) == narrow.take(ys, axis=0)
+def _equidistant_set(g: Graph, k: int, x: int, y: int) -> frozenset[int]:
+    """The vertices equidistant from x and y, the k-th pair x < y of g in
+    row-major order: its mask up to the sphere cap, its two matrix rows
+    compared past it."""
+    masks = pair_masks(g)
+    if masks is not None:
+        return frozenset(_bits(int(masks[k])))
+    dm = distance_matrix(g)
+    return frozenset(np.flatnonzero(dm[x] == dm[y]).tolist())
 
 
 def non_resolvers(g: Graph, pair: tuple[int, int]) -> frozenset[int]:
     """Vertices equidistant from both members of pair (never x or y themselves)."""
     x, y = _check_pair(g.n, pair)
-    dm = distance_matrix(g)
-    return frozenset(np.flatnonzero(dm[x] == dm[y]).tolist())
+    # rows 0..x-1 of the pairs hold n-1, n-2, ..., n-x of them
+    return _equidistant_set(g, x * (2 * g.n - x - 1) // 2 + y - x - 1, x, y)
 
 
 def is_resolving_set(g: Graph, s: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
@@ -127,25 +109,11 @@ def resolving_number(g: Graph) -> ResolvingReport:
     if g.n == 1:
         return ResolvingReport(1, None, frozenset())
     counts = pair_counts(g)
-    if counts is not None:
-        # the first argmax in row-major pair order is the smallest pair
-        k = int(counts.argmax())
-        xs, ys = _pairs(g.n)
-        witness = frozenset(_bits(int(pair_masks(g)[k])))
-        return ResolvingReport(int(counts[k]) + 1, (int(xs[k]), int(ys[k])), witness)
-    best = -1
-    for xs, ys, slab in _chunks(distance_matrix(g)):
-        # summing the bools as bytes counts them faster than count_nonzero
-        eq = slab.view(np.uint8).sum(axis=1, dtype=np.int32)
-        # the first argmax in row-major pair order is the smallest pair
-        k = int(np.argmax(eq))
-        if int(eq[k]) > best:
-            best = int(eq[k])
-            best_pair = (int(xs[k]), int(ys[k]))
-            witness = slab[k].copy()
-    return ResolvingReport(
-        best + 1, best_pair, frozenset(np.flatnonzero(witness).tolist())
-    )
+    # the first argmax in row-major pair order is the smallest pair
+    k = int(counts.argmax())
+    xs, ys = _pairs(g.n)
+    x, y = int(xs[k]), int(ys[k])
+    return ResolvingReport(int(counts[k]) + 1, (x, y), _equidistant_set(g, k, x, y))
 
 
 def resolving_number_oracle(g: Graph) -> int:

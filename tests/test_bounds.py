@@ -9,7 +9,7 @@ from resnum.bounds import (
     verify_bounds,
     vertex_pairs,
 )
-from resnum.errors import InvalidPartition
+from resnum.errors import InputError, InvalidPartition
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -124,6 +124,13 @@ def test_chain_rows_and_cap():
     assert not chain.applicable and "capped" in chain.reason
     # the reason is the table's own TooLarge message
     assert chain.reason == "metric dimension is capped at n <= 16, got 17"
+
+
+def test_an_unknown_prop_is_an_input_error():
+    g = cycle_graph(5)
+    inv = invariant_summary(g)
+    with pytest.raises(InputError, match="^unknown prop 'Bogus'; known: all, DiamTree, Girth, "):
+        verify_bounds(g, inv, resolving_number(g).res, prop="Bogus")
 
 
 def test_a_graph_gets_the_same_row_objects_twice():

@@ -428,7 +428,7 @@ def test_a_theorem_violation_exits_4(tmp_path, capsys, monkeypatch):
     f.write_text(write_graph6(path_graph(3)) + "\n")
     code, out, err = run(capsys, "classify", "--input", str(f))
     assert (code, out) == (4, "")
-    assert err == "theorem violation: line 1: res = 1 on a graph of order 3 that is not P1/P2\n"
+    assert err == "theorem violation: line 1: res = 1 on a graph of order 3 and shape Path\n"
 
 
 def test_a_missing_fixture_exits_2(capsys, monkeypatch):

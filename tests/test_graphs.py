@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from resnum import graphs
 from resnum.errors import (
     Disconnected,
     IndexOutOfRange,
@@ -235,14 +236,14 @@ def test_distance_accessors_refuse_a_disconnected_graph_on_every_call(n):
     # sphere cap, and both ways of growing the spheres below it, raise the
     # matrix's text and keep nothing on the graph
     split = from_edge_list(n, [(v - 1, v) for v in range(1, n - 1)])
-    reads = (diameter, distance_matrix) + ((pair_masks, pair_counts) if n <= 64 else ())
+    reads = (diameter, distance_matrix, pair_counts) + ((pair_masks,) if n <= 64 else ())
     for _ in range(2):
         for read in reads:
             with pytest.raises(Disconnected, match="^distance matrix requires a connected graph$"):
                 read(split)
-    assert "_spheres" not in vars(split) and "_distances" not in vars(split)
+    assert not {"_spheres", "_distances", "_counts"} & set(vars(split))
     # past the cap there are no masks to read
-    assert n <= 64 or pair_masks(split) is pair_counts(split) is None
+    assert n <= 64 or pair_masks(split) is None
 
 
 @pytest.mark.parametrize("n", (2, 16, 17, 40, 63, 64))
@@ -262,6 +263,27 @@ def test_the_kept_counts_are_the_bit_counts_of_the_masks(n):
     top = graphs[0]
     assert set(pair_counts(top).tolist()) == {n - 2}
     assert n < 3 or pair_masks(top)[0] >> np.uint64(n - 1) == 1
+
+
+@pytest.mark.parametrize("n", (65, 66, 257))
+def test_the_counts_past_the_cap_are_swept_once_from_the_matrix(n, monkeypatch):
+    # a tree and a sparse graph; past order 256 distances no longer fit a byte
+    rng = random.Random(n)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    sweeps = []
+    real = graphs._slab_counts
+    monkeypatch.setattr(graphs, "_slab_counts", lambda dm: sweeps.append(dm) or real(dm))
+    for edges in (tree, tree + [(rng.randrange(v), v) for v in range(1, n, 4)]):
+        g = from_edge_list(n, edges)
+        sweeps.clear()
+        # the diameter reads the matrix alone
+        dm = distance_matrix(g)
+        assert diameter(g) == dm.max() and sweeps == []
+        counts = pair_counts(g)
+        xs, ys = np.triu_indices(n, 1)
+        assert counts.tolist() == (dm[xs] == dm[ys]).sum(axis=1).tolist()
+        assert not counts.flags.writeable and pair_counts(g) is counts
+        assert len(sweeps) == 1 and sweeps[0] is dm
 
 
 def test_the_spheres_are_grown_once_per_graph():

@@ -1,6 +1,6 @@
 """Resolving number, metric dimension, upper dimension.
 
-The distance-matrix scan is the production path; the subset-scan oracle
+The pair-count scan is the production path; the subset-scan oracle
 reimplements the definition and anchors it.  Unit tests here stay at
 orders where the oracle is instant; the full 996-class sweep lives in
 the acceptance suite.
@@ -8,12 +8,21 @@ the acceptance suite.
 
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
 from resnum import graphs
 from resnum.errors import DegeneratePair, IndexOutOfRange, TooLarge
-from resnum.graphs import Graph, diameter, distance_matrix, from_edge_list, pair_masks, permute
+from resnum.graphs import (
+    Graph,
+    _bits,
+    diameter,
+    distance_matrix,
+    from_edge_list,
+    pair_masks,
+    permute,
+)
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -79,8 +88,9 @@ def test_invariant_under_relabeling():
 def test_witness_pair_is_maximal_and_set_fails():
     g = cycle_graph(6)
     rep = resolving_number(g)
-    x, y = rep.witness_pair
-    assert rep.witness_nonresolving_set == non_resolvers(g, (x, y))
+    # the report's witness set comes from non_resolvers' own helper, so the
+    # oracle reads it off the matrix instead
+    assert rep == distance_oracle(g)[0]
     assert len(rep.witness_nonresolving_set) == rep.res - 1
     ok, unresolved = is_resolving_set(g, rep.witness_nonresolving_set)
     assert not ok and unresolved is not None
@@ -107,6 +117,9 @@ def test_non_resolvers_validates_pair():
         non_resolvers(g, (2, 2))
     with pytest.raises(IndexOutOfRange):
         non_resolvers(g, (0, 9))
+    for pair in ((0,), (0, 1, 2)):
+        with pytest.raises(DegeneratePair):
+            non_resolvers(g, pair)
 
 
 def test_is_resolving_set_basics():
@@ -212,19 +225,20 @@ def test_caps_raise():
 
 def test_one_row_slabs_give_the_same_results(connected_by_order, monkeypatch):
     # the slabs scan the matrix past the sphere cap, from order 65 on
-    graphs = [g for n in range(2, 8) for g in connected_by_order[n]]
-    graphs += _seeded_by_order((65, 66))
+    gs = [g for n in range(2, 8) for g in connected_by_order[n]]
+    gs += _seeded_by_order((65, 66))
 
     def results():
         out = []
-        for g in graphs:
+        # fresh graphs, so the counts kept on the first ones are not read back
+        for g in (Graph(g.n, g.adj) for g in gs):
             rep = resolving_number(g)
             pairs = [non_resolvers(g, (x, y)) for x in range(g.n) for y in range(x + 1, g.n)]
             out.append((rep, pairs, _dimensions(g) if g.n <= 16 else None))
         return out
 
     whole = results()
-    monkeypatch.setattr(resolve, "SLAB_ENTRIES", 1)
+    monkeypatch.setattr(graphs, "SLAB_ENTRIES", 1)
     assert results() == whole
 
 
@@ -253,7 +267,7 @@ def _record_slabs(monkeypatch):
     as its slab's entries times the bytes of a distance, and, for each slab,
     how many earlier ones were still alive when it was made."""
     sizes, live, refs = [], [], []
-    kernel = resolve._equidistant
+    kernel = graphs._equidistant
 
     def recorded(narrow, xs, ys):
         live.append(sum(ref() is not None for ref in refs))
@@ -262,7 +276,7 @@ def _record_slabs(monkeypatch):
         refs.append(weakref.ref(slab))
         return slab
 
-    monkeypatch.setattr(resolve, "_equidistant", recorded)
+    monkeypatch.setattr(graphs, "_equidistant", recorded)
     return sizes, live
 
 
@@ -270,10 +284,10 @@ def test_no_slab_exceeds_the_budget(monkeypatch):
     sizes, live = _record_slabs(monkeypatch)
     rep = resolving_number(path_graph(800))
     assert rep.res == 2 and rep.witness_pair == (0, 2)
-    assert len(sizes) > 1 and max(sizes) <= resolve.SLAB_ENTRIES
-    # the loop holds the last slab while the next is made; the witness
-    # row, from the first slab, must not keep that slab alive
-    assert max(live) == 1
+    assert len(sizes) > 1 and max(sizes) <= graphs.SLAB_ENTRIES
+    # each slab is dropped once its counts are summed, before the next is
+    # made, and the witness compares two matrix rows instead of keeping one
+    assert max(live) == 0
 
 
 def test_each_pair_is_compared_once(monkeypatch):
@@ -300,7 +314,7 @@ def test_both_distance_representations_match_the_matrix_oracle(
     # the spheres grow on the rows up to order 16 and by the numpy ball
     # step past it; orders 63 to 65, past graph6, come as edge lists, and
     # order 65 is past the sphere cap, where the library reads the matrix
-    gs += _seeded_by_order([*range(2, 21), 40, 62, 63, 64, 65])
+    gs += _seeded_by_order([*range(2, 21), 40, 62, 63, 64, 65, 66])
     for g in gs:
         report, diam, spider, masks = distance_oracle(g)
         assert resolving_number(g) == report
@@ -309,6 +323,18 @@ def test_both_distance_representations_match_the_matrix_oracle(
         assert (kept is None) == (g.n > 64)
         if kept is not None:
             assert kept.tolist() == masks and not kept.flags.writeable
+
+
+def test_non_resolvers_read_the_kept_masks_up_to_the_cap(count_calls):
+    # both ways of growing the spheres, on the rows up to order 16 and by
+    # the ball step past it, and no matrix beside them; the masks are held
+    # against the matrix oracle above, so each pair must find its own here
+    gs = _seeded_by_order(range(2, 65))
+    bfs_runs = count_calls(graphs, "_all_pairs_bfs")
+    found = [[non_resolvers(g, pair) for pair in combinations(range(g.n), 2)] for g in gs]
+    assert bfs_runs() == 0
+    for g, sets in zip(gs, found):
+        assert sets == [frozenset(_bits(mask)) for mask in pair_masks(g).tolist()]
 
 
 def test_the_dimensions_read_the_spheres_up_to_the_cap():
