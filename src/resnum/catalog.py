@@ -7,6 +7,15 @@ vertex at a time by `enumeration`, re-derives the catalog instead of
 transcribing drawings.  The result is frozen as a fixture of sorted
 graph6 lines; rebuilding must reproduce it byte for byte.
 
+Only the top order of each region, 7 and 10, is streamed as one
+representative per class in generation order: no order above it is
+grown from it, and the scan reads nothing but each candidate's rows, so
+its classes need no canonical form unless the engine needs one to break
+a tie.  The lower orders are the parents of the next, whose canonical
+levels are built anyway, and each member gets its form from
+`canonical_form` when it is kept, so the members come out sorted by
+canonical graph6 whatever the stream's order.
+
 No candidate gets a distance matrix.  The res of a graph is one more
 than the most vertices equidistant from a single pair, and
 `enumeration._most_equidistant` counts them on the spheres that
@@ -97,13 +106,15 @@ _SHAPE_RES = {"TrivialPath": 1, "Path": 2, "OddCycle": 2, "EvenCycle": 3, "Star3
 
 def _candidate_stream() -> Iterator[Graph]:
     # enumerate_graphs is looked up on its module at call time, so a
-    # wrapper installed there (a tracer, a timer) sees every candidate
+    # wrapper installed there (a tracer, a timer) sees every candidate.
+    # Only the top order of each region, a parent of no level, streams
+    # representatives; a lower order's canonical level is built anyway
     for n in range(2, 8):
-        yield from enumeration.enumerate_graphs(enumeration.EnumConstraints(n))
+        yield from enumeration.enumerate_graphs(enumeration.EnumConstraints(n, canonical=n < 7))
     # a res-3 graph has m2 <= 2, so the sparse orders are pruned by it
     for n in (8, 9, 10):
         yield from enumeration.enumerate_graphs(
-            enumeration.EnumConstraints(n, max_degree=3, min_girth=5, max_m2=2)
+            enumeration.EnumConstraints(n, max_degree=3, min_girth=5, max_m2=2, canonical=n < 10)
         )
 
 

@@ -33,13 +33,23 @@ on the child's rows after the invariant and before canon, by the sphere
 kernel `_most_equidistant` capped at radius 2, which counts on the same
 layers, so pruning keeps exactly what filtering would.
 
+Canon is needed only to break a tie.  When the new vertex is the only
+deletable vertex with the top invariant, or every other one is its twin
+(swapping twins is an automorphism, so they share one orbit), the rows
+alone settle the deletion and the child is kept as built.  A canonical
+level still canonicalises each such child, to sort the level and to hand
+its forms on as parents.  A level that is no parent can skip that: with
+`canonical=False` the stream yields each class once as the engine built
+it, in generation order, and canon runs only on the children with other
+ties (at order 7, 209 of the 902 that reach the tie test).
+
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
 rule picks, has one canonical level sequence, and the free-tree
 generator of Wright, Richmond, Odlyzko and McKay, WROM below (Constant
 time generation of free trees, SIAM J. Comput. 15 (1986)), walks just
-those sequences.  So every tree class of order n is built once and
-canonicalised once.  A brute-force oracle in the tests (all edge
+those sequences.  So every tree class of order n is built once, and
+canonicalised once in a canonical level.  A brute-force oracle in the tests (all edge
 subsets, deduped by the minimum bit string over all permutations) guards
 the graph engine at tiny orders; the tree counts and pairwise distinct
 forms guard the tree generator up to the cap.
@@ -54,7 +64,7 @@ from itertools import combinations, islice
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .canon import CanonicalForm, _orbits, canonical_form
+from .canon import CanonicalForm, _orbits, _twins, canonical_form
 from .errors import InputError, TooLarge
 from .graphs import Graph, _positions, _row_layers
 
@@ -73,7 +83,14 @@ class EnumConstraints:
     `REACH` holds the top order of each region.  A `max_m2` of k keeps
     the graphs where no pair has more than k vertices at distance 1 from
     both ends or at distance 2 from both, so each graph it drops has
-    res >= k + 2; it moves no top order.
+    res >= k + 2; it moves no top order.  A girth floor above n means
+    acyclic too, since no cycle is longer than n.
+
+    With `canonical` (the default) the graphs come canonically labeled and
+    sorted by canonical form.  Without it they come one per class still,
+    in generation order, under labels that are not canonical but the same
+    on every run, and a graph level needs canon only where its rows leave
+    the deletion tied.
     """
 
     n: int
@@ -81,13 +98,15 @@ class EnumConstraints:
     min_girth: int | float | None = None
     trees_only: bool = False
     max_m2: int | None = None
+    canonical: bool = True
 
 
 def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | None]:
     """Check domain and reach; return (max_degree, min_girth, max_m2), the
     level cache key.
 
-    Trees become girth infinity; a girth floor of 3 or less, which every
+    Trees, and a girth floor above n, which no cycle of n vertices
+    reaches, become girth infinity; a girth floor of 3 or less, which every
     simple graph meets, becomes None.  A request keeps a row of `REACH`
     when its degree cap is at most the row's and its girth floor at least
     the row's, a None in the row asking nothing.
@@ -98,7 +117,7 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | N
         raise InputError(f"max_degree must be nonnegative, got {c.max_degree}")
     if c.max_m2 is not None and c.max_m2 < 0:
         raise InputError(f"max_m2 must be nonnegative, got {c.max_m2}")
-    min_girth = math.inf if c.trees_only else c.min_girth
+    min_girth = math.inf if c.trees_only or (c.min_girth or 0) > c.n else c.min_girth
     if min_girth is not None and min_girth <= 3:
         min_girth = None
     top = max(
@@ -322,54 +341,35 @@ def _most_equidistant(rows: Sequence[int], k: int, radius: int | None = None) ->
     return best
 
 
-def _canonical_child(
-    rows: list[int], deg: list[int], max_m2: int | None
-) -> CanonicalForm | None:
-    """The child's form if its last vertex is its canonical deletion and
-    it keeps the m2 cap, else None.
-
-    The child comes as its adjacency rows and degrees, and becomes a
-    `Graph` only if it reaches canon.  The deletable vertices are the
-    non-cut ones that maximise (degree, sorted neighbour degrees); the
-    canonical one sits at the smallest canonical position among them.
-    The new vertex passes when it lies in that vertex's orbit.  A new
-    vertex that another deletable vertex beats on the invariant is turned
-    away before canon runs, and so is a child past the m2 cap.
-    """
-    tied = _deletion_ties(rows, deg)
-    if tied is None or max_m2 is not None and _most_equidistant(rows, max_m2, 2) > max_m2:
-        return None
-    w = len(rows) - 1
-    form = canonical_form(Graph(w + 1, tuple(rows)))
-    at = form.labelling
-    lowest = min(at[v] for v in tied)
-    return form if _orbits(1 << at[w], form.generators) >> lowest & 1 else None
-
-
-def _grow(
+def _children(
     n: int, max_degree: int | None, min_girth: int | float | None, max_m2: int | None
-) -> tuple[CanonicalForm, ...]:
-    """Sorted canonical forms of the connected graphs of order n within the caps.
+) -> Iterator[tuple[Graph, CanonicalForm | None]]:
+    """One graph per class of order n within the caps, in generation
+    order, with its canonical form, or with None where no form was needed.
 
-    The sort makes the level independent of the order in which trees,
-    parents and neighbour sets are visited, so a caller that shuffles
-    `_free_trees`, `_level` or `_joins` gets the same tuple.  It reads
-    `bits` alone: every form of a level has order n, so this is the forms'
-    own order.
+    K1, and the trees filtered by the degree and m2 caps, come as built,
+    with None.  Other graphs are the children of the level below, each
+    first held as its adjacency rows and degrees: a child whose new vertex
+    another deletable vertex beats on (degree, sorted neighbour degrees),
+    or that breaks the m2 cap, is turned away before a `Graph` is built.
+    The rows settle the deletion, with None, when every other tied vertex
+    is a twin of the new one: each swap is an automorphism, so they all
+    share its orbit.  Else canon decides: the child is kept, with its
+    form, when its new vertex lies in the orbit of the tied vertex at the
+    smallest canonical position.
     """
     if n == 1:
-        return (canonical_form(Graph(1, (0,))),)
+        yield Graph(1, (0,)), None
+        return
     if min_girth == math.inf:
-        trees = (
-            t
-            for t in _free_trees(n)
-            if (max_degree is None or max(t.degrees()) <= max_degree)
-            and (max_m2 is None or _most_equidistant(t.adj, max_m2, 2) <= max_m2)
-        )
-        return tuple(sorted(map(canonical_form, trees), key=attrgetter("bits")))
-    new = 1 << (n - 1)
-    children: list[CanonicalForm] = []
-    for form in _level(n - 1, max_degree, min_girth, max_m2):
+        for t in _free_trees(n):
+            if (max_degree is None or max(t.degrees()) <= max_degree) and (
+                max_m2 is None or _most_equidistant(t.adj, max_m2, 2) <= max_m2
+            ):
+                yield t, None
+        return
+    w = n - 1
+    for form in _level(w, max_degree, min_girth, max_m2):
         g = form.to_graph()
         deg = g.degrees()
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
@@ -381,14 +381,39 @@ def _grow(
             rows = list(g.adj)
             degs = list(deg)
             for v in s:
-                rows[v] |= new
+                rows[v] |= 1 << w
                 degs[v] += 1
             rows.append(mask)
             degs.append(len(s))
-            kept = _canonical_child(rows, degs, max_m2)
-            if kept is not None:
-                children.append(kept)
-    return tuple(sorted(children, key=attrgetter("bits")))
+            tied = _deletion_ties(rows, degs)
+            if tied is None or max_m2 is not None and _most_equidistant(rows, max_m2, 2) > max_m2:
+                continue
+            child = Graph(n, tuple(rows))
+            if all(_twins(rows, w, v) for v in tied[1:]):
+                yield child, None
+                continue
+            kept = canonical_form(child)
+            at = kept.labelling
+            lowest = min(at[v] for v in tied)
+            if _orbits(1 << at[w], kept.generators) >> lowest & 1:
+                yield child, kept
+
+
+def _grow(
+    n: int, max_degree: int | None, min_girth: int | float | None, max_m2: int | None
+) -> tuple[CanonicalForm, ...]:
+    """Sorted canonical forms of the connected graphs of order n within the caps.
+
+    Each child that `_children` yields without a form is canonicalised
+    here, so every child that passes the tie test and the m2 cap costs one
+    canon call, settled or not.  The sort makes the level independent of the order in
+    which trees, parents and neighbour sets are visited, so a caller that
+    shuffles `_free_trees`, `_level` or `_joins` gets the same tuple.  It
+    reads `bits` alone: every form of a level has order n, so this is the
+    forms' own order.
+    """
+    forms = (form or canonical_form(g) for g, form in _children(n, max_degree, min_girth, max_m2))
+    return tuple(sorted(forms, key=attrgetter("bits")))
 
 
 # each level built once per process
@@ -396,10 +421,18 @@ _level = lru_cache(maxsize=None)(_grow)
 
 
 def enumerate_graphs(c: EnumConstraints) -> Iterator[Graph]:
-    """Yield one canonically labeled representative per isomorphism class.
+    """Yield one representative per isomorphism class.
 
-    The stream is sorted by canonical form, so it is independent of any
-    internal exploration order.
+    With `c.canonical`, each representative is canonically labeled and the
+    stream is sorted by canonical form, so it is independent of any
+    internal exploration order; the level is built whole before the first
+    graph and kept for the process.  Without it, the graphs stream in
+    generation order as they are built, trees and children alike, under
+    labels that are not canonical; the stream is still deterministic, and
+    it holds the same classes, each once.
     """
-    for form in _level(c.n, *_region(c)):
-        yield form.to_graph()
+    region = _region(c)
+    if c.canonical:
+        yield from (form.to_graph() for form in _level(c.n, *region))
+    else:
+        yield from (g for g, _ in _children(c.n, *region))

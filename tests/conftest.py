@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from resnum import enumeration
+from resnum.catalog import build_res3_catalog
 from resnum.enumeration import EnumConstraints, enumerate_graphs
 
 # the same examples on every run, a bounded number of them, no example
@@ -39,6 +40,13 @@ def constrained_by_order():
         )
         for n in (8, 9, 10)
     }
+
+
+@pytest.fixture(scope="session")
+def derived_catalog():
+    """One res-3 catalog build, shared by the tests that only read it; a
+    test that counts the work of a build makes its own."""
+    return build_res3_catalog()
 
 
 @pytest.fixture

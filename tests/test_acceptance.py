@@ -17,7 +17,6 @@ from importlib import resources
 from resnum.bounds import counting_lemma_check, verify_bounds, vertex_pairs
 from resnum.canon import canonical_form
 from resnum.catalog import (
-    build_res3_catalog,
     clique_equals_res_report,
     load_default_catalog,
     render_fixture,
@@ -144,8 +143,8 @@ def test_criterion_03_bound_suite(capsys,
     )
 
 
-def test_criterion_04_catalog_derivation(capsys, connected_by_order):
-    derived = build_res3_catalog()
+def test_criterion_04_catalog_derivation(capsys, connected_by_order, derived_catalog):
+    derived = derived_catalog
     g3 = derived.slice_by_girth(3)
     g5 = derived.slice_by_girth(5)
     big = max(derived.members, key=lambda m: m.n)
@@ -379,7 +378,7 @@ def test_criterion_09_performance(capsys):
     )
 
 
-def test_criterion_10_serialization(capsys, connected_by_order):
+def test_criterion_10_serialization(capsys, connected_by_order, derived_catalog):
     bad = 0
     count = 0
     for graphs in connected_by_order.values():
@@ -405,7 +404,7 @@ def test_criterion_10_serialization(capsys, connected_by_order):
     packaged = (
         resources.files("resnum").joinpath("data/res3_catalog.g6").read_text()
     )
-    regenerated = render_fixture(build_res3_catalog())
+    regenerated = render_fixture(derived_catalog)
     byte_identical = regenerated == packaged
 
     ok = bad == 0 and byte_identical

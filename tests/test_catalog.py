@@ -45,11 +45,16 @@ def test_default_catalog_matches_frozen_members():
     assert tuple(m.graph6 for m in cat.members) == FROZEN_MEMBERS
 
 
-def test_rebuild_reproduces_the_fixture():
-    derived = build_res3_catalog()
-    assert render_fixture(derived) == render_fixture(load_default_catalog())
+@pytest.fixture(scope="module")
+def candidates():
+    """The catalog's candidate stream, read once for the row tests."""
+    return list(catalog._candidate_stream())
+
+
+def test_rebuild_reproduces_the_fixture(derived_catalog):
+    assert render_fixture(derived_catalog) == render_fixture(load_default_catalog())
     # the scan keeps no set of forms: the stream yields each class once
-    forms = [m.form for m in derived.members]
+    forms = [m.form for m in derived_catalog.members]
     assert len(set(forms)) == len(forms)
 
 
@@ -114,13 +119,12 @@ def _kernel_agrees(g, k=2):
     return count
 
 
-def test_the_row_test_rules_out_only_res_4_and_above():
+def test_the_row_test_rules_out_only_res_4_and_above(candidates):
     # the catalog candidates, then the 87 classes of the (8, 3, 4) region
     # the scan skips (the test above): the sphere kernel on the rows gives
     # res - 1 on each, rules out 1,123 and 84 of them and keeps 35
     # candidates, the 22 of res 3 (the 17 members, C4, C6, C8, C10 and the
     # 3-star) besides 12 of res 2 and K1
-    candidates = list(catalog._candidate_stream())
     assert len(candidates) == 1158
     gap = [form.to_graph() for form in enumeration._level(8, 3, 4, None)]
     assert len(gap) == 87
@@ -129,12 +133,11 @@ def test_the_row_test_rules_out_only_res_4_and_above():
     assert [counts[:1158].count(c) for c in (0, 1, 2)] == [1, 12, 22]
 
 
-def test_the_distance_two_test_rules_out_only_res_4_and_above():
+def test_the_distance_two_test_rules_out_only_res_4_and_above(candidates):
     # the kernel capped at radius 2, the m2 prune: it rules out only
     # res >= 4, and 939 of the 1,123 candidates the full kernel rules out;
     # the other 184 (the sparse orders are grown under m2 <= 2) need spheres
     # of radius 3 or more
-    candidates = list(catalog._candidate_stream())
     near = [g for g in candidates if enumeration._most_equidistant(g.adj, 2, 2) > 2]
     assert len(near) == 939
     assert all(resolving_number(g).res >= 4 for g in near)
@@ -176,10 +179,13 @@ def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
 
 def test_canonical_form_calls_per_catalog_build(count_calls):
     # the m2 cap on orders 8..10 turns children away before canon: the
-    # same regions without it take 1,462 calls (test_enumeration)
+    # same regions without it take 1,462 calls (test_enumeration); and the
+    # top orders 7 and 10 stream one representative per class, with canon
+    # only where the rows leave a deletion tied: 209 and 115 calls, where
+    # their sorted canonical levels took 902 and 143, 1,296 in all
     calls = count_calls(enumeration, "canonical_form")
     build_res3_catalog()
-    assert calls() == 1296
+    assert calls() == 575
 
 
 def test_sphere_kernel_calls_per_catalog_build(count_calls):

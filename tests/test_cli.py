@@ -403,13 +403,29 @@ def test_enum_with_a_huge_girth_floor_returns_the_trees():
     assert (code, out, err) == enum("7")
 
 
+def test_a_girth_floor_above_the_order_asks_for_the_trees(capsys):
+    # no cycle is longer than the order, so such a floor reaches as far as
+    # trees do: the 47 trees of order 9 and the 551 of order 12, and
+    # order 13 is one past the tree row of the reach table
+    trees = run(capsys, "enum", "--n", "12", "--trees")
+    assert trees[0] == 0 and len(trees[1].splitlines()) == 551
+    assert run(capsys, "enum", "--n", "12", "--min-girth", "13") == trees
+    code, out, _ = run(capsys, "enum", "--n", "9", "--min-girth", "10")
+    assert code == 0 and len(out.splitlines()) == 47
+    code, out, err = run(capsys, "enum", "--n", "13", "--min-girth", "14")
+    assert (code, out) == (3, "") and "n <= 12 with min_girth >= inf" in err
+
+
 def test_enum_trees(capsys):
     code, out, _ = run(capsys, "enum", "--n", "7", "--trees")
     assert code == 0
     assert len(out.strip().splitlines()) == 11
 
 
-def test_catalog_command(capsys):
+def test_catalog_command(capsys, monkeypatch, derived_catalog):
+    # the report on the session's one build; other tests here run the
+    # command on a build of its own
+    monkeypatch.setattr(cli, "build_res3_catalog", lambda: derived_catalog)
     code, out, _ = run(capsys, "catalog", "--res", "3")
     assert code == 0
     rep = json.loads(out)
@@ -496,7 +512,8 @@ def test_the_pair_cache_stays_within_its_bound(tmp_path, capsys):
     assert info.currsize <= info.maxsize
 
 
-def test_catalog_against_explicit_fixture(tmp_path, capsys):
+def test_catalog_against_explicit_fixture(tmp_path, capsys, monkeypatch, derived_catalog):
+    monkeypatch.setattr(cli, "build_res3_catalog", lambda: derived_catalog)
     good = tmp_path / "good.g6"
     from resnum.catalog import load_default_catalog, render_fixture
 

@@ -8,6 +8,7 @@ permutation-minimum oracle reproduced them independently.
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -85,11 +86,10 @@ def test_infinite_min_girth_means_trees(trees_by_order):
 
 
 def test_a_girth_floor_past_the_order_gives_the_trees(trees_by_order):
-    # each ball stops growing within the parent's order, so a floor of
-    # 10**9 costs no more than one of 9
+    # no cycle is longer than the order, so a floor past it asks for the
+    # trees, the level of girth infinity, however large it is
     got = tuple(enumerate_graphs(EnumConstraints(8, max_degree=3, min_girth=10**9)))
     assert got == tuple(g for g in trees_by_order[8] if max(g.degrees()) <= 3)
-    # and so does one past the largest index a slice takes
     assert tuple(enumerate_graphs(EnumConstraints(8, max_degree=3, min_girth=10**30))) == got
 
 
@@ -331,24 +331,28 @@ def test_caps():
         "enumeration is capped at n <= 7, n <= 10 with max_degree <= 3 and "
         "min_girth >= 5, or n <= 12 with min_girth >= inf"
     )
-    for c in (
-        EnumConstraints(8),
-        EnumConstraints(8, max_degree=3),
-        EnumConstraints(11, max_degree=3, min_girth=5),
-        EnumConstraints(11, max_degree=2, min_girth=11),
-        EnumConstraints(13, trees_only=True),
-        EnumConstraints(13, max_degree=2, min_girth=math.inf),
-    ):
-        with pytest.raises(TooLarge) as exc:
-            list(enumerate_graphs(c))
-        assert str(exc.value) == f"{caps}, got order {c.n}"
-    for trees_only in (False, True):
-        with pytest.raises(InputError):
-            list(enumerate_graphs(EnumConstraints(0, trees_only=trees_only)))
-        with pytest.raises(InputError):
-            list(enumerate_graphs(EnumConstraints(1, -1, trees_only=trees_only)))
-        with pytest.raises(InputError, match="^max_m2 must be nonnegative, got -1$"):
-            list(enumerate_graphs(EnumConstraints(1, trees_only=trees_only, max_m2=-1)))
+    # and both modes check the request before they build anything
+    for canonical in (True, False):
+        for c in (
+            EnumConstraints(8),
+            EnumConstraints(8, max_degree=3),
+            EnumConstraints(11, max_degree=3, min_girth=5),
+            EnumConstraints(11, max_degree=2, min_girth=11),
+            EnumConstraints(13, trees_only=True),
+            EnumConstraints(13, max_degree=2, min_girth=math.inf),
+            EnumConstraints(13, min_girth=14),
+        ):
+            with pytest.raises(TooLarge) as exc:
+                list(enumerate_graphs(replace(c, canonical=canonical)))
+            assert str(exc.value) == f"{caps}, got order {c.n}"
+        for trees_only in (False, True):
+            k1 = EnumConstraints(1, trees_only=trees_only, canonical=canonical)
+            with pytest.raises(InputError):
+                list(enumerate_graphs(replace(k1, n=0)))
+            with pytest.raises(InputError):
+                list(enumerate_graphs(replace(k1, max_degree=-1)))
+            with pytest.raises(InputError, match="^max_m2 must be nonnegative, got -1$"):
+                list(enumerate_graphs(replace(k1, max_m2=-1)))
     with pytest.raises(TooLarge):
         naive_enumeration_oracle(7)
     big_tree = next(iter(enumerate_graphs(EnumConstraints(9, trees_only=True))))
@@ -358,12 +362,13 @@ def test_caps():
 
 def _written_rule(c):
     """The reach rule written out case by case: trees to 12, n <= 10 with
-    max_degree <= 3 and min_girth >= 5, any other graph to 7."""
+    max_degree <= 3 and min_girth >= 5, any other graph to 7; a girth
+    floor above n asks for trees, since no cycle is longer than n."""
     if c.n < 1 or c.max_degree is not None and c.max_degree < 0:
         raise InputError
     if c.max_m2 is not None and c.max_m2 < 0:
         raise InputError
-    if c.trees_only or c.min_girth == math.inf:
+    if c.trees_only or c.min_girth is not None and c.min_girth > c.n:
         if c.n > 12:
             raise TooLarge
         return c.max_degree, math.inf, c.max_m2
@@ -458,6 +463,56 @@ def test_canonical_form_calls_unconstrained(count_calls):
     # deletion test reach canon: 1,047 calls for the 996 classes
     calls = _calls_per_order(count_calls, [EnumConstraints(n) for n in range(1, 8)])
     assert calls == [1, 1, 2, 6, 21, 114, 902]
+
+
+def _representatives(constraints):
+    return [replace(c, canonical=False) for c in constraints]
+
+
+def test_representatives_hold_each_class_once():
+    # the same classes as the canonical level, each exactly once: the
+    # catalog regions without and with their m2 cap, the m2-capped orders
+    # and the tree ladder
+    regions = REGIONS + [EnumConstraints(n, 3, 5, max_m2=2) for n in range(1, 11)]
+    regions += [EnumConstraints(n, max_m2=k) for k in M2_COUNTS for n in range(2, 8)]
+    for c in regions + LADDER:
+        stream = [canonical_form(g) for g in enumerate_graphs(replace(c, canonical=False))]
+        assert sorted(stream) == list(enumeration._level(c.n, *enumeration._region(c))), c
+
+
+def test_settled_children_pass_the_orbit_test():
+    # a child the rows settle, its new vertex tied with none but its twins,
+    # is one canon keeps: its new vertex lies in the orbit of the tied
+    # vertex at the smallest canonical position; every child to order 7
+    # and on the sparse region to order 10
+    settled = []
+    for c in REGIONS:
+        for g, kept in enumeration._children(c.n, *enumeration._region(c)):
+            if kept is None:
+                tied = deletion_ties_oracle(g)
+                form = canonical_form(g)
+                at = form.labelling
+                lowest = min(at[v] for v in tied)
+                assert canon._orbits(1 << at[g.n - 1], form.generators) >> lowest & 1
+                settled.append((g.n, len(tied) > 1))
+    # at order 7, 457 children tie with no vertex and 236 only with twins
+    # of the new one, of the 902 that canon decides in a canonical level;
+    # 893 of the 1,461 on these regions
+    assert (settled.count((7, False)), settled.count((7, True))) == (457, 236)
+    assert len(settled) == 893
+
+
+def test_canonical_form_calls_of_representatives(count_calls):
+    # the top order streamed after its canonical parent levels: canon runs
+    # on the children whose deletion stays tied, 209 of the 902 at order 7
+    # and 115 of the 143 on the m2-capped sparse order 10, and never on a
+    # tree
+    unconstrained = [EnumConstraints(n) for n in range(1, 8)]
+    calls = _calls_per_order(count_calls, unconstrained[:-1] + _representatives(unconstrained[-1:]))
+    assert calls == [1, 1, 2, 6, 21, 114, 209]
+    sparse = [EnumConstraints(n, 3, 5, max_m2=2) for n in range(1, 11)]
+    assert _calls_per_order(count_calls, sparse[:-1] + _representatives(sparse[-1:]))[-1] == 115
+    assert _calls_per_order(count_calls, _representatives(LADDER)) == [0] * 12
 
 
 def test_canonical_form_calls_catalog_regions(count_calls):
