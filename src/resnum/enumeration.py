@@ -107,9 +107,10 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | N
 
     Trees, and a girth floor above n, which no cycle of n vertices
     reaches, become girth infinity; a girth floor of 3 or less, which every
-    simple graph meets, becomes None.  A request keeps a row of `REACH`
-    when its degree cap is at most the row's and its girth floor at least
-    the row's, a None in the row asking nothing.
+    simple graph meets, becomes None, and a NaN floor is refused, so each
+    floor `_joins` sees is finite and at most n.  A request keeps a row
+    of `REACH` when its degree cap is at most the row's and its girth
+    floor at least the row's, a None in the row asking nothing.
     """
     if c.n < 1:
         raise InputError(f"order must be at least 1, got {c.n}")
@@ -117,6 +118,8 @@ def _region(c: EnumConstraints) -> tuple[int | None, int | float | None, int | N
         raise InputError(f"max_degree must be nonnegative, got {c.max_degree}")
     if c.max_m2 is not None and c.max_m2 < 0:
         raise InputError(f"max_m2 must be nonnegative, got {c.max_m2}")
+    if c.min_girth is not None and math.isnan(c.min_girth):
+        raise InputError("min_girth must be a number, got nan")
     min_girth = math.inf if c.trees_only or (c.min_girth or 0) > c.n else c.min_girth
     if min_girth is not None and min_girth <= 3:
         min_girth = None
@@ -169,8 +172,7 @@ def _joins(
     near = None
     if min_girth is not None and largest > 1:
         near = [0] * g.n
-        # the layers stop at the diameter; range, unlike islice, takes any floor
-        for _, layer in zip(range(math.ceil(min_girth) - 3), _row_layers(g.adj)):
+        for layer in islice(_row_layers(g.adj), math.ceil(min_girth) - 3):
             near = [a | b for a, b in zip(near, layer)]
     # at size top, the sets that miss `peak`
     off_peak = [v for v in free if not peak >> v & 1]

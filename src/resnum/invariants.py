@@ -2,17 +2,19 @@
 
 Girth uses infinity as its acyclic value so comparisons like ``girth > 5``
 select trees without a sentinel integer; the JSON layer turns it into
-null.  The clique number comes from a branch and bound over candidate
-bit masks, bounded by greedy colour classes (Tomita and Seki, *An
-efficient branch-and-bound algorithm for finding a maximum clique*,
-DMTCS 2003), cross-checked against subset brute force and networkx in
-the tests.  Each colour class is one bit mask, as in San Segundo et al.'s
-BBMC (*An exact bit-parallel algorithm for the maximum clique problem*,
-Computers & OR 38 (2011)), so the bound is the number of classes left.
-A vertex joins its class with one mask step by the complement of its
-closed neighbourhood, built once per search.  `invariant_summary` finds
-the girth first and searches for cliques only when it is 3: a graph with
-no triangle has clique number min(n, 2).  It reads the diameter from
+null.  Girth grows the detour around each edge one frontier mask per
+radius, while it can still beat the shortest cycle found.  The clique
+number comes from a branch and bound over candidate bit masks, bounded
+by greedy colour classes (Tomita and Seki, *An efficient
+branch-and-bound algorithm for finding a maximum clique*, DMTCS 2003),
+cross-checked against subset brute force and networkx in the tests.
+Each colour class is one bit mask, as in San Segundo et al.'s BBMC (*An
+exact bit-parallel algorithm for the maximum clique problem*, Computers
+& OR 38 (2011)), so the bound is the number of classes left.  A vertex
+joins its class with one mask step by the complement of its closed
+neighbourhood, built once per search.  `invariant_summary` finds the
+girth first and searches for cliques only when it is 3: a graph with no
+triangle has clique number min(n, 2).  It reads the diameter from
 `graphs.diameter`, which takes it from the sphere layers or the distance
 matrix, whichever `graphs` keeps for the order, and a spider's legs are
 walked on the adjacency rows.
@@ -48,37 +50,32 @@ def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or infinity for a forest.
 
     An edge whose ends share a neighbor closes a triangle, so one pass
-    over the edges settles girth 3.  Otherwise every shortest cycle
-    crosses each of its edges, so dropping an edge and measuring the
-    detour between its ends finds it.
+    over the edges settles girth 3.  Otherwise the girth is the least
+    1 + d(u, v) in g - uv over the edges uv, each d grown from u one
+    frontier mask per radius while it can still beat the best cycle.
     """
     adj = g.adj
     if any(adj[u] & adj[v] for u, v in g.edges()):
         return 3
     best = INFINITE_GIRTH
     for u, v in g.edges():
-        # BFS from u to v in g minus the edge uv
-        dist = [-1] * g.n
-        dist[u] = 0
-        frontier = [u]
-        d = 0
-        while frontier and dist[v] < 0:
+        # v starts seen, so only its bit in `reach` ends the detour
+        frontier = adj[u] ^ 1 << v
+        seen = adj[u] | 1 << u
+        d = 1
+        while frontier and d + 2 < best:
+            reach = 0
+            for w in _bits(frontier):
+                reach |= adj[w]
             d += 1
-            nxt = []
-            for w in frontier:
-                row = adj[w]
-                if w == u:
-                    row &= ~(1 << v)
-                for z in _bits(row):
-                    if dist[z] < 0:
-                        dist[z] = d
-                        nxt.append(z)
-            frontier = nxt
-        if dist[v] >= 0 and dist[v] + 1 < best:
-            best = dist[v] + 1
-            # a triangle-free graph has no shorter cycle
-            if best == 4:
+            if reach >> v & 1:
+                best = d + 1
                 break
+            frontier = reach & ~seen
+            seen |= frontier
+        # a triangle-free graph has no shorter cycle
+        if best == 4:
+            break
     return best
 
 
@@ -149,7 +146,7 @@ def spider_signature(g: Graph) -> tuple[int, int, int] | None:
     does.
     """
     degs = g.degrees()
-    if g.m != g.n - 1 or max(degs, default=0) != 3 or degs.count(3) != 1:
+    if g.m != g.n - 1 or max(degs) != 3 or degs.count(3) != 1:
         return None
     centre = degs.index(3)
     legs = []

@@ -353,11 +353,47 @@ def test_caps():
                 list(enumerate_graphs(replace(k1, max_degree=-1)))
             with pytest.raises(InputError, match="^max_m2 must be nonnegative, got -1$"):
                 list(enumerate_graphs(replace(k1, max_m2=-1)))
+            # NaN is neither above the order nor at most 3, so no rule places it
+            with pytest.raises(InputError, match="^min_girth must be a number, got nan$"):
+                list(enumerate_graphs(replace(k1, min_girth=math.nan)))
     with pytest.raises(TooLarge):
         naive_enumeration_oracle(7)
     big_tree = next(iter(enumerate_graphs(EnumConstraints(9, trees_only=True))))
     with pytest.raises(TooLarge):
         permutation_min_form(big_tree)
+
+
+def test_the_joins_read_finite_girth_floors_up_to_the_order(monkeypatch):
+    # `_region` sends a floor past the order to the tree level, so every
+    # floor `_joins` reads its girth balls to is finite and at most the
+    # order requested, over the catalog regions and the pruning grid from
+    # a cold level cache, and a floor past the order never reaches it
+    joins, floors = enumeration._joins, []
+
+    def record(g, deg, max_degree, min_girth):
+        floors.append(min_girth)
+        return joins(g, deg, max_degree, min_girth)
+
+    monkeypatch.setattr(enumeration, "_joins", record)
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    grid = [
+        EnumConstraints(n, max_degree, min_girth, max_m2=max_m2)
+        for max_degree, min_girth, max_m2, n in product(
+            [None, 2, 3, 4], [None, 3, 4, 4.5, 5, 6, math.inf], [None, 1, 2, 3], range(1, 8)
+        )
+    ]
+    seen = set()
+    for c in REGIONS + grid:
+        floors.clear()
+        list(enumerate_graphs(c))
+        girth_floors = {f for f in floors if f is not None}
+        assert all(math.isfinite(f) and f <= c.n for f in girth_floors), c
+        seen |= girth_floors
+    assert seen == {4, 4.5, 5, 6}
+    for floor in (10**9, 10**30):
+        floors.clear()
+        list(enumerate_graphs(EnumConstraints(8, 3, floor)))
+        assert floors == []
 
 
 def _written_rule(c):

@@ -73,6 +73,40 @@ def test_girth_matches_networkx():
         ]
         if far:
             cases.append((n, tree + [rng.choice(far)]))
+    # orders 20..62 of the graph6 stream: a random spanning tree plus
+    # G(n, p) extras at each stream density, and the same with only the
+    # extras that join the tree's two sides, which keeps it triangle-free
+    for p in (0.02, 0.05, 0.1, 0.3, 0.6):
+        for _ in range(6):
+            n = rng.randint(20, 62)
+            tree = [(rng.randrange(v), v) for v in range(1, n)]
+            side = [0] * n
+            for u, v in tree:
+                side[v] = 1 - side[u]
+            extras = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            cases.append((n, tree + extras))
+            cases.append((n, tree + [(u, v) for u, v in extras if side[u] != side[v]]))
+    # long thin trees with a few chords, whose cycles are long
+    for k in (1, 2, 3):
+        for _ in range(8):
+            n = rng.randint(20, 62)
+            tree = [(rng.randrange(max(0, v - 3), v), v) for v in range(1, n)]
+            cases.append((n, tree + [tuple(rng.sample(range(n), 2)) for _ in range(k)]))
+    # a 9-cycle and an 8-cycle through vertex 8, the 9-cycle first in edge
+    # order, so the 8-cycle's detours run up to the cutoff the 9 sets
+    nine = [(v, (v + 1) % 9) for v in range(9)]
+    cases.append((16, nine + [(8, 9), *((v, v + 1) for v in range(9, 15)), (15, 8)]))
+    # the longest cycles a graph6 line holds, girth 61, 62 and 61 with a
+    # leaf, then girth 6, 6 and 5, and the Tutte-Coxeter cage of girth 8
+    cases += [(61, list(cycle_graph(61).edges())), (62, list(cycle_graph(62).edges()))]
+    cases.append((62, list(pendant_odd_cycle(30).edges())))
+    for G in (
+        nx.heawood_graph(),
+        nx.desargues_graph(),
+        nx.dodecahedral_graph(),
+        nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5),
+    ):
+        cases.append((len(G), list(G.edges())))
     for n, edges in cases:
         G = nx.Graph()
         G.add_nodes_from(range(n))
