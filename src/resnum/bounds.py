@@ -6,7 +6,8 @@ sandwich, the four-link parameter chain) expand into one row per
 inequality, tied together by prop_id and distinguished by part.
 Inapplicability is data, never an error.  Each statement's rows come from
 its own builder in `_ROWS`, so a request for one prop builds that prop's
-rows alone, and only the Chain rows build the 2^n dimension table.
+rows alone, and only the Chain rows build the 2^n dimension table.  The
+counting lemma reads `resolve.non_resolvers`, the res path's pair sets.
 
 Rows are interned: `_na` and `_row` build each distinct row once and
 hand the same frozen object to every graph that has it, so a row compares
@@ -16,17 +17,16 @@ one holding 1 meet as one key, though they render differently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InputError, InvalidPartition, NotApplicable, TooLarge
-from .graphs import Graph, distance_matrix
+from .graphs import Graph, diameter
 from .invariants import InvariantSummary
-from .resolve import upper_dimension
+from .resolve import non_resolvers, upper_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +186,15 @@ def vertex_pairs(vertices: Iterable[int]) -> frozenset[tuple[int, int]]:
 def _normalize_pairs(g: Graph, pairs) -> list[tuple[int, int]]:
     out = set()
     for pair in pairs:
-        x, y = pair
-        for v in (x, y):
+        if len(pair) != 2:
+            raise InvalidPartition(f"pair {pair!r} is not two vertices")
+        for v in pair:
             if not 0 <= v < g.n:
                 raise InvalidPartition(f"pair vertex {v} outside 0..{g.n - 1}")
+        x, y = sorted(pair)
         if x == y:
             raise InvalidPartition(f"pair ({x},{y}) is degenerate")
-        out.add((min(x, y), max(x, y)))
+        out.add((x, y))
     return sorted(out)
 
 
@@ -209,6 +211,7 @@ def counting_lemma_check(
     pairs unresolved.  inequality_ok: sum(|part_i| * k_i) stays within
     |pairs| * (res - 1).  The second is a theorem whenever the first holds,
     so a (True, False) outcome signals a bug upstream, not new mathematics.
+    Failures come from `non_resolvers`: no matrix is built up to order 64.
     """
     parts = [sorted(set(p)) for p in partition]
     if len(parts) != len(k):
@@ -229,11 +232,10 @@ def counting_lemma_check(
         raise InvalidPartition("parts do not cover every vertex")
 
     norm = _normalize_pairs(g, pairs)
-    dm = distance_matrix(g)
-    xs = [x for x, _ in norm]
-    ys = [y for _, y in norm]
+    # raises Disconnected on a disconnected graph, with pairs or without
+    diameter(g)
     # fails[u]: how many of the given pairs vertex u leaves unresolved
-    fails = np.count_nonzero(dm[:, xs] == dm[:, ys], axis=1)
+    fails = Counter(u for pair in norm for u in non_resolvers(g, pair))
     hypothesis_ok = all(
         fails[u] >= ki for part, ki in zip(parts, k) for u in part
     )

@@ -8,7 +8,9 @@ requested and a failure aborts loudly.  Every constructor checks its
 parameters' domain, then `graphs.check_order`, before it builds anything
 (an argument left of the edge list is evaluated first).  The dense ones,
 complete graphs, a clique plus a pendant vertex and joins, build their
-rows as masks rather than through Θ(n²) checked edges.
+rows as masks rather than through Θ(n²) checked edges.  The spider, the
+triangle tripod and the pendant odd cycle hang paths on a small core
+through one builder, `_hang_legs`.
 """
 
 from __future__ import annotations
@@ -60,20 +62,23 @@ def star_graph(a: int) -> Graph:
     return from_edge_list(check_order(a + 1), [(0, i) for i in range(1, a + 1)])
 
 
+def _hang_legs(n: int, core: list[tuple[int, int]], legs: list[tuple[int, int]]) -> Graph:
+    """The core of order n and its edges, each (root, length) leg hung on
+    it as a path of new vertices, numbered on from the core, leg by leg."""
+    edges = list(core)
+    for root, length in legs:
+        path = [root, *range(n, n + length)]
+        edges += zip(path, path[1:])
+        n += length
+    return from_edge_list(n, edges)
+
+
 def spider_graph(a: int, b: int, c: int) -> Graph:
     """Three paths with a, b, c edges glued at one center (order a+b+c+1)."""
     if min(a, b, c) < 1:
         raise InvalidFamilyParam(f"spider legs must be >= 1, got {(a, b, c)}")
     check_order(a + b + c + 1)
-    edges = []
-    nxt = 1
-    for leg in (a, b, c):
-        prev = 0
-        for _ in range(leg):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edge_list(a + b + c + 1, edges)
+    return _hang_legs(1, [], [(0, a), (0, b), (0, c)])
 
 
 def clique_with_pendant(a: int, b: int) -> Graph:
@@ -106,9 +111,7 @@ def pendant_odd_cycle(a: int) -> Graph:
         raise InvalidFamilyParam(f"pendant cycle needs a >= 3, got {a}")
     check_order(2 * a + 2)
     n = 2 * a + 1
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.append((0, n))
-    return from_edge_list(n + 1, edges)
+    return _hang_legs(n, [(i, (i + 1) % n) for i in range(n)], [(0, 1)])
 
 
 def triangle_tripod(r: int) -> Graph:
@@ -116,15 +119,7 @@ def triangle_tripod(r: int) -> Graph:
     if r < 3:
         raise InvalidFamilyParam(f"triangle tripod needs r >= 3, got {r}")
     check_order(3 * (r - 1))
-    edges = [(0, 1), (1, 2), (0, 2)]
-    nxt = 3
-    for corner in range(3):
-        prev = corner
-        for _ in range(r - 2):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edge_list(3 * (r - 1), edges)
+    return _hang_legs(3, [(0, 1), (1, 2), (0, 2)], [(corner, r - 2) for corner in range(3)])
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

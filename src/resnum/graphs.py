@@ -178,11 +178,13 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an iterable of index pairs; n goes
     through `check_order`.
 
-    Duplicate edges collapse; self-loops and out-of-range indices raise.
+    Duplicate edges collapse; non-pairs, self-loops and bad indices raise.
     """
     rows = [0] * check_order(n)
-    for u, v in edges:
-        check_edge(n, u, v)
+    for edge in edges:
+        if len(edge) != 2:
+            raise InvalidEdge(f"edge {edge!r} is not two vertices")
+        u, v = check_edge(n, *edge)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))

@@ -23,7 +23,11 @@ kernel on narrow distances, and the values `graphs` reads off its sphere
 layers (res, the first maximal pair, its witness set, the diameter, the
 spider legs and the pair masks) read straight from the matrix, one pair
 at a time, against both distance representations; `test_graphs` holds
-the layers themselves against the matrix's spheres.
+the layers themselves against the matrix's spheres.  The spider, the
+triangle tripod and the pendant odd cycle grown a vertex at a time, each
+by its own loop, are held against the one leg builder of `families`, and
+the counting lemma's failures counted on the distance matrix's columns
+against those it reads from `non_resolvers`.
 """
 
 from itertools import combinations, permutations, product
@@ -32,7 +36,7 @@ import numpy as np
 
 from resnum.canon import CanonicalForm
 from resnum.errors import TooLarge
-from resnum.graphs import Graph, _bits, distance_matrix, permute
+from resnum.graphs import Graph, _bits, distance_matrix, from_edge_list, permute
 from resnum.resolve import DimensionReport, ResolvingReport, is_resolving_set
 from resnum.serial import _from_triangle
 
@@ -436,3 +440,49 @@ def equidistance_blocks_oracle(dm: np.ndarray) -> tuple[ResolvingReport, list[in
         [(_equidistant(dm, lo, hi) @ weights)[above[lo:hi, lo:]] for lo, hi in _blocks(n)]
     ).tolist()
     return report, pair_masks
+
+
+def spider_oracle(a: int, b: int, c: int) -> Graph:
+    """Three paths with a, b, c edges glued at centre 0, each leg grown a
+    vertex at a time, numbered on from the last."""
+    edges = []
+    nxt = 1
+    for leg in (a, b, c):
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return from_edge_list(a + b + c + 1, edges)
+
+
+def triangle_tripod_oracle(r: int) -> Graph:
+    """Triangle 0, 1, 2 with a path of r-2 edges grown on each corner in
+    turn, a vertex at a time."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    nxt = 3
+    for corner in range(3):
+        prev = corner
+        for _ in range(r - 2):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return from_edge_list(3 * (r - 1), edges)
+
+
+def pendant_odd_cycle_oracle(a: int) -> Graph:
+    """The cycle 0..2a in order plus the leaf 2a+1 on vertex 0."""
+    n = 2 * a + 1
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges.append((0, n))
+    return from_edge_list(n + 1, edges)
+
+
+def lemma_failures_oracle(g: Graph, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """`fails[u]`, how many of the pairs x < y vertex u leaves unresolved,
+    from columns x and y of the distance matrix; raises Disconnected as
+    `distance_matrix` does, whatever the pairs."""
+    dm = distance_matrix(g)
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    return np.count_nonzero(dm[:, xs] == dm[:, ys], axis=1)

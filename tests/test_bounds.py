@@ -9,7 +9,7 @@ from resnum.bounds import (
     verify_bounds,
     vertex_pairs,
 )
-from resnum.errors import InputError, InvalidPartition
+from resnum.errors import Disconnected, InputError, InvalidPartition
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -19,9 +19,11 @@ from resnum.families import (
     star_graph,
     wheel_graph,
 )
-from resnum.graphs import distance_matrix
+from resnum.graphs import distance_matrix, from_edge_list
 from resnum.invariants import invariant_summary
 from resnum.resolve import resolving_number
+
+from oracles import lemma_failures_oracle
 
 
 def _rows(g):
@@ -167,8 +169,9 @@ def test_counting_lemma_false_hypothesis():
 
 
 def test_counting_lemma_reads_the_callers_matrix(connected_by_order, monkeypatch):
-    # the caller's distance_matrix call keeps the matrix on g, and the check
-    # reads that matrix rather than running a BFS of its own
+    # the check reads the pair masks that g keeps up to order 64, so it runs
+    # no BFS of its own and the caller's distance_matrix call keeps its
+    # matrix on g
     rng = random.Random(8)
     cases = []
     for n in (2, 3, 4, 5):
@@ -205,6 +208,60 @@ def test_counting_lemma_partition_validation():
         counting_lemma_check(g, 3, {(2, 2)}, [[0, 1, 2, 3]], [0])
     with pytest.raises(InvalidPartition):
         counting_lemma_check(g, 3, {(0, 9)}, [[0, 1, 2, 3]], [0])
+    for pair in [(0, 1, 2), (0,), ()]:
+        with pytest.raises(InvalidPartition, match="is not two vertices"):
+            counting_lemma_check(g, 3, [(0, 2), pair], [[0, 1, 2, 3]], [0])
+
+
+def _seeded_graph(rng, n, connected):
+    """A random tree on n vertices plus up to n chords, less every edge at
+    one vertex when not connected."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+    if not connected:
+        w = rng.randrange(n)
+        edges = [e for e in edges if w not in e]
+    return from_edge_list(n, edges)
+
+
+def test_counting_lemma_matches_the_matrix_failure_count():
+    # orders on both sides of the sphere cap, disconnected graphs and the
+    # empty pair list; k sits at or just above the true per-part floor
+    rng = random.Random(39)
+    verdicts = set()
+    for n in range(2, 67):
+        all_pairs = sorted(vertex_pairs(range(n)))
+        for pairs in (rng.sample(all_pairs, rng.randint(1, min(len(all_pairs), 60))), []):
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 4))))
+            partition = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [n])]
+            res = rng.randint(1, n)
+            split = _seeded_graph(rng, n, connected=False)
+            with pytest.raises(Disconnected):
+                lemma_failures_oracle(split, pairs)
+            with pytest.raises(Disconnected):
+                counting_lemma_check(split, res, pairs, partition, [0] * len(partition))
+            g = _seeded_graph(rng, n, connected=True)
+            fails = lemma_failures_oracle(g, pairs)
+            k = [min(fails[u] for u in part) + rng.randint(0, 1) for part in partition]
+            expected = (
+                all(fails[u] >= ki for part, ki in zip(partition, k) for u in part),
+                sum(len(part) * ki for part, ki in zip(partition, k)) <= len(pairs) * (res - 1),
+            )
+            assert counting_lemma_check(g, res, pairs, partition, k) == expected, n
+            verdicts.add(expected)
+    assert len(verdicts) > 2
+
+
+def test_counting_lemma_builds_no_matrix_up_to_order_64(count_calls):
+    bfs_runs = count_calls(graphs, "_all_pairs_bfs")
+    rng = random.Random(64)
+    for n in (2, 16, 17, 40, 63, 64, 65, 66, 80):
+        for pairs in (rng.sample(sorted(vertex_pairs(range(n))), 1), []):
+            g = _seeded_graph(rng, n, connected=True)
+            counting_lemma_check(g, 2, pairs, [range(n)], [0])
+            assert bfs_runs() == (n > 64), (n, pairs)
 
 
 def test_zero_violations_on_small_sweep(connected_by_order):

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -30,6 +31,9 @@ from resnum.families import (
 from resnum.graphs import ORDER_CAP, from_edge_list
 from resnum.invariants import clique_number, girth
 from resnum.resolve import resolving_number
+from resnum.serial import write_graph6
+
+from oracles import pendant_odd_cycle_oracle, spider_oracle, triangle_tripod_oracle
 
 
 def test_constructor_shapes():
@@ -149,6 +153,22 @@ def test_constructors_refuse_an_order_past_the_cap_before_building(monkeypatch):
             generate(FamilySpec(kind=kind, params=params))
     with pytest.raises(TooLarge):
         join(full, one)
+
+
+def test_the_leg_builder_matches_the_leg_loops():
+    # the same labels, so the same adjacency rows, as a vertex-at-a-time loop
+    for a, b, c in product(range(1, 7), repeat=3):
+        assert spider_graph(a, b, c) == spider_oracle(a, b, c)
+    for r in range(3, 41):
+        assert triangle_tripod(r) == triangle_tripod_oracle(r)
+    for a in range(3, 31):
+        assert pendant_odd_cycle(a) == pendant_odd_cycle_oracle(a)
+
+
+def test_the_extremal_families_keep_their_graph6():
+    assert write_graph6(spider_graph(1, 2, 3)) == "Fp_GG"
+    assert write_graph6(triangle_tripod(4)) == "H{D?H?@"
+    assert write_graph6(pendant_odd_cycle(3)) == "GhCKK?"
 
 
 def test_registry_generate():

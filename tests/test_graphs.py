@@ -35,6 +35,12 @@ def test_from_edge_list_basic():
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_from_edge_list_refuses_an_edge_that_is_not_two_vertices():
+    for edge in [(0, 1, 2), (0,), ()]:
+        with pytest.raises(InvalidEdge, match="is not two vertices"):
+            from_edge_list(3, [(0, 1), edge])
+
+
 def test_duplicate_edges_collapse():
     g = from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
