@@ -7,7 +7,8 @@ inequality, tied together by prop_id and distinguished by part.
 Inapplicability is data, never an error.  Each statement's rows come from
 its own builder in `_ROWS`, so a request for one prop builds that prop's
 rows alone, and only the Chain rows build the 2^n dimension table.  The
-counting lemma reads `resolve.non_resolvers`, the res path's pair sets.
+counting lemma reads the res path's pair sets through the helper of
+`resolve.non_resolvers`, on the pairs it has checked itself.
 
 Rows are interned: `_na` and `_row` build each distinct row once and
 hand the same frozen object to every graph that has it, so a row compares
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 from .errors import InputError, InvalidPartition, NotApplicable, TooLarge
 from .graphs import Graph, diameter
 from .invariants import InvariantSummary
-from .resolve import non_resolvers, upper_dimension
+from .resolve import _equidistant_set, upper_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +212,9 @@ def counting_lemma_check(
     pairs unresolved.  inequality_ok: sum(|part_i| * k_i) stays within
     |pairs| * (res - 1).  The second is a theorem whenever the first holds,
     so a (True, False) outcome signals a bug upstream, not new mathematics.
-    Failures come from `non_resolvers`: no matrix is built up to order 64.
+    Failures come from the pair sets `non_resolvers` reads: no matrix is
+    built up to order 64.  A bad part, count or pair, such as a pair that
+    is not two distinct vertices of g, raises InvalidPartition.
     """
     parts = [sorted(set(p)) for p in partition]
     if len(parts) != len(k):
@@ -235,7 +238,7 @@ def counting_lemma_check(
     # raises Disconnected on a disconnected graph, with pairs or without
     diameter(g)
     # fails[u]: how many of the given pairs vertex u leaves unresolved
-    fails = Counter(u for pair in norm for u in non_resolvers(g, pair))
+    fails = Counter(u for x, y in norm for u in _equidistant_set(g, x, y))
     hypothesis_ok = all(
         fails[u] >= ki for part, ki in zip(parts, k) for u in part
     )

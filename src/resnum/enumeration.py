@@ -23,15 +23,19 @@ S per child class, so the children need no set to drop duplicates, and
 the invariant, read off the child's rows and degrees, turns most other
 children away before a `Graph` is built and canon runs.  Its degree part
 is settled on the parent already: a non-cut vertex of the parent stays
-non-cut in a child whose S has two or more vertices, so the degree
-floor in `_joins` never builds a child where such a vertex outgrows the
-new one, whose degree is |S|.  A cap on m2, the most vertices at
-distance 1 from both ends of a pair or at distance 2 from both, passes
-to the parent as well: deleting a non-cut vertex only lengthens the
-distances among the rest, so no pair gains such a vertex.  It is tested
-on the child's rows after the invariant and before canon, by the sphere
-kernel `_most_equidistant` capped at radius 2, which counts on the same
-layers, so pruning keeps exactly what filtering would.
+non-cut in a child whose S has two or more vertices, and so does every
+one but s when S is {s}, so the degree floor in `_joins` never builds a
+child where such a vertex outgrows the new one, whose degree is |S|.  A
+cap on m2, the most vertices at distance 1 from both ends of a pair or
+at distance 2 from both, passes to the parent as well: deleting a
+non-cut vertex only lengthens the distances among the rest, so no pair
+gains such a vertex.  It is tested after the invariant and before canon.
+Under a girth floor of 5 or more the members of S are at least 3 apart,
+so the child's counts are the parent's plus what the new vertex adds,
+and `_m2_breaks` reads them from a table each parent builds once, for
+its first child that reaches the test.  Elsewhere the sphere kernel
+`_most_equidistant`, capped at radius 2, counts on the child's rows.
+Either way pruning keeps exactly what filtering would.
 
 Canon is needed only to break a tie.  When the new vertex is the only
 deletable vertex with the top invariant, or every other one is its twin
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canon import CanonicalForm, _orbits, _twins, canonical_form
 from .errors import InputError, TooLarge
@@ -145,43 +149,71 @@ def _joins(
     g: Graph, deg: tuple[int, ...], max_degree: int | None, min_girth: int | float | None
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
-    given the degrees of g, less the sets of two or more that the degree
-    floor shows cannot be the canonical deletion.
+    given the degrees of g, less the sets that the degree floor shows
+    cannot be the canonical deletion; by size, each size in increasing
+    lexicographic order.
 
     Caps: under a girth floor, no member of S lies in another's ball of
     radius ceil(min_girth) - 3, the union of the first sphere layers of g.
+    There S is grown by backtracking, in increasing vertex order, from the
+    free vertices outside the balls of the members already chosen; with
+    no floor every combination passes, and `combinations` lists them.
 
-    Floor: when |S| >= 2, a non-cut vertex v of g stays non-cut in the
-    child, where its degree is deg[v], plus one if v is in S, and the new
-    vertex's is |S|.  Let `top` be the largest degree of a non-cut vertex
-    and `peak` the non-cut vertices of that degree: one of them beats the
-    new vertex on degree when |S| < top, or when |S| = top and S meets
-    `peak`.  Other rivals, a cut vertex of g among them, are left to
-    `_deletion_ties`.  Automorphisms keep degrees and cut vertices, so the
-    floor drops whole orbits.
+    Floor: a non-cut vertex v of g outside S stays non-cut in the child,
+    with its degree deg[v], and so does one in S when |S| >= 2, with
+    degree deg[v] + 1; the new vertex's degree is |S|.  Let `top` be the
+    largest degree of a non-cut vertex and `peak` the non-cut vertices of
+    that degree.  When |S| >= 2, one of them beats the new vertex on
+    degree when |S| < top, or when |S| = top and S meets `peak`.  A
+    singleton {s} makes the new vertex a leaf, so any other non-cut vertex
+    of degree 2 or more beats it: {s} survives only when there is none,
+    and when `top` >= 2 that leaves s the one vertex of `peak`.  Other
+    rivals, a cut vertex of g among them, are left to `_deletion_ties`.
+    Automorphisms keep degrees and cut vertices, so the floor drops whole
+    orbits.
     """
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
-    top, peak = 0, 0
+    # scan the non-cut vertices by falling degree for `peak` and for
+    # `second`, the degree of the next one, which matters only from 2 up
+    top, peak, second = 0, 0, 0
     for v in sorted(range(g.n), key=deg.__getitem__, reverse=True):
-        if deg[v] < top:
+        if deg[v] < top and (second or deg[v] < 2):
             break
         if not _is_cut(g.adj, v):
-            top = deg[v]
-            peak |= 1 << v
-    near = None
-    if min_girth is not None and largest > 1:
-        near = [0] * g.n
-        for layer in islice(_row_layers(g.adj), math.ceil(min_girth) - 3):
-            near = [a | b for a, b in zip(near, layer)]
-    # at size top, the sets that miss `peak`
-    off_peak = [v for v in free if not peak >> v & 1]
-    return [
-        s
-        for size in (1, *range(max(2, top), largest + 1))
-        for s in combinations(off_peak if size == top > 1 else free, size)
-        if near is None or not any(near[a] >> b & 1 for a, b in combinations(s, 2))
-    ]
+            if peak:
+                second = second or deg[v]
+            else:
+                top = deg[v]
+            if deg[v] == top:
+                peak |= 1 << v
+    singles = [(v,) for v in free if top < 2 or second < 2 and peak == 1 << v]
+    lo = max(2, top)
+    if min_girth is None or largest < lo:
+        # at size top, the sets that miss `peak`
+        off_peak = [v for v in free if not peak >> v & 1]
+        return singles + [
+            s
+            for size in range(lo, largest + 1)
+            for s in combinations(off_peak if size == top else free, size)
+        ]
+    near = [0] * g.n
+    for layer in islice(_row_layers(g.adj), math.ceil(min_girth) - 3):
+        near = [a | b for a, b in zip(near, layer)]
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(largest + 1)]
+
+    def grow(s: tuple[int, ...], mask: int, rest: int) -> None:
+        # rest: the free vertices above S's last member and outside its balls
+        size = len(s) + 1
+        for v in _positions[rest]:
+            t, bit = s + (v,), 1 << v
+            if size >= lo and (size > top or not (mask | bit) & peak):
+                by_size[size].append(t)
+            if size < largest:
+                grow(t, mask | bit, rest >> v + 1 << v + 1 & ~near[v])
+
+    grow((), 0, sum(1 << v for v in free))
+    return singles + [s for sets in by_size for s in sets]
 
 
 def _centred(levels: list[int], m: int) -> bool:
@@ -343,6 +375,60 @@ def _most_equidistant(rows: Sequence[int], k: int, radius: int | None = None) ->
     return best
 
 
+def _m2_breaks(rows: Sequence[int], cap: int) -> Callable[[tuple[int, ...], int], bool]:
+    """The m2 test of the children of the parent with these rows, under a
+    girth floor of 5 or more: given a neighbour set S and its mask, True
+    iff the child's m2 passes `cap`, as `_most_equidistant(child, cap, 2)
+    > cap` would say.
+
+    The members of S are at least 3 apart, so N(S) misses S, and the new
+    vertex w changes no distance among the parent's vertices but those
+    between members of S, which drop to 2.  So no count falls, where the
+    count c(x, y) of a pair is |S1(x) & S1(y)| + |S2(x) & S2(y)| on the
+    parent's spheres, and the child's passes `cap` exactly on
+      1. x, y in S, when c(x, y) + |S| - 1 > cap (w and S - x - y join);
+      2. x, y in N(S), when c(x, y) is at the cap (w joins at distance 2);
+      3. x in S, y outside, when c(x, y) + |(S - x) & S2(y)| > cap;
+      4. x old and y = w, when |N(x) & S| + |S2(x) & N(S)| > cap.
+    The table, built once, holds the parent's first two layers, every
+    c(x, y), and per vertex the mask of its partners at the cap.
+    """
+    n = len(rows)
+    layers = list(islice(_row_layers(rows), 2))
+    twos = layers[1] if len(layers) == 2 else [0] * n
+    count = [0] * (n * n)  # count[x * n + y] = count[y * n + x] = c(x, y)
+    full = [0] * n
+    for x in range(n - 1):
+        one, two = rows[x], twos[x]
+        for y in range(x + 1, n):
+            c = (one & rows[y]).bit_count() + (two & twos[y]).bit_count()
+            count[x * n + y] = count[y * n + x] = c
+            if c >= cap:
+                full[x] |= 1 << y
+                full[y] |= 1 << x
+
+    def breaks(s: tuple[int, ...], mask: int) -> bool:
+        nbrs = far = 0
+        for x in s:
+            nbrs |= rows[x]
+            far |= twos[x]
+        if any(full[x] & nbrs for x in _positions[nbrs]):
+            return True
+        if any((rows[x] & mask).bit_count() + (twos[x] & nbrs).bit_count() > cap for x in range(n)):
+            return True
+        rise = len(s) - 1
+        for i, x in enumerate(s):
+            if any(count[x * n + y] + rise > cap for y in s[i + 1:]):
+                return True
+        for y in _positions[far]:
+            k = (twos[y] & mask).bit_count()
+            if any(count[x * n + y] + k - (twos[y] >> x & 1) > cap for x in s):
+                return True
+        return False
+
+    return breaks
+
+
 def _children(
     n: int, max_degree: int | None, min_girth: int | float | None, max_m2: int | None
 ) -> Iterator[tuple[Graph, CanonicalForm | None]]:
@@ -371,10 +457,13 @@ def _children(
                 yield t, None
         return
     w = n - 1
+    # under a girth floor of 5 each child's m2 is read from its parent
+    apart = max_m2 is not None and min_girth is not None and min_girth > 4
     for form in _level(w, max_degree, min_girth, max_m2):
         g = form.to_graph()
         deg = g.degrees()
         tried: set[int] = set()  # neighbour sets in the orbits tried so far
+        m2_breaks = None  # the parent's m2 table, built for its first child that needs it
         for s in _joins(g, deg, max_degree, min_girth):
             mask = sum(1 << v for v in s)
             if mask in tried:
@@ -388,7 +477,13 @@ def _children(
             rows.append(mask)
             degs.append(len(s))
             tied = _deletion_ties(rows, degs)
-            if tied is None or max_m2 is not None and _most_equidistant(rows, max_m2, 2) > max_m2:
+            if tied is None:
+                continue
+            if apart:
+                m2_breaks = m2_breaks or _m2_breaks(g.adj, max_m2)
+                if m2_breaks(s, mask):
+                    continue
+            elif max_m2 is not None and _most_equidistant(rows, max_m2, 2) > max_m2:
                 continue
             child = Graph(n, tuple(rows))
             if all(_twins(rows, w, v) for v in tied[1:]):

@@ -9,8 +9,9 @@ oracle is kept alongside so the shortcut never has to be trusted blindly.
 
 One res path serves every order: `graphs.pair_counts` counts the
 vertices that fail to resolve each pair x < y in row-major order, its
-first maximal count gives res and its pair, and `_equidistant_set`, the
-helper of `non_resolvers`, the witness set.  Up to the sphere cap of 64
+first maximal count gives res and its pair, and `_equidistant_set` the
+witness set; it serves `non_resolvers` and the counting lemma too, each
+pair checked once by its caller.  Up to the sphere cap of 64
 the pair masks also mark a single 2^n resolving-set table per graph,
 read once for the metric dimension (least size of a resolving set), the
 upper dimension (largest size of a minimal one) and res again for the
@@ -70,22 +71,24 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return vertices[0], vertices[1]
 
 
-def _equidistant_set(g: Graph, k: int, x: int, y: int) -> frozenset[int]:
-    """The vertices equidistant from x and y, the k-th pair x < y of g in
-    row-major order: its mask up to the sphere cap, its two matrix rows
-    compared past it."""
+def _equidistant_set(g: Graph, x: int, y: int) -> frozenset[int]:
+    """The vertices equidistant from the checked pair x < y of g: its mask
+    up to the sphere cap, its two matrix rows compared past it."""
     masks = pair_masks(g)
     if masks is not None:
-        return frozenset(_bits(int(masks[k])))
+        # rows 0..x-1 of the pairs hold n-1, n-2, ..., n-x of them
+        return frozenset(_bits(int(masks[x * (2 * g.n - x - 1) // 2 + y - x - 1])))
     dm = distance_matrix(g)
     return frozenset(np.flatnonzero(dm[x] == dm[y]).tolist())
 
 
 def non_resolvers(g: Graph, pair: tuple[int, int]) -> frozenset[int]:
-    """Vertices equidistant from both members of pair (never x or y themselves)."""
-    x, y = _check_pair(g.n, pair)
-    # rows 0..x-1 of the pairs hold n-1, n-2, ..., n-x of them
-    return _equidistant_set(g, x * (2 * g.n - x - 1) // 2 + y - x - 1, x, y)
+    """Vertices equidistant from both members of pair (never x or y themselves).
+
+    A pair that is not two distinct vertices raises DegeneratePair, and a
+    vertex outside the graph IndexOutOfRange.
+    """
+    return _equidistant_set(g, *_check_pair(g.n, pair))
 
 
 def is_resolving_set(g: Graph, s: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
@@ -113,7 +116,7 @@ def resolving_number(g: Graph) -> ResolvingReport:
     k = int(counts.argmax())
     xs, ys = _pairs(g.n)
     x, y = int(xs[k]), int(ys[k])
-    return ResolvingReport(int(counts[k]) + 1, (x, y), _equidistant_set(g, k, x, y))
+    return ResolvingReport(int(counts[k]) + 1, (x, y), _equidistant_set(g, x, y))
 
 
 def resolving_number_oracle(g: Graph) -> int:

@@ -179,9 +179,10 @@ def joins_oracle(
     floor: bool = True,
 ) -> list[tuple[int, ...]]:
     """Every neighbour set S a new vertex may join without breaking a cap,
-    given the degrees of g; with `floor`, less each S of two or more
-    vertices that some non-cut vertex of g beats on its degree in the
-    child."""
+    given the degrees of g; with `floor`, less each S that some non-cut
+    vertex of g beats on its degree in the child: any non-cut vertex when
+    S has two or more vertices, and one other than s when S is {s}, whose
+    new vertex is a leaf and makes s a cut vertex."""
     free = [v for v in range(g.n) if max_degree is None or deg[v] < max_degree]
     largest = len(free) if max_degree is None else min(max_degree, len(free))
     close = None
@@ -193,7 +194,7 @@ def joins_oracle(
         for size in range(1, largest + 1)
         for s in combinations(free, size)
         if close is None or not any(close[a, b] for a, b in combinations(s, 2))
-        if not floor or size == 1 or all(deg[v] + (v in s) <= size for v in deletable)
+        if not floor or all(deg[v] + (v in s) <= size for v in deletable if size > 1 or v not in s)
     ]
 
 

@@ -9,7 +9,13 @@ from resnum.bounds import (
     verify_bounds,
     vertex_pairs,
 )
-from resnum.errors import Disconnected, InputError, InvalidPartition
+from resnum.errors import (
+    DegeneratePair,
+    Disconnected,
+    IndexOutOfRange,
+    InputError,
+    InvalidPartition,
+)
 from resnum.families import (
     complete_graph,
     cycle_graph,
@@ -21,7 +27,7 @@ from resnum.families import (
 )
 from resnum.graphs import distance_matrix, from_edge_list
 from resnum.invariants import invariant_summary
-from resnum.resolve import resolving_number
+from resnum.resolve import non_resolvers, resolving_number
 
 from oracles import lemma_failures_oracle
 
@@ -211,6 +217,19 @@ def test_counting_lemma_partition_validation():
     for pair in [(0, 1, 2), (0,), ()]:
         with pytest.raises(InvalidPartition, match="is not two vertices"):
             counting_lemma_check(g, 3, [(0, 2), pair], [[0, 1, 2, 3]], [0])
+
+
+def test_one_bad_pair_keeps_each_entry_points_exception_class():
+    # the lemma checks its pairs once and reads their sets through the
+    # helper of non_resolvers, so each function keeps its own classes
+    g = path_graph(4)
+    for pair, refused in (((0, 1, 2), DegeneratePair), ((1, 1), DegeneratePair), ((0, 4), IndexOutOfRange)):
+        with pytest.raises(refused) as exc:
+            non_resolvers(g, pair)
+        assert type(exc.value) is refused
+        with pytest.raises(InvalidPartition) as exc:
+            counting_lemma_check(g, 3, [pair], [[0, 1, 2, 3]], [0])
+        assert type(exc.value) is InvalidPartition
 
 
 def _seeded_graph(rng, n, connected):

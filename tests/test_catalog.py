@@ -189,14 +189,14 @@ def test_canonical_form_calls_per_catalog_build(count_calls):
 
 
 def test_sphere_kernel_calls_per_catalog_build(count_calls):
-    # one count per candidate, read by the catalog, and one per child that
-    # passes the deletion pre-check on the m2-capped orders, read by the
-    # enumeration; the catalog imports the kernel by name, so each module's
-    # name is wrapped
+    # one count per candidate, read by the catalog, and none in the
+    # enumeration: every m2-capped order has a girth floor of 5, so each
+    # child's m2 is read from its parent's table (386 kernel calls before);
+    # the catalog imports the kernel by name, so each module's name is wrapped
     children = count_calls(enumeration, "_most_equidistant")
     candidates = count_calls(catalog, "_most_equidistant")
     build_res3_catalog()
-    assert (candidates(), children()) == (1158, 386)
+    assert (candidates(), children()) == (1158, 0)
 
 
 def test_girth_split():

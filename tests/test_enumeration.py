@@ -260,15 +260,15 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
         assert deg == child.degrees()
         assert tied == deletion_ties_oracle(child)
         rejected += tied is None
-    # the other 1,460 children reach canon; before the degree floor on the
-    # joins, 5,548 children were built and 4,088 of them rejected
-    assert (len(children), rejected) == (3098, 1638)
+    # the other 1,460 children reach canon; before the singleton floor,
+    # 3,098 children were built and 1,638 of them rejected, and before the
+    # degree floor on the joins, 5,548 and 4,088
+    assert (len(children), rejected) == (2358, 898)
 
 
-def _grown_parents(monkeypatch):
+def _recorded_joins(monkeypatch, build):
     """(g, deg, max_degree, min_girth, joins) for every parent the graph
-    engine grows on the catalog regions without their m2 cap and on orders
-    <= 7 under each girth floor and degree cap."""
+    engine grows while `build()` runs from a cold level cache."""
     parents = []
     real = enumeration._joins
 
@@ -279,15 +279,32 @@ def _grown_parents(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_joins", record)
     monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    build()
+    return parents
+
+
+def _grown_parents(monkeypatch):
+    """The parents on the catalog regions without their m2 cap and on
+    orders <= 7 under each girth floor and degree cap."""
     regions = REGIONS + [
         EnumConstraints(n, max_degree, min_girth)
         for n in range(2, 8)
         for max_degree in (None, 2, 3, 4)
         for min_girth in (4, 4.5, 5, 6)
     ]
-    for c in regions:
-        list(enumerate_graphs(c))
-    return parents
+    return _recorded_joins(monkeypatch, lambda: [list(enumerate_graphs(c)) for c in regions])
+
+
+def _sparse_parents(monkeypatch):
+    """The parents of the sparse region (max degree 3, girth 5, m2 2)
+    grown to order 11, past `REACH`."""
+    return _recorded_joins(monkeypatch, lambda: enumeration._level(11, 3, 5, 2))
+
+
+def _child(rows, mask):
+    """The graph with these rows and a new last vertex joined to mask."""
+    n = len(rows)
+    return Graph(n + 1, tuple(row | (mask >> v & 1) << n for v, row in enumerate(rows)) + (mask,))
 
 
 def test_joins_match_the_distance_matrix_oracle(monkeypatch):
@@ -304,17 +321,62 @@ def test_joins_match_the_distance_matrix_oracle(monkeypatch):
 def test_the_degree_floor_drops_only_children_the_deletion_oracle_rejects(monkeypatch):
     # pruning by the floor keeps exactly what filtering the children keeps:
     # every set it drops from the capped ones gives a child whose new
-    # vertex is not its canonical deletion
+    # vertex is not its canonical deletion (5,285 sets before singletons
+    # met the floor)
     dropped = 0
     for g, deg, max_degree, min_girth, joins in _grown_parents(monkeypatch):
         kept = set(joins)
         for s in joins_oracle(g, deg, max_degree, min_girth, floor=False):
             if s not in kept:
-                mask = sum(1 << v for v in s)
-                rows = tuple(row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj))
-                assert deletion_ties_oracle(Graph(g.n + 1, rows + (mask,))) is None
+                assert deletion_ties_oracle(_child(g.adj, sum(1 << v for v in s))) is None
                 dropped += 1
-    assert dropped == 5285
+    assert dropped == 6842
+
+
+def test_backtracked_joins_equal_the_combinations_filter_past_the_reach(monkeypatch):
+    # joins grown under the girth floor come in the order the filter over
+    # `combinations` gives, on every parent of the sparse region to order 10
+    parents = _sparse_parents(monkeypatch)
+    per_order = [sum(g.n == n for g, *_ in parents) for n in range(1, 11)]
+    assert per_order == [1, 1, 1, 2, 3, 6, 10, 20, 41, 102]
+    for g, deg, max_degree, min_girth, joins in parents:
+        assert joins == joins_oracle(g, deg, max_degree, min_girth)
+
+
+def test_the_parent_table_gives_each_childs_m2(monkeypatch):
+    # every child whose m2 is read from its parent's table gets the
+    # verdict of the distance matrix: orders <= 8 under girth floors 4.5,
+    # 5 and 6, order 9 of the res-4 region (max degree 4, girth 5, m2 3),
+    # where a pair inside S alone refuses some children, as none in the
+    # grid does, and the sparse region to order 11
+    judged = []
+    table = enumeration._m2_breaks
+
+    def record(rows, cap):
+        breaks = table(rows, cap)
+
+        def judge(s, mask):
+            verdict = breaks(s, mask)
+            judged.append((rows, mask, cap, verdict))
+            return verdict
+
+        return judge
+
+    monkeypatch.setattr(enumeration, "_m2_breaks", record)
+    kernel = enumeration._most_equidistant
+    kernel_calls = []
+    monkeypatch.setattr(
+        enumeration, "_most_equidistant", lambda *args: kernel_calls.append(args) or kernel(*args)
+    )
+    _sparse_parents(monkeypatch)
+    for max_degree, min_girth, cap in product((None, 3, 4), (4.5, 5, 6), range(4)):
+        enumeration._level(8, max_degree, min_girth, cap)
+    enumeration._level(9, 4, 5, 3)
+    # under these floors no child reaches the sphere kernel
+    assert kernel_calls == []
+    for rows, mask, cap, verdict in judged:
+        assert verdict == (m2_oracle(_child(rows, mask)) > cap)
+    assert (len(judged), sum(v for *_, v in judged)) == (2627, 882)
 
 
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
