@@ -17,10 +17,27 @@ one S per orbit of its automorphism group, whose generators its canonical
 form carries in the parent's own labels; two sets in one orbit give
 isomorphic children.  A child is kept only when its new vertex lies in
 the orbit of its canonical deletion: among the non-cut vertices that
-maximise (degree, sorted neighbour degrees), the one at the smallest
-canonical position.  That vertex picks one parent class and one orbit of
-S per child class, so the children need no set to drop duplicates, and
-the invariant, read off the child's rows and degrees, turns most other
+maximise the key (degree, sorted neighbour degrees, triangles, sphere
+sizes), the one at the smallest canonical position.  The triangles
+through v are the edges among its neighbours, and its sphere sizes are
+|S_r(v)| for r = 2 up to its eccentricity; under a girth floor of 5 there
+are none, and |S_2(v)| is the sum of deg(u) - 1 over v's neighbours, so
+there |S_3(v)| is the first part past the degrees that can split a tie.
+
+Why each class comes once.  Every part of the key is kept by an
+isomorphism, and so is being a cut vertex, while canonical positions
+differ only by an automorphism between graphs of one class; so the orbit
+of the chosen vertex is fixed by the class.  A child G is kept from
+exactly one parent class, that of G less the chosen vertex, which is
+connected, and one level holds one form per class.  It is kept from
+exactly one orbit of S: two kept children of one parent that are
+isomorphic have new vertices in one orbit, so an isomorphism carries the
+one new vertex to the other and restricts to an automorphism of the
+parent that carries the one S to the other.  And it is kept at least
+once, from the orbit of S tried that holds the chosen vertex's
+neighbourhood.  So the children need no set to drop duplicates.
+
+The key, read off the child's rows and degrees, turns most other
 children away before a `Graph` is built and canon runs.  Its degree part
 is settled on the parent already: a non-cut vertex of the parent stays
 non-cut in a child whose S has two or more vertices, and so does every
@@ -29,7 +46,7 @@ child where such a vertex outgrows the new one, whose degree is |S|.  A
 cap on m2, the most vertices at distance 1 from both ends of a pair or
 at distance 2 from both, passes to the parent as well: deleting a
 non-cut vertex only lengthens the distances among the rest, so no pair
-gains such a vertex.  It is tested after the invariant and before canon.
+gains such a vertex.  It is tested after the key and before canon.
 Under a girth floor of 5 or more the members of S are at least 3 apart,
 so the child's counts are the parent's plus what the new vertex adds,
 and `_m2_breaks` reads them from a table each parent builds once, for
@@ -38,14 +55,15 @@ its first child that reaches the test.  Elsewhere the sphere kernel
 Either way pruning keeps exactly what filtering would.
 
 Canon is needed only to break a tie.  When the new vertex is the only
-deletable vertex with the top invariant, or every other one is its twin
+deletable vertex with the top key, or every other one is its twin
 (swapping twins is an automorphism, so they share one orbit), the rows
 alone settle the deletion and the child is kept as built.  A canonical
 level still canonicalises each such child, to sort the level and to hand
 its forms on as parents.  A level that is no parent can skip that: with
 `canonical=False` the stream yields each class once as the engine built
 it, in generation order, and canon runs only on the children with other
-ties (at order 7, 209 of the 902 that reach the tie test).
+ties (at order 7, 149 of the 869 that reach the tie test, where the
+first two parts of the key alone left 209 of 902).
 
 Trees, the case of infinite girth, need no parent level.  A tree rooted
 at its centre, or at the end of its central edge that a size-then-order
@@ -317,31 +335,68 @@ def _is_cut(rows: Sequence[int], v: int) -> bool:
     return seen != rest
 
 
-def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
-    """The last vertex and the deletable vertices tied with it, or None
-    when a deletable vertex beats it on (degree, sorted neighbour degrees).
+def _spread(rows: Sequence[int], v: int) -> list[int]:
+    """The last two parts of v's deletion key: twice the triangles through
+    v, which is the edges among its neighbours counted from both ends,
+    then |S_r(v)| for r = 2, 3, ... up to v's eccentricity, grown one
+    frontier mask per radius.  The first step reads both off N(v)."""
+    near = rows[v]
+    twice = reach = 0
+    for u in _positions[near]:
+        twice += (rows[u] & near).bit_count()
+        reach |= rows[u]
+    spread = [twice]
+    seen = near | 1 << v
+    frontier = reach & ~seen
+    while frontier:
+        spread.append(frontier.bit_count())
+        seen |= frontier
+        reach = 0
+        for u in _positions[frontier]:
+            reach |= rows[u]
+        frontier = reach & ~seen
+    return spread
 
-    A vertex of higher degree beats it on degree alone, so it needs only
-    the cut test; neighbour degrees are sorted only for equal degrees.
+
+def _deletion_ties(rows: list[int], deg: list[int]) -> list[int] | None:
+    """The last vertex w and the deletable vertices tied with it, or None
+    when a deletable vertex beats it on (degree, sorted neighbour degrees,
+    triangles, sphere sizes).
+
+    A vertex of higher degree beats w on degree alone, so it needs only
+    the cut test; neighbour degrees are sorted only for equal degrees, and
+    `_spread` is read only for the vertices tied with w on both and not
+    its twins.  A twin shares w's orbit, so it ties on every part, and it
+    is deletable as w is.  A vertex below w needs no cut test.
     """
     w = len(rows) - 1
     d = deg[w]
-    top = None
+    top = spread = None
     tied = [w]
     for v in range(w):
         if deg[v] < d:
             continue
-        if deg[v] > d:
-            if not _is_cut(rows, v):
-                return None
-            continue
-        if top is None:
-            top = sorted(deg[u] for u in _positions[rows[w]])
-        k = sorted(deg[u] for u in _positions[rows[v]])
-        if k >= top and not _is_cut(rows, v):
-            if k > top:
-                return None
-            tied.append(v)
+        if deg[v] == d:
+            if top is None:
+                top = sorted(deg[u] for u in _positions[rows[w]])
+            k = sorted(deg[u] for u in _positions[rows[v]])
+            if k < top:
+                continue
+            if k == top:
+                if _twins(rows, w, v):
+                    tied.append(v)
+                    continue
+                spread = spread or _spread(rows, w)
+                k = _spread(rows, v)
+                if k < spread:
+                    continue
+                if k == spread:
+                    if not _is_cut(rows, v):
+                        tied.append(v)
+                    continue
+        # v beats w
+        if not _is_cut(rows, v):
+            return None
     return tied
 
 
@@ -438,13 +493,13 @@ def _children(
     K1, and the trees filtered by the degree and m2 caps, come as built,
     with None.  Other graphs are the children of the level below, each
     first held as its adjacency rows and degrees: a child whose new vertex
-    another deletable vertex beats on (degree, sorted neighbour degrees),
-    or that breaks the m2 cap, is turned away before a `Graph` is built.
-    The rows settle the deletion, with None, when every other tied vertex
-    is a twin of the new one: each swap is an automorphism, so they all
-    share its orbit.  Else canon decides: the child is kept, with its
-    form, when its new vertex lies in the orbit of the tied vertex at the
-    smallest canonical position.
+    another deletable vertex beats on (degree, sorted neighbour degrees,
+    triangles, sphere sizes), or that breaks the m2 cap, is turned away
+    before a `Graph` is built.  The rows settle the deletion, with None,
+    when every other tied vertex is a twin of the new one: each swap is an
+    automorphism, so they all share its orbit.  Else canon decides: the
+    child is kept, with its form, when its new vertex lies in the orbit of
+    the tied vertex at the smallest canonical position.
     """
     if n == 1:
         yield Graph(1, (0,)), None

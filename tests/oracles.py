@@ -6,8 +6,9 @@ forms against `canonical_form`, a permutation scan for the automorphisms
 that `canonical_form` reports, one global ranking of every free vertex per
 round against the cell-by-cell refinement of `canon._refine`, raw
 edge-subset enumeration against the enumeration engine, the canonical
-deletion pre-check on a `Graph`, with the full key for every rival,
-against the one on rows and degrees, the girth test on the distance
+deletion pre-check on a `Graph`, with the full key for every rival and
+its sphere sizes read from the distance matrix, against the one on rows
+and degrees, the girth test on the distance
 matrix and a degree comparison with every non-cut vertex against the
 balls `_joins` takes from the rows loop `graphs._row_layers` and its
 degree floor, subset brute force against `clique_number`, the m2 count
@@ -200,16 +201,23 @@ def joins_oracle(
 
 def deletion_ties_oracle(child: Graph) -> list[int] | None:
     """The last vertex and the non-cut vertices tied with it on (degree,
-    sorted neighbour degrees), or None when a non-cut vertex beats it.
+    sorted neighbour degrees, triangles, sphere sizes), or None when a
+    non-cut vertex beats it.
 
     Every vertex of at least its degree gets the full key, whatever its
-    degree.
+    degree: the triangles through v counted as the adjacent pairs of its
+    neighbours, and |S_r(v)| for r = 2 up to v's eccentricity counted on
+    the distance matrix's row.
     """
     w = child.n - 1
     deg = child.degrees()
+    dm = distance_matrix(child)
 
-    def key(v: int) -> tuple[int, list[int]]:
-        return deg[v], sorted(deg[u] for u in child.neighbors(v))
+    def key(v: int) -> tuple[int, list[int], int, list[int]]:
+        nbrs = list(child.neighbors(v))
+        triangles = sum(child.adj[a] >> b & 1 for a, b in combinations(nbrs, 2))
+        spheres = [int((dm[v] == r).sum()) for r in range(2, int(dm[v].max()) + 1)]
+        return deg[v], sorted(deg[u] for u in nbrs), triangles, spheres
 
     top = key(w)
     tied = [w]

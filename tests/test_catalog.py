@@ -179,13 +179,15 @@ def test_only_candidates_the_rows_leave_reach_resolving_number(count_calls):
 
 def test_canonical_form_calls_per_catalog_build(count_calls):
     # the m2 cap on orders 8..10 turns children away before canon: the
-    # same regions without it take 1,462 calls (test_enumeration); and the
+    # same regions without it take 1,352 calls (test_enumeration); and the
     # top orders 7 and 10 stream one representative per class, with canon
-    # only where the rows leave a deletion tied: 209 and 115 calls, where
-    # their sorted canonical levels took 902 and 143, 1,296 in all
+    # only where the rows leave a deletion tied: 149 and 44 calls, where
+    # their sorted canonical levels took 869 and 102, 1,199 in all; the
+    # deletion key of (degree, sorted neighbour degrees) alone took 575,
+    # and 209 and 115 at the top orders
     calls = count_calls(enumeration, "canonical_form")
     build_res3_catalog()
-    assert calls() == 575
+    assert calls() == 421
 
 
 def test_sphere_kernel_calls_per_catalog_build(count_calls):

@@ -42,6 +42,15 @@ CONSTRAINED_COUNTS = {8: 29, 9: 69, 10: 201}
 STREAMS_SHA256 = "1bf0d07ec3d34b099e65720619ef44be9c0407df2dc7f820300f11c1e23d6aff"
 # classes of order 2..7 with m2 <= k, by k
 M2_COUNTS = {1: [1, 2, 1, 2, 1, 2], 2: [1, 2, 6, 7, 17, 23], 3: [1, 2, 6, 21, 44, 132]}
+# connected d-regular classes by order, keyed by (d, girth floor), from the
+# OEIS: A002851 (cubic), A014371 (cubic, girth >= 4), A014372 (cubic,
+# girth >= 5) and A006820 (quartic); every order not listed has none
+REGULAR_COUNTS = {
+    (3, None): {4: 1, 6: 2, 8: 5, 10: 19},
+    (3, 4): {6: 1, 8: 2, 10: 6},
+    (3, 5): {10: 1, 12: 2},
+    (4, None): {5: 1, 6: 1, 7: 2, 8: 6},
+}
 # each graph's m2 from the distance matrix, computed once per session
 m2_of = lru_cache(maxsize=None)(m2_oracle)
 # the tree ladder, and the regions the res-3 catalog scans without its m2 cap
@@ -260,10 +269,11 @@ def test_row_precheck_matches_the_graph_oracle(monkeypatch):
         assert deg == child.degrees()
         assert tied == deletion_ties_oracle(child)
         rejected += tied is None
-    # the other 1,460 children reach canon; before the singleton floor,
+    # the other 1,350 children reach canon; 898 were rejected before the
+    # key read triangles and sphere sizes, and before the singleton floor,
     # 3,098 children were built and 1,638 of them rejected, and before the
     # degree floor on the joins, 5,548 and 4,088
-    assert (len(children), rejected) == (2358, 898)
+    assert (len(children), rejected) == (2358, 1008)
 
 
 def _recorded_joins(monkeypatch, build):
@@ -376,7 +386,25 @@ def test_the_parent_table_gives_each_childs_m2(monkeypatch):
     assert kernel_calls == []
     for rows, mask, cap, verdict in judged:
         assert verdict == (m2_oracle(_child(rows, mask)) > cap)
-    assert (len(judged), sum(v for *_, v in judged)) == (2627, 882)
+    # (2,627 and 882 before the deletion key read triangles and sphere sizes)
+    assert (len(judged), sum(v for *_, v in judged)) == (2265, 817)
+
+
+def test_regular_graphs_of_the_capped_levels_match_published_counts(monkeypatch):
+    # filtered to its d-regular graphs, a level grown under the degree cap
+    # d holds as many classes as the OEIS counts: an independent check of
+    # the joins, the deletion key and canon past `REACH`.  As in the
+    # catalog, each row's top order streams in generation order and the
+    # orders below, its parents, are canonical levels
+    monkeypatch.setattr(enumeration, "_level", lru_cache(maxsize=None)(enumeration._grow))
+    for (d, floor), counts in REGULAR_COUNTS.items():
+        top = max(counts)
+        for n in range(2, top + 1):
+            if n < top:
+                graphs = [form.to_graph() for form in enumeration._level(n, d, floor, None)]
+            else:
+                graphs = [g for g, _ in enumeration._children(n, d, floor, None)]
+            assert sum(set(g.degrees()) == {d} for g in graphs) == counts.get(n, 0), (d, floor, n)
 
 
 def test_exactly_one_cubic_graph_survives_at_order_ten(constrained_by_order):
@@ -558,9 +586,10 @@ def test_the_tree_walk_jumps_past_rejected_first_subtrees(count_calls):
 
 def test_canonical_form_calls_unconstrained(count_calls):
     # one neighbour set per orbit, and only children that pass the cheap
-    # deletion test reach canon: 1,047 calls for the 996 classes
+    # deletion test reach canon: 1,012 calls for the 996 classes (1,047
+    # with the key of degree and sorted neighbour degrees alone)
     calls = _calls_per_order(count_calls, [EnumConstraints(n) for n in range(1, 8)])
-    assert calls == [1, 1, 2, 6, 21, 114, 902]
+    assert calls == [1, 1, 2, 6, 21, 112, 869]
 
 
 def _representatives(constraints):
@@ -593,29 +622,32 @@ def test_settled_children_pass_the_orbit_test():
                 lowest = min(at[v] for v in tied)
                 assert canon._orbits(1 << at[g.n - 1], form.generators) >> lowest & 1
                 settled.append((g.n, len(tied) > 1))
-    # at order 7, 457 children tie with no vertex and 236 only with twins
-    # of the new one, of the 902 that canon decides in a canonical level;
-    # 893 of the 1,461 on these regions
-    assert (settled.count((7, False)), settled.count((7, True))) == (457, 236)
-    assert len(settled) == 893
+    # at order 7, 471 children tie with no vertex and 249 only with twins
+    # of the new one, of the 869 that canon decides in a canonical level;
+    # 975 of the 1,351 on these regions (457, 236 and 893 of 902 and
+    # 1,461 with the key of degree and sorted neighbour degrees alone)
+    assert (settled.count((7, False)), settled.count((7, True))) == (471, 249)
+    assert len(settled) == 975
 
 
 def test_canonical_form_calls_of_representatives(count_calls):
     # the top order streamed after its canonical parent levels: canon runs
-    # on the children whose deletion stays tied, 209 of the 902 at order 7
-    # and 115 of the 143 on the m2-capped sparse order 10, and never on a
-    # tree
+    # on the children whose deletion stays tied, 149 of the 869 at order 7
+    # and 44 of the 102 on the m2-capped sparse order 10, and never on a
+    # tree (209 of 902 and 115 of 143 with the key of degree and sorted
+    # neighbour degrees alone)
     unconstrained = [EnumConstraints(n) for n in range(1, 8)]
     calls = _calls_per_order(count_calls, unconstrained[:-1] + _representatives(unconstrained[-1:]))
-    assert calls == [1, 1, 2, 6, 21, 114, 209]
+    assert calls == [1, 1, 2, 6, 21, 112, 149]
     sparse = [EnumConstraints(n, 3, 5, max_m2=2) for n in range(1, 11)]
-    assert _calls_per_order(count_calls, sparse[:-1] + _representatives(sparse[-1:]))[-1] == 115
+    assert _calls_per_order(count_calls, sparse[:-1] + _representatives(sparse[-1:]))[-1] == 44
     assert _calls_per_order(count_calls, _representatives(LADDER)) == [0] * 12
 
 
 def test_canonical_form_calls_catalog_regions(count_calls):
     # the regions the res-3 catalog scans, without its m2 cap: 1,294 classes
-    assert sum(_calls_per_order(count_calls, REGIONS)) == 1462
+    # (1,462 calls with the key of degree and sorted neighbour degrees alone)
+    assert sum(_calls_per_order(count_calls, REGIONS)) == 1352
 
 
 def _profiled(monkeypatch, constraints, count):
@@ -651,7 +683,9 @@ def test_search_nodes_on_the_tree_ladder(monkeypatch):
 def test_refine_sorts_on_the_tree_ladder_and_the_catalog_regions(monkeypatch):
     # `sorted` calls made from `_refine` frames; before round one at the
     # root bucketed the vertices by degree, sorting every key there, the
-    # tree ladder took 46,177 and the catalog regions 34,005
+    # tree ladder took 46,177 and the catalog regions 34,005; the catalog
+    # regions took 27,672 before the deletion key read triangles and
+    # sphere sizes
     sorts = 0
 
     def count(frame, event, arg):
@@ -663,13 +697,15 @@ def test_refine_sorts_on_the_tree_ladder_and_the_catalog_regions(monkeypatch):
     assert sorts == 35249
     sorts = 0
     _profiled(monkeypatch, REGIONS, count)
-    assert sorts == 27672
+    assert sorts == 24715
 
 
 def test_refine_runs_only_where_round_ones_least_cell_may_still_split(count_calls):
     # every other search node branches on the cell `_leader` reads from
     # masks, one vertex or a class of twins; refining at every node took
     # 17,025 calls on the tree ladder and 17,480 on the catalog regions,
-    # and refining wherever that cell was not one vertex 4,329 and 3,325
+    # and refining wherever that cell was not one vertex 4,329 and 3,325;
+    # the catalog regions took 1,552 before the deletion key read
+    # triangles and sphere sizes
     assert sum(_calls_per_order(count_calls, LADDER, canon, "_refine")) == 1426
-    assert sum(_calls_per_order(count_calls, REGIONS, canon, "_refine")) == 1552
+    assert sum(_calls_per_order(count_calls, REGIONS, canon, "_refine")) == 1414
